@@ -11,7 +11,7 @@ import numpy as np
 from resetcert.elements import base_tf, gfore
 from resetcert.hbeta import search_candidate_scalar, spr_check_scalar
 from resetcert.lti import series, tf
-from resetcert.nsv import certify_first_order, nsv_grid_samples, sufficient_phase_conditions
+from resetcert.nsv import certify_first_order, sufficient_phase_conditions
 
 one = tf([1.0])
 plant = tf([1.0], [1.0, 1.0])
@@ -26,8 +26,8 @@ tv = verdict.type_verdict
 print(f"angle range: [{np.degrees(tv.theta1):.1f}, {np.degrees(tv.theta2):.1f}] deg "
       f"-> type I: {tv.is_type1}, type II: {tv.is_type2}")
 
-# the quick sufficient sign tests on the same loop
-samples, nsv = nsv_grid_samples(plant, one, one, one, element)
+# the quick sufficient sign tests on the grid the verdict was read from
+samples, nsv = verdict.samples, verdict.nsv
 pc = sufficient_phase_conditions(samples)
 print("shortcut conditions: sin(loop phase) >= 0:", pc.cond_a,
       "| cos(loop - element phase) >= 0:", pc.cond_b)
@@ -42,7 +42,7 @@ print(f"  limit at w->0: {rep.limit_zero.value:.4f}, "
       f"w^2-scaled limit at w->inf: {rep.limit_inf.value:.4f}")
 
 rows = ["omega_rad_s,theta_deg"]
-rows += [f"{s.omega:.9g},{np.degrees(s.theta):.9g}" for s in nsv]
+rows += [f"{w:.9g},{t:.9g}" for w, t in zip(nsv.omega, np.degrees(nsv.theta))]
 with open("nsv_angle.csv", "w", encoding="utf-8") as fh:
     fh.write("\n".join(rows) + "\n")
 print("wrote nsv_angle.csv with", len(nsv), "rows")

@@ -13,7 +13,7 @@ from .frf import FrfTable, LoopSamples, compose_loop, interpolate, load_frf, sav
 from .gsore import CertificateResult, GsoreProblem, certify, f1, f2, gamma_factor
 from .hbeta import HbetaCandidate, search_candidate_scalar, spr_check_matrix, spr_check_scalar
 from .lti import ClosedLoop, RationalTF, StateSpace, assemble_closed_loop, base_linear_stability, evaluate, minimality_check, relative_degree, series, tf, to_state_space
-from .nsv import NsvSample, TypeVerdict, certify_first_order, classify, compute_nsv
+from .nsv import Nsv, TypeVerdict, certify_first_order, classify, compute_nsv
 from .sim import SimConfig, SimTrace, realization_equivalence, simulate, step_response
 
 __version__ = "0.1.0"

@@ -139,7 +139,7 @@ def _parse_asymptote(text):
 
 def _write_nsv_csv(nsv, path):
     rows = ["omega_rad_s,theta_deg"]
-    rows += [f"{s.omega:.17g},{np.degrees(s.theta):.17g}" for s in nsv]
+    rows += [f"{w:.17g},{t:.17g}" for w, t in zip(nsv.omega, np.degrees(nsv.theta))]
     _atomic_write(path, "\n".join(rows) + "\n")
 
 
@@ -175,13 +175,7 @@ def cmd_classify(args) -> int:
     }
     _emit_json(out, args.out)
     if args.nsv_out:
-        variant = "sosre" if element.kind == "SOSRE" else (
-            "modified" if cfg.get("architecture") == "modified" else "standard")
-        _, nsv = nsv_grid_samples(plant, _block_from_cfg(blocks.get("c_l1")),
-                                  _block_from_cfg(blocks.get("c_l2")),
-                                  _block_from_cfg(blocks.get("c_s")), element,
-                                  variant=variant, points=args.grid_points)
-        _write_nsv_csv(nsv, args.nsv_out)
+        _write_nsv_csv(verdict.nsv, args.nsv_out)
     return 0 if verdict.certified else 2
 
 

@@ -26,6 +26,7 @@ from .lti import (
     dc_limit,
     high_frequency_re_limit,
     leading_coefficients,
+    polyadd,
     polymul,
     relative_degree,
     series,
@@ -79,9 +80,9 @@ def build_h_scalar(p_lin: RationalTF, element: ResetElement, c_s: RationalTF,
     ns, ds = c_s.num, c_s.den
     if variant == "modified":
         # loop is L' = C_R * P * Cs; H = N_R (b' Nt + r' Dt) Ds / (Dr Dt Ds + Nr Nt Ns)
-        num = polymul(nr, polymul(ds, _polyadd(beta_prime * np.asarray(nt),
-                                               rho_prime * np.asarray(dt))))
-        den = _polyadd(polymul(polymul(dr, dt), ds), polymul(polymul(nr, nt), ns))
+        num = polymul(nr, polymul(ds, polyadd(beta_prime * np.asarray(nt),
+                                              rho_prime * np.asarray(dt))))
+        den = polyadd(polymul(polymul(dr, dt), ds), polymul(polymul(nr, nt), ns))
         return RationalTF(num, den)
     if element.kind == "SOSRE":
         # only the first state resets: the rho tap rides on s * C_R
@@ -89,18 +90,9 @@ def build_h_scalar(p_lin: RationalTF, element: ResetElement, c_s: RationalTF,
     else:
         rho_term = rho_prime * np.asarray(polymul(dt, ds))
     beta_term = beta_prime * np.asarray(polymul(nt, ns))
-    num = polymul(nr, _polyadd(beta_term, rho_term))
-    den = polymul(ds, _polyadd(polymul(dr, dt), polymul(nr, nt)))
+    num = polymul(nr, polyadd(beta_term, rho_term))
+    den = polymul(ds, polyadd(polymul(dr, dt), polymul(nr, nt)))
     return RationalTF(num, den)
-
-
-def _polyadd(a, b):
-    a, b = np.asarray(a, float), np.asarray(b, float)
-    n = max(a.size, b.size)
-    out = np.zeros(n)
-    out[: a.size] += a
-    out[: b.size] += b
-    return out
 
 
 def _limits_scalar(h: RationalTF):

@@ -8,7 +8,7 @@ the condition-list test is kept as diagnostics and must agree with it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -34,15 +34,24 @@ from .lti import (
 
 SIGN_EPS = 1e-9          # slack on the pointwise strict sign conditions
 THETA_GAP_MAX = np.pi / 6
-REFINE_LEVELS = 4
+REFINE_LEVELS = 8        # midpoint-insertion rounds in nsv_grid_samples
 
 
 @dataclass(frozen=True)
-class NsvSample:
-    omega: float
-    n_chi: float
-    n_upsilon: float
-    theta: float
+class Nsv:
+    """Per-frequency NSV on one grid, as parallel float arrays.
+
+    ``theta`` is the angle of (``n_chi``, ``n_upsilon``) mapped into
+    [-pi/2, 3*pi/2); ``len`` is the number of grid points.
+    """
+
+    omega: np.ndarray
+    n_chi: np.ndarray
+    n_upsilon: np.ndarray
+    theta: np.ndarray
+
+    def __len__(self) -> int:
+        return self.omega.size
 
 
 @dataclass(frozen=True)
@@ -61,7 +70,7 @@ def map_angle(theta):
     return float(out) if out.ndim == 0 else out
 
 
-def compute_nsv(samples: LoopSamples, variant: str = "standard") -> list[NsvSample]:
+def compute_nsv(samples: LoopSamples, variant: str = "standard") -> Nsv:
     """Per-frequency NSV components for the selected loop variant.
 
     ``standard``: N = (Re(L Cs kappa), Re(kappa C_R)).
@@ -69,6 +78,23 @@ def compute_nsv(samples: LoopSamples, variant: str = "standard") -> list[NsvSamp
     divides it back out: N_chi = Re(L' kappa / Cs).
     ``sosre``:    N_upsilon = -Im(w kappa C_R).
     """
+    if variant == "modified":
+        _check_shaping(samples)
+    return _nsv_arrays(samples, variant)
+
+
+def _check_shaping(samples: LoopSamples) -> None:
+    """Reject a shaping filter that vanishes on the grid, relative to its
+    largest magnitude there (the modified variant divides by it)."""
+    cs = np.abs(samples.shaping)
+    small = cs < 1e-12 * max(np.max(cs), 1e-300)
+    if np.any(small):
+        raise ZeroShapingFilter(
+            f"|Cs(jw)| below threshold at omega={samples.omega[small][0]:g}")
+
+
+def _nsv_arrays(samples: LoopSamples, variant: str) -> Nsv:
+    """The NSV arithmetic of ``compute_nsv``, point by point, unchecked."""
     L = samples.loop
     cs = samples.shaping
     cr = samples.reset_base
@@ -78,9 +104,6 @@ def compute_nsv(samples: LoopSamples, variant: str = "standard") -> list[NsvSamp
         n_chi = (L * cs * kappa).real
         n_ups = (kappa * cr).real
     elif variant == "modified":
-        small = np.abs(cs) < 1e-12 * max(np.max(np.abs(cs)), 1e-300)
-        if np.any(small):
-            raise ZeroShapingFilter(f"|Cs(jw)| below threshold at omega={w[small][0]:g}")
         n_chi = (L * kappa / cs).real
         n_ups = (kappa * cr).real
     elif variant == "sosre":
@@ -89,8 +112,7 @@ def compute_nsv(samples: LoopSamples, variant: str = "standard") -> list[NsvSamp
     else:
         raise ValueError(f"unknown NSV variant {variant!r}")
     theta = map_angle(np.arctan2(n_ups, n_chi))
-    return [NsvSample(float(wi), float(x), float(y), float(t))
-            for wi, x, y, t in zip(w, n_chi, n_ups, theta)]
+    return Nsv(np.asarray(w, float), n_chi, n_ups, theta)
 
 
 def _window_type1(theta1, theta2, eps=SIGN_EPS):
@@ -144,32 +166,28 @@ def _condition_list_type2(n_chi, n_ups, theta, eps=SIGN_EPS):
     return c3 and c4 and (a or b or c)
 
 
-def classify(samples: list[NsvSample], origin_pole: bool = False, k_s0: float = 1.0,
+def classify(nsv: Nsv, origin_pole: bool = False, k_s0: float = 1.0,
              element_kind: str = "GFORE", n_minus_m: int | None = None,
              extra_thetas=(), check_density: bool = True) -> TypeVerdict:
-    """Type I / Type II verdict from NSV samples plus side conditions.
+    """Type I / Type II verdict from the NSV arrays plus side conditions.
 
     ``extra_thetas`` carries asymptotic angle limits so the min/max covers
     the w -> 0 and w -> inf ends of the axis.  The angle-window test decides;
     the condition-list transcription is evaluated alongside for diagnostics.
     """
-    if not samples:
+    if len(nsv) == 0:
         raise SparseGrid("no NSV samples")
-    theta_raw = np.unwrap([np.arctan2(s.n_upsilon, s.n_chi) for s in samples])
+    n_chi, n_ups, theta, omega = nsv.n_chi, nsv.n_upsilon, nsv.theta, nsv.omega
+    theta_raw = np.unwrap(np.arctan2(n_ups, n_chi))
     if check_density and theta_raw.size > 1:
         gap = np.max(np.abs(np.diff(theta_raw)))
         if gap >= THETA_GAP_MAX:
             raise SparseGrid(f"adjacent angle gap {gap:.3f} rad >= pi/6; refine the grid")
-    theta = np.array([s.theta for s in samples])
     all_theta = np.concatenate([theta, np.asarray(list(extra_thetas), float)])
     theta1 = float(np.min(all_theta))
     theta2 = float(np.max(all_theta))
 
     diagnostics = []
-    n_chi = np.array([s.n_chi for s in samples])
-    n_ups = np.array([s.n_upsilon for s in samples])
-    omega = np.array([s.omega for s in samples])
-
     norms = np.hypot(n_chi, n_ups)
     nz_ok = bool(np.all(norms > 1e-300))
     diagnostics.append(("nonzero-nsv", "ok" if nz_ok else
@@ -362,7 +380,13 @@ def feature_band(*tfs, extra=()):
 def nsv_grid_samples(plant, c_l1: RationalTF, c_l2: RationalTF, c_s: RationalTF,
                      element: ResetElement, variant: str = "standard",
                      points: int = 2000, refine: int = REFINE_LEVELS):
-    """Loop samples + NSV list on a padded log grid, refined near zero crossings."""
+    """Loop samples + NSV arrays on a padded log grid, refined near zero crossings.
+
+    Each of at most ``refine`` rounds inserts the geometric midpoint of every
+    interval where a component changes sign or the angle jumps by pi/7 or
+    more.  Only the new midpoints are evaluated: a sample does not depend on
+    its neighbours, so the result equals a fresh evaluation on the final grid.
+    """
     c_r = base_tf(element)
     in_loop = variant == "modified"
     if isinstance(plant, FrfTable):
@@ -375,10 +399,8 @@ def nsv_grid_samples(plant, c_l1: RationalTF, c_l2: RationalTF, c_s: RationalTF,
     samples = compose_loop(plant, c_l1, c_r, c_l2, c_s, grid,
                            include_shaping_in_loop=in_loop)
     nsv = compute_nsv(samples, variant)
-    for _ in range(max(refine, 8)):
-        chi = np.array([s.n_chi for s in nsv])
-        ups = np.array([s.n_upsilon for s in nsv])
-        w = np.array([s.omega for s in nsv])
+    for _ in range(refine):
+        chi, ups, w = nsv.n_chi, nsv.n_upsilon, nsv.omega
         gaps = np.abs(np.diff(np.unwrap(np.arctan2(ups, chi))))
         flips = np.nonzero((np.sign(chi[:-1]) != np.sign(chi[1:]))
                            | (np.sign(ups[:-1]) != np.sign(ups[1:]))
@@ -386,11 +408,21 @@ def nsv_grid_samples(plant, c_l1: RationalTF, c_l2: RationalTF, c_s: RationalTF,
         if flips.size == 0:
             break
         mids = np.sqrt(w[flips] * w[flips + 1])
-        grid = np.unique(np.concatenate([w, mids]))
-        samples = compose_loop(plant, c_l1, c_r, c_l2, c_s, grid,
-                               include_shaping_in_loop=in_loop)
-        nsv = compute_nsv(samples, variant)
+        fresh = compose_loop(plant, c_l1, c_r, c_l2, c_s, mids,
+                             include_shaping_in_loop=in_loop)
+        _, order = np.unique(np.concatenate([w, mids]), return_index=True)
+        samples = _merged(samples, fresh, order)
+        if in_loop:
+            # the zero-shaping threshold is relative to the whole grid
+            _check_shaping(samples)
+        nsv = _merged(nsv, _nsv_arrays(fresh, variant), order)
     return samples, nsv
+
+
+def _merged(old, new, order):
+    """Join two per-frequency array records of one type, in grid order."""
+    return type(old)(*(np.concatenate([getattr(old, f.name), getattr(new, f.name)])[order]
+                       for f in fields(old)))
 
 
 # ---------------------------------------------------------------------------
@@ -405,6 +437,8 @@ class CertifiedVerdict:
     type_verdict: TypeVerdict | None
     k_s0: float
     k_n: float | None
+    samples: LoopSamples    # the final refined grid the verdict was read from
+    nsv: Nsv
 
 
 def _origin_pole_count(p: RationalTF) -> int:
@@ -503,7 +537,8 @@ def certify_first_order(element: ResetElement, c_l1: RationalTF, c_l2: RationalT
                     "pass" if not conditional else "conditional", detail))
 
     certified = all(status in ("pass", "conditional", "assumed") for _, status, _ in bullets)
-    return CertifiedVerdict(certified, conditional, bullets, verdict, k_s0, k_n)
+    return CertifiedVerdict(certified, conditional, bullets, verdict, k_s0, k_n,
+                            samples, nsv)
 
 
 def _frf_asymptote_angles(samples: LoopSamples, c_s, c_r, variant,

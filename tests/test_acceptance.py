@@ -22,7 +22,7 @@ from resetcert.hbeta import (
 )
 from resetcert.lti import assemble_closed_loop, evaluate, high_frequency_re_limit, series, tf
 from resetcert.nsv import (
-    NsvSample,
+    Nsv,
     _condition_list_type1,
     _condition_list_type2,
     certify_first_order,
@@ -111,7 +111,7 @@ def test_criterion_01_nsv_identity():
     out = compute_nsv(s)
     a, b = vals.real, vals.imag
     expect = a**2 + b**2 + a
-    got = np.array([o.n_chi for o in out])
+    got = out.n_chi
     worst = np.max(np.abs(got - expect) / np.maximum(np.abs(expect), 1.0))
     assert worst <= 1e-10
     elapsed = time.time() - t0
@@ -128,9 +128,7 @@ def test_criterion_02_window_list_equivalence():
         chi = rng.normal(size=n)
         ups = rng.normal(size=n)
         theta = map_angle(np.arctan2(ups, chi))
-        samples = [NsvSample(float(i + 1), float(x), float(y), float(t))
-                   for i, (x, y, t) in enumerate(zip(chi, ups, theta))]
-        v = classify(samples, check_density=False)
+        v = classify(Nsv(np.arange(1.0, n + 1.0), chi, ups, theta), check_density=False)
         agree += int(v.is_type1 == _condition_list_type1(chi, ups, theta)
                      and v.is_type2 == _condition_list_type2(chi, ups, theta))
     assert agree == 200

@@ -38,6 +38,22 @@ class TestClassify:
         assert data["certified"] is True
         assert data["is_type1"] is True
 
+    def test_nsv_out_is_the_refined_grid(self, tmp_path):
+        from resetcert.elements import gfore
+        from resetcert.lti import tf
+        from resetcert.nsv import nsv_grid_samples
+        cfg = write_config(tmp_path, GFORE_DEMO)
+        nsv_csv = tmp_path / "nsv.csv"
+        assert run(["classify", "--config", cfg, "--out", str(tmp_path / "v.json"),
+                    "--nsv-out", str(nsv_csv), "--grid-points", "600"]) == 0
+        one = tf([1.0])
+        _, nsv = nsv_grid_samples(tf([1.0], [1.0, 1.0]), one, one, one, gfore(1.0, 0.0),
+                                  points=600)
+        rows = ["omega_rad_s,theta_deg"]
+        rows += [f"{w:.17g},{np.degrees(t):.17g}" for w, t in zip(nsv.omega, nsv.theta)]
+        assert nsv_csv.read_text() == "\n".join(rows) + "\n"
+        assert len(rows) - 1 > 600
+
     def test_ci_origin_pole_exit_2(self, tmp_path):
         cfg = write_config(tmp_path, CI_ORIGIN)
         out = tmp_path / "verdict.json"

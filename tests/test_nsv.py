@@ -2,15 +2,17 @@ import numpy as np
 import pytest
 
 from resetcert.elements import base_tf, clegg, gfore, pci, sosre
-from resetcert.errors import SparseGrid
-from resetcert.frf import LoopSamples
-from resetcert.lti import evaluate, series, tf
+from resetcert.errors import SparseGrid, ZeroShapingFilter
+from resetcert.frf import FrfTable, LoopSamples, compose_loop
+from resetcert.lti import evaluate, log_grid, series, tf
 from resetcert.nsv import (
-    NsvSample,
+    REFINE_LEVELS,
+    Nsv,
     asymptotic_angles,
     certify_first_order,
     classify,
     compute_nsv,
+    feature_band,
     map_angle,
     nsv_grid_samples,
     sufficient_phase_conditions,
@@ -35,18 +37,18 @@ class TestComputeNsv:
         # L = C_R = 1/(s+1) at w=1: N = (1, 1), theta = pi/4
         lval = 0.5 - 0.5j
         s = samples_for([lval], omega=[1.0], cr=[lval])
-        out = compute_nsv(s)[0]
-        assert out.n_chi == pytest.approx(1.0, abs=1e-12)
-        assert out.n_upsilon == pytest.approx(1.0, abs=1e-12)
-        assert out.theta == pytest.approx(np.pi / 4, abs=1e-12)
+        out = compute_nsv(s)
+        assert out.n_chi[0] == pytest.approx(1.0, abs=1e-12)
+        assert out.n_upsilon[0] == pytest.approx(1.0, abs=1e-12)
+        assert out.theta[0] == pytest.approx(np.pi / 4, abs=1e-12)
 
     def test_dc_limit_value(self):
         g = tf([1.0], [1.0, 1.0])
         lval = evaluate(g, 1e-6)
         s = samples_for([lval], omega=[1e-6], cr=[lval])
-        out = compute_nsv(s)[0]
-        assert out.n_chi == pytest.approx(2.0, abs=1e-5)
-        assert out.n_upsilon == pytest.approx(2.0, abs=1e-5)
+        out = compute_nsv(s)
+        assert out.n_chi[0] == pytest.approx(2.0, abs=1e-5)
+        assert out.n_upsilon[0] == pytest.approx(2.0, abs=1e-5)
 
     def test_identity_nchi(self):
         # with unit shaping, N_chi = a^2 + b^2 + a
@@ -55,7 +57,7 @@ class TestComputeNsv:
         out = compute_nsv(s)
         a, b = vals.real, vals.imag
         expect = a**2 + b**2 + a
-        got = np.array([o.n_chi for o in out])
+        got = out.n_chi
         assert np.max(np.abs(got - expect)) <= 1e-10 * np.max(1 + np.abs(expect))
 
     def test_sosre_component_oracle(self):
@@ -66,18 +68,24 @@ class TestComputeNsv:
         lval = evaluate(loop, w)
         crval = evaluate(cr, w)
         s = LoopSamples(w, lval, np.ones(1, complex), crval)
-        out = compute_nsv(s, "sosre")[0]
+        out = compute_nsv(s, "sosre")
         kappa = 1 + np.conj(lval[0])
-        assert out.n_upsilon == pytest.approx(-(1.0 * kappa * crval[0]).imag, abs=1e-12)
+        assert out.n_upsilon[0] == pytest.approx(-(1.0 * kappa * crval[0]).imag, abs=1e-12)
 
     def test_modified_divides_out_shaping(self):
         w = np.array([2.0])
         lval = np.array([0.3 - 0.4j])
         cs = np.array([0.8 + 0.1j])
         s = LoopSamples(w, lval, cs, np.array([1.0 + 0j]))
-        out = compute_nsv(s, "modified")[0]
+        out = compute_nsv(s, "modified")
         kappa = 1 + np.conj(lval[0])
-        assert out.n_chi == pytest.approx((lval[0] * kappa / cs[0]).real, abs=1e-12)
+        assert out.n_chi[0] == pytest.approx((lval[0] * kappa / cs[0]).real, abs=1e-12)
+
+    def test_modified_rejects_vanishing_shaping(self):
+        s = samples_for([0.3 - 0.4j, 0.2 - 0.1j], omega=[1.0, 2.0], cs=[1.0, 1e-13])
+        with pytest.raises(ZeroShapingFilter, match="omega=2"):
+            compute_nsv(s, "modified")
+        assert len(compute_nsv(s, "standard")) == 2
 
 
 class TestClassify:
@@ -99,18 +107,15 @@ class TestClassify:
 
     def test_wide_span_fails_both(self):
         thetas = np.array([-0.4 * np.pi, 0.7 * np.pi])
-        samples = [NsvSample(float(i + 1), float(np.cos(t)), float(np.sin(t)),
-                             map_angle(np.arctan2(np.sin(t), np.cos(t))))
-                   for i, t in enumerate(thetas)]
-        v = classify(samples, check_density=False)
+        chi, ups = np.cos(thetas), np.sin(thetas)
+        v = classify(Nsv(np.arange(1.0, 3.0), chi, ups, map_angle(np.arctan2(ups, chi))),
+                     check_density=False)
         assert not v.is_type1 and not v.is_type2
 
     def test_sparse_grid_guard(self):
         thetas = np.linspace(0, 2.0, 3)
-        samples = [NsvSample(float(i + 1), float(np.cos(t)), float(np.sin(t)), float(t))
-                   for i, t in enumerate(thetas)]
         with pytest.raises(SparseGrid):
-            classify(samples)
+            classify(Nsv(np.arange(1.0, 4.0), np.cos(thetas), np.sin(thetas), thetas))
 
     def test_ks0_side_conditions(self):
         vals = [0.5 - 0.5j, 0.4 - 0.3j]
@@ -132,9 +137,7 @@ class TestWindowListEquivalence:
             chi = rng.normal(size=n)
             ups = rng.normal(size=n)
             theta = map_angle(np.arctan2(ups, chi))
-            samples = [NsvSample(float(i + 1), float(x), float(y), float(t))
-                       for i, (x, y, t) in enumerate(zip(chi, ups, theta))]
-            v = classify(samples, check_density=False)
+            v = classify(Nsv(np.arange(1.0, n + 1.0), chi, ups, theta), check_density=False)
             list1 = _condition_list_type1(chi, ups, theta)
             list2 = _condition_list_type2(chi, ups, theta)
             agree += int(v.is_type1 == list1 and v.is_type2 == list2)
@@ -271,3 +274,65 @@ class TestAsymptoticAngles:
                 v = classify(nsv)
                 verdicts.append((v.is_type1, v.is_type2))
             assert verdicts[0] == verdicts[1]
+
+
+class TestGridRefinement:
+    G = tf([1.0], [1.0, 1.0])
+    LEAD = tf([1.0, 0.5], [1.0, 5.0])
+
+    def cases(self):
+        band = np.logspace(-2, 2, 300)
+        return [
+            ("standard", self.G, gfore(1.0, 0.2), ONE),
+            ("standard", tf([1.0], [0.0, 1.0, 1.0]), pci(2.0, 0.3), self.LEAD),
+            ("modified", self.G, gfore(1.0, 0.2), self.LEAD),
+            ("sosre", tf([1.0], [0.0, 1.0, 1.0]), sosre(2.0, 1.0, 0.5), ONE),
+            ("standard", FrfTable(band, evaluate(tf([2.0], [1.0, 1.0, 1.0]), band)),
+             gfore(1.0), ONE),
+        ]
+
+    def test_refine_zero_is_the_base_grid(self):
+        elem = gfore(1.0, 0.2)
+        samples, nsv = nsv_grid_samples(self.G, ONE, ONE, ONE, elem, points=40, refine=0)
+        lo, hi = feature_band(self.G, ONE, ONE, ONE, base_tf(elem), extra=(1.0,))
+        assert np.array_equal(samples.omega, log_grid(lo, hi, 40))
+        assert np.array_equal(nsv.omega, samples.omega)
+        band = np.logspace(-2, 2, 300)
+        table = FrfTable(band, evaluate(self.G, band))
+        samples, _ = nsv_grid_samples(table, ONE, ONE, ONE, elem, points=50, refine=0)
+        assert np.array_equal(samples.omega, np.logspace(-2, 2, 50))
+
+    def test_default_is_refine_levels(self):
+        for variant, plant, elem, c_s in self.cases():
+            a = nsv_grid_samples(plant, ONE, ONE, c_s, elem, variant=variant, points=60)
+            b = nsv_grid_samples(plant, ONE, ONE, c_s, elem, variant=variant, points=60,
+                                 refine=8)
+            c = nsv_grid_samples(plant, ONE, ONE, c_s, elem, variant=variant, points=60,
+                                 refine=1)
+            assert np.array_equal(a[1].omega, b[1].omega)
+            assert len(c[1]) < len(a[1])
+
+    def test_incremental_equals_fresh_evaluation(self):
+        # only the midpoints of each round are evaluated; the result must be
+        # bit-identical to evaluating the final grid from scratch
+        for variant, plant, elem, c_s in self.cases():
+            for refine in (1, 3, REFINE_LEVELS):
+                samples, nsv = nsv_grid_samples(plant, ONE, ONE, c_s, elem, variant=variant,
+                                                points=80, refine=refine)
+                fresh = compose_loop(plant, ONE, base_tf(elem), ONE, c_s, samples.omega,
+                                     include_shaping_in_loop=variant == "modified")
+                for name in ("omega", "loop", "shaping", "reset_base"):
+                    assert np.array_equal(getattr(samples, name), getattr(fresh, name)), name
+                ref = compute_nsv(fresh, variant)
+                for name in ("omega", "n_chi", "n_upsilon", "theta"):
+                    assert np.array_equal(getattr(nsv, name), getattr(ref, name)), name
+                assert len(nsv) == samples.omega.size > 80
+                assert np.all(np.diff(nsv.omega) > 0)
+
+    def test_verdict_carries_final_grid(self):
+        v = certify_first_order(pci(1.0, 0.3), ONE, ONE, tf([1.0], [2.0, 1.0]), points=300)
+        samples, nsv = nsv_grid_samples(tf([1.0], [2.0, 1.0]), ONE, ONE, ONE, pci(1.0, 0.3),
+                                        points=300)
+        assert np.array_equal(v.samples.loop, samples.loop)
+        for name in ("omega", "n_chi", "n_upsilon", "theta"):
+            assert np.array_equal(getattr(v.nsv, name), getattr(nsv, name))
