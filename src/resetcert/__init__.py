@@ -7,13 +7,27 @@ directly from frequency-response data, and cross-validates the verdicts
 with an SPR oracle and a hybrid time-domain simulator.
 """
 
-from . import elements, errors, frf, gsore, hbeta, lti, nsv, sim
+import importlib
+
+from . import elements, errors, frf, hbeta, lti, nsv, sim
 from .elements import ResetElement, base_tf, clegg, gfore, gsore as gsore_element, pci, realization, reset_matrix_condition, sosre
 from .frf import FrfTable, LoopSamples, compose_loop, interpolate, load_frf, save_frf
-from .gsore import CertificateResult, GsoreProblem, certify, f1, f2, gamma_factor
 from .hbeta import HbetaCandidate, search_candidate_scalar, spr_check_matrix, spr_check_scalar
 from .lti import ClosedLoop, RationalTF, StateSpace, assemble_closed_loop, base_linear_stability, evaluate, minimality_check, relative_degree, series, tf, to_state_space
 from .nsv import Nsv, TypeVerdict, certify_first_order, classify, compute_nsv
 from .sim import SimConfig, SimTrace, realization_equivalence, simulate, step_response
 
 __version__ = "0.1.0"
+
+# gsore needs scipy.optimize; it is imported on first use so that the
+# first-order certifiers, the oracle, the simulator and the CLI commands
+# other than gsore-check start without scipy.
+_GSORE_EXPORTS = frozenset(("CertificateResult", "GsoreProblem", "certify", "f1", "f2",
+                            "gamma_factor"))
+
+
+def __getattr__(name):
+    if name == "gsore" or name in _GSORE_EXPORTS:
+        module = importlib.import_module(".gsore", __name__)
+        return module if name == "gsore" else getattr(module, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -19,10 +19,9 @@ from . import elements
 from .elements import ResetElement
 from .errors import ConfigError, ResetCertError
 from .frf import FrfTable, load_frf, save_frf
-from .gsore import OptimizerSettings, certify, gsore_problem
 from .hbeta import HbetaCandidate, loop_invariants, search_candidate_scalar, spr_check_scalar
 from .lti import RationalTF, assemble_closed_loop, tf
-from .nsv import certify_first_order, nsv_grid_samples
+from .nsv import certify_first_order, loop_variant, nsv_grid_samples
 from .sim import InputSignal, SimConfig, default_dt, simulate
 
 
@@ -180,6 +179,8 @@ def cmd_classify(args) -> int:
 
 
 def cmd_gsore(args) -> int:
+    from .gsore import OptimizerSettings, certify, gsore_problem  # imports scipy.optimize
+
     cfg = _load_config(args)
     element = _element_from_cfg(cfg.get("element"))
     if element.kind != "GSORE":
@@ -234,8 +235,7 @@ def cmd_hbeta(args) -> int:
     c_l1 = _block_from_cfg(blocks.get("c_l1"))
     c_l2 = _block_from_cfg(blocks.get("c_l2"))
     c_s = _block_from_cfg(blocks.get("c_s"))
-    variant = "sosre" if element.kind == "SOSRE" else (
-        "modified" if cfg.get("architecture") == "modified" else "standard")
+    variant = loop_variant(element, cfg.get("architecture"))
     samples, _ = nsv_grid_samples(plant, c_l1, c_l2, c_s, element,
                                   variant=variant, points=args.grid_points)
     p_lin, _, _, _, _, _ = loop_invariants(element, c_l1, c_l2, plant, c_s)
@@ -316,10 +316,9 @@ def cmd_simulate(args) -> int:
         trace.save_csv(f"{base}{suffix}{ext}" if suffix else args.out)
 
     if args.nsv_out:
-        variant = "sosre" if element.kind == "SOSRE" else (
-            "modified" if arch == "modified" else "standard")
         _, nsv = nsv_grid_samples(plant, c_l1, c_l2, c_s, element,
-                                  variant=variant, points=args.grid_points)
+                                  variant=loop_variant(element, arch),
+                                  points=args.grid_points)
         _write_nsv_csv(nsv, args.nsv_out)
     return 0
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import matrix_balance as scipy_balance
 
 from .errors import (
     DimensionMismatch,
@@ -500,12 +499,14 @@ def controllability_observability(a, b=None, c=None, rtol: float = RANK_RTOL):
     the plain Krylov stack loses rank information in double precision once
     the eigenvalue spread exceeds a few decades.
     """
+    from scipy.linalg import matrix_balance  # the rest of lti needs no scipy
+
     a = np.atleast_2d(np.asarray(a, float))
     n = a.shape[0]
     if n:
         # diagonal similarity scaling: rank properties are invariant and the
         # pencil conditioning improves by orders of magnitude
-        a_bal, t = scipy_balance(a)
+        a_bal, t = matrix_balance(a)
         t_inv = np.diag(1.0 / np.diag(t))
     else:
         a_bal, t, t_inv = a, np.eye(0), np.eye(0)

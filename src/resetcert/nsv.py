@@ -377,6 +377,14 @@ def feature_band(*tfs, extra=()):
     return min(feats), max(feats)
 
 
+def loop_variant(element: ResetElement, architecture: str | None) -> str:
+    """NSV variant of a loop: SOSRE elements have their own; otherwise the
+    modified architecture (shaping filter inside the loop) or the standard."""
+    if element.kind == "SOSRE":
+        return "sosre"
+    return "modified" if architecture == "modified" else "standard"
+
+
 def nsv_grid_samples(plant, c_l1: RationalTF, c_l2: RationalTF, c_s: RationalTF,
                      element: ResetElement, variant: str = "standard",
                      points: int = 2000, refine: int = REFINE_LEVELS):
@@ -462,8 +470,7 @@ def certify_first_order(element: ResetElement, c_l1: RationalTF, c_l2: RationalT
     winding count and minimality is assumed (reported as such).
     """
     c_s = c_s if c_s is not None else tf([1.0])
-    variant = "sosre" if element.kind == "SOSRE" else (
-        "modified" if architecture == "modified" else "standard")
+    variant = loop_variant(element, architecture)
     c_r = base_tf(element)
     rational_plant = isinstance(plant, RationalTF)
     bullets = []

@@ -1,6 +1,9 @@
 import json
+import subprocess
+import sys
 
 import numpy as np
+import pytest
 
 from resetcert.cli import main
 from resetcert.frf import load_frf
@@ -220,3 +223,29 @@ class TestFrfConvert:
         t0 = load_frf(src, "complex")
         t1 = load_frf(out, "complex")
         np.testing.assert_allclose(t1.values, t0.values, atol=1e-12)
+
+
+def small_gsore_config():
+    cfg = gsore_config()
+    cfg["optimizer"] = {"population": 30, "generations": 40, "restarts": 1}
+    return cfg
+
+
+class TestEntryPoint:
+    """``python -m resetcert.cli`` (the ``resetcert`` script's path) gives the
+    exit code and output bytes of the in-process ``main``."""
+
+    @pytest.mark.parametrize("command, cfg, extra", [
+        ("classify", GFORE_DEMO, []),
+        ("classify", CI_ORIGIN, []),
+        ("gsore-check", small_gsore_config(), ["--seed", "42"]),
+    ], ids=["classify-certified", "classify-not-certified", "gsore-check"])
+    def test_module_run_matches_main(self, tmp_path, src_env, command, cfg, extra):
+        path = write_config(tmp_path, cfg)
+        args = [command, "--config", path, "--grid-points", "400"] + extra
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        code = run(args + ["--out", str(a)])
+        proc = subprocess.run([sys.executable, "-m", "resetcert.cli"] + args + ["--out", str(b)],
+                              env=src_env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == code, proc.stderr
+        assert b.read_bytes() == a.read_bytes()

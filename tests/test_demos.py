@@ -9,12 +9,10 @@ import pytest
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-@pytest.mark.parametrize("script", ["01_classify_first_order.py", "04_frf_workflow.py"])
-def test_demo_exits_cleanly(script, tmp_path):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (os.path.join(ROOT, "src"), env.get("PYTHONPATH")) if p)
+@pytest.mark.parametrize("script", ["01_classify_first_order.py", "03_simulate_clegg.py",
+                                    "04_frf_workflow.py"])
+def test_demo_exits_cleanly(script, tmp_path, src_env):
     proc = subprocess.run([sys.executable, os.path.join(ROOT, "demos", script)],
-                          cwd=tmp_path, env=env, capture_output=True, text=True,
+                          cwd=tmp_path, env=src_env, capture_output=True, text=True,
                           timeout=120)
     assert proc.returncode == 0, proc.stderr

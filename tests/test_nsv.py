@@ -13,6 +13,7 @@ from resetcert.nsv import (
     classify,
     compute_nsv,
     feature_band,
+    loop_variant,
     map_angle,
     nsv_grid_samples,
     sufficient_phase_conditions,
@@ -202,6 +203,15 @@ class TestCertifyFirstOrder:
         v = certify_first_order(pci(1.0, 0.3), ONE, ONE, tf([2.0], [1.0, 1.0]), points=800)
         assert not v.certified
         assert ("open-loop-minimality", "fail") in [(n, s) for n, s, _ in v.bullets]
+
+
+class TestLoopVariant:
+    def test_selection(self):
+        assert loop_variant(sosre(1.0, 1.0, 0.0), "modified") == "sosre"
+        assert loop_variant(gfore(1.0), "modified") == "modified"
+        for arch in ("standard", None):
+            assert loop_variant(pci(1.0, 0.3), arch) == "standard"
+        assert loop_variant(clegg(), "standard") == "standard"
 
 
 class TestRedistributionInvariance:
