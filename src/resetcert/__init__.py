@@ -9,25 +9,30 @@ with an SPR oracle and a hybrid time-domain simulator.
 
 import importlib
 
-from . import elements, errors, frf, hbeta, lti, nsv, sim
+from . import elements, errors, frf, hbeta, lti, nsv
 from .elements import ResetElement, base_tf, clegg, gfore, gsore as gsore_element, pci, realization, reset_matrix_condition, sosre
 from .frf import FrfTable, LoopSamples, compose_loop, interpolate, load_frf, save_frf
 from .hbeta import HbetaCandidate, search_candidate_scalar, spr_check_matrix, spr_check_scalar
 from .lti import ClosedLoop, RationalTF, StateSpace, assemble_closed_loop, base_linear_stability, evaluate, minimality_check, relative_degree, series, tf, to_state_space
 from .nsv import Nsv, TypeVerdict, certify_first_order, classify, compute_nsv
-from .sim import SimConfig, SimTrace, realization_equivalence, simulate, step_response
 
 __version__ = "0.1.0"
 
 # gsore needs scipy.optimize; it is imported on first use so that the
 # first-order certifiers, the oracle, the simulator and the CLI commands
-# other than gsore-check start without scipy.
-_GSORE_EXPORTS = frozenset(("CertificateResult", "GsoreProblem", "certify", "f1", "f2",
-                            "gamma_factor"))
+# other than gsore-check start without scipy.  sim is imported on first use
+# too, so that only simulation runs load it.
+_LAZY_EXPORTS = {
+    "gsore": frozenset(("CertificateResult", "GsoreProblem", "certify", "f1", "f2",
+                        "gamma_factor")),
+    "sim": frozenset(("SimConfig", "SimTrace", "realization_equivalence", "simulate",
+                      "step_response")),
+}
 
 
 def __getattr__(name):
-    if name == "gsore" or name in _GSORE_EXPORTS:
-        module = importlib.import_module(".gsore", __name__)
-        return module if name == "gsore" else getattr(module, name)
+    for module_name, exports in _LAZY_EXPORTS.items():
+        if name == module_name or name in exports:
+            module = importlib.import_module(f".{module_name}", __name__)
+            return module if name == module_name else getattr(module, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

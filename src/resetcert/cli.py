@@ -22,7 +22,6 @@ from .frf import FrfTable, load_frf, save_frf
 from .hbeta import HbetaCandidate, loop_invariants, search_candidate_scalar, spr_check_scalar
 from .lti import RationalTF, assemble_closed_loop, tf
 from .nsv import certify_first_order, loop_variant, nsv_grid_samples
-from .sim import InputSignal, SimConfig, default_dt, simulate
 
 
 def _atomic_write(path: str, text: str) -> None:
@@ -268,6 +267,8 @@ def cmd_hbeta(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from .sim import InputSignal, SimConfig, default_dt, simulate
+
     cfg = _load_config(args)
     element = _element_from_cfg(cfg.get("element"))
     blocks = cfg.get("blocks", {})
@@ -306,7 +307,7 @@ def cmd_simulate(args) -> int:
     for suffix, a_rho in runs:
         cl = assemble_closed_loop(elements.realization(element), a_rho,
                                   c_l1, c_l2, plant, c_s, architecture=arch)
-        dt = float(sim_cfg.get("dt", default_dt(cl)))
+        dt = float(sim_cfg.get("dt", default_dt(cl, input=inp)))
         t_end = float(sim_cfg.get("t_end", 2000 * dt))
         x0 = sim_cfg.get("x0")
         run_cfg = SimConfig(cl, dt=dt, t_end=t_end, lam=sim_cfg.get("lambda"),

@@ -534,9 +534,6 @@ def _verify_candidate(problem: GsoreProblem, params, windows, seed) -> Certifica
     rank = rank_condition(problem, params)
     report.append({"id": "rank-conditions", "satisfied": rank != "fail", "detail": rank})
 
-    certified = bool(s1_ok and s2_ok and inf_ok and z_ok and pd_ok and jump_ok
-                     and m_ok and rank != "fail")
-
     if problem.problem_type == "III":
         q = (r1 / b1, r2 / b1, r3 / b2, r2 / b2)
     else:
@@ -552,6 +549,8 @@ def _verify_candidate(problem: GsoreProblem, params, windows, seed) -> Certifica
                                n_minus_m=problem.n_minus_m)
         oracle = "pass" if rep.passed else "fail"
 
+    certified = bool(s1_ok and s2_ok and inf_ok and z_ok and pd_ok and jump_ok
+                     and m_ok and rank != "fail" and oracle != "fail")
     return CertificateResult(tuple(float(v) for v in q), float(m_value), certified,
                              report, tuple(float(v) for v in params),
                              problem.problem_type, oracle, rank, seed, windows)

@@ -1,16 +1,44 @@
 """Hybrid time-domain simulation of reset control loops.
 
-Flow between events is integrated with a fixed-step classical Runge-Kutta
-scheme; zero crossings of the triggering signal e_r are located by bisection
-inside the step, the jump multiplies the reset substate by its reset matrix,
-and a dwell time suppresses immediately recurring resets (time
-regularization).  State samples are recorded on the fixed grid, so the value
-stored at a reset instant is the pre-jump one and the next grid sample is
-post-jump.
+The flow between resets is linear and every input is a Bohl function, so
+the simulator solves it exactly instead of integrating it numerically.
+Each ``InputSignal`` (step, sinusoid, sums of t^k e^(s t) cos terms, zero)
+is the output c @ w of a small autonomous generator w' = S w.  Appending the
+reference and disturbance generators to the closed loop gives one
+autonomous system z' = F z, so between resets z(t + h) = expm(F h) z
+(Beker, Hollot, Chait & Han, Automatica 40, 2004).
+
+- F is balanced once per run by an exact power-of-two diagonal scaling.
+  Exponentials come from scaling and squaring of a Padé approximant (numpy
+  only).
+- Grid samples are propagated in chunks from the stacked powers
+  expm(F j dt), j = 0..CHUNK, one matrix product per chunk.  A chunk is cut
+  at the first step whose end values show a sign change of e_r, an extremum
+  of e_r near zero (a sign change of e_r' under equal signs of e_r, which
+  may hide two crossings), or a state-norm overflow.  Sign changes at the
+  rounding level of the propagation are not events.
+- Inside a cut step the flow is the Taylor polynomial of expm(F u) z on
+  cells short enough that it is exact to rounding.  e_r = g @ z is sampled
+  at SCAN_MARKS marks per cell; in the first sub-interval with a sign change
+  (or with an extremum that passes zero) the crossing is located by a
+  safeguarded Newton iteration (e_r' = g F z) to BISECT_REL * dt.  The scan
+  resumes just past it, so a rejected crossing does not hide a later one in
+  the same step.
+- A crossing fires a jump, which multiplies the reset substate by its reset
+  matrix, only if the dwell max(lam, dt) has elapsed since the last jump
+  (time regularization), (I - A_rho_bar) x is nonzero (guard), and |e_r| at
+  the located instant is within CROSSING_REL_TOL of its running peak
+  (tolerance).  ``SimTrace`` counts every outcome.
+
+dt sets only the sample grid and the scale at which crossings are looked
+for, not the accuracy of the flow.  State samples are recorded on the grid,
+so the value stored at a reset instant is the pre-jump one and the next grid
+sample is post-jump.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,6 +49,13 @@ OVERFLOW_NORM = 1e12
 CROSSING_REL_TOL = 1e-9     # |e_r| tolerance relative to its running peak
 JUMP_GUARD_REL = 1e-12      # (I - A_rho_bar) x threshold relative to |x|
 BISECT_REL = 1e-10          # crossing-time resolution relative to dt
+CHUNK = 128                 # grid steps propagated per matrix product
+TAYLOR_ORDER = 18           # on cells with |F h|_1 <= 1 the tail is < 1/19!
+MAX_EVENTS_PER_STEP = 8
+SCAN_MARKS = 8              # sub-intervals per cell scanned inside a flagged step
+SAMPLES_PER_PERIOD = 40     # default_dt resolution of oscillating inputs
+ROUNDING_REL = 1e-12        # e_r (e_r') below this share of |g|_1 |z|
+                            # (|g F|_1 |z|) is rounding of the propagation
 
 
 @dataclass(frozen=True)
@@ -47,6 +82,63 @@ class InputSignal:
                 out = out + amp * t**power * np.exp(sigma * t) * np.cos(omega * t + phase)
             return out
         raise ValueError(f"unknown input kind {self.kind!r}")
+
+    def generator(self):
+        """(S, w0, c) with signal(t) = c @ expm(S t) @ w0."""
+        if self.kind == "zero":
+            return np.zeros((0, 0)), np.zeros(0), np.zeros(0)
+        if self.kind == "step":
+            return np.zeros((1, 1)), np.array([float(self.amplitude)]), np.ones(1)
+        if self.kind == "sinusoid":
+            # state a (sin(omega t + phase), cos(omega t + phase))
+            omega = float(self.freq)
+            return (np.array([[0.0, omega], [-omega, 0.0]]),
+                    self.amplitude * np.array([np.sin(self.phase), np.cos(self.phase)]),
+                    np.array([1.0, 0.0]))
+        if self.kind == "exppoly":
+            blocks = [_exppoly_generator(*term) for term in self.terms]
+            n = sum(b[1].size for b in blocks)
+            s, w0, c = np.zeros((n, n)), np.zeros(n), np.zeros(n)
+            i = 0
+            for s_k, w_k, c_k in blocks:
+                j = i + w_k.size
+                s[i:j, i:j], w0[i:j], c[i:j] = s_k, w_k, c_k
+                i = j
+            return s, w0, c
+        raise ValueError(f"unknown input kind {self.kind!r}")
+
+    def frequencies(self) -> tuple:
+        """Angular frequencies of the oscillating parts of the signal."""
+        if self.kind == "sinusoid":
+            return (abs(float(self.freq)),)
+        if self.kind == "exppoly":
+            return tuple(abs(float(term[3])) for term in self.terms if term[3] != 0.0)
+        return ()
+
+
+def _exppoly_generator(amp, power, sigma, omega, phase):
+    """Generator of amp t^k e^(sigma t) cos(omega t + phase).
+
+    The states are t^j/j! e^(sigma t) cos(omega t + phase) for j = 0..k (and
+    the matching sin states when omega != 0): a Jordan chain of the scalar
+    sigma or of the 2x2 rotation block [[sigma, -omega], [omega, sigma]].
+    """
+    k = int(power)
+    if k != power or k < 0:
+        raise ValueError(f"exppoly power must be a nonnegative integer, got {power!r}")
+    if omega == 0.0:
+        block, start = np.array([[float(sigma)]]), np.array([np.cos(phase)])
+    else:
+        block = np.array([[sigma, -omega], [omega, sigma]], float)
+        start = np.array([np.cos(phase), np.sin(phase)])
+    m = start.size
+    n = m * (k + 1)
+    s = np.kron(np.eye(k + 1), block) + np.kron(np.eye(k + 1, k=-1), np.eye(m))
+    w0 = np.zeros(n)
+    w0[:m] = start
+    c = np.zeros(n)
+    c[m * k] = amp * math.factorial(k)
+    return s, w0, c
 
 
 def step_input(amplitude: float = 1.0) -> InputSignal:
@@ -91,6 +183,15 @@ class SimTrace:
     max_state_norm: float
     diverged: bool = False
     reset_states: list = field(default_factory=list)   # (pre, post) pairs
+    # deterministic event counters: every located crossing either fires a
+    # jump or is suppressed by exactly one rule, checked in this order
+    steps: int = 0                  # grid steps propagated
+    crossings: int = 0              # zero crossings of e_r located
+    resets_fired: int = 0
+    suppressed_dwell: int = 0
+    suppressed_guard: int = 0
+    suppressed_tolerance: int = 0
+    min_reset_gap: float = math.inf
 
     def save_csv(self, path):
         n = self.states.shape[1]
@@ -100,152 +201,391 @@ class SimTrace:
         np.savetxt(path, data, delimiter=",", header=header, comments="")
 
 
-def default_dt(system: ClosedLoop, samples_per_tau: int = 200) -> float:
-    """dt from the dominant (slowest) time constant of the flow matrix.
+def default_dt(system: ClosedLoop, samples_per_tau: int = 200,
+               input: InputSignal | None = None,
+               disturbance: InputSignal | None = None) -> float:
+    """Sample step from the dominant (slowest) time constant of the flow matrix.
 
-    Capped by the fastest eigenvalue so the fixed-step scheme stays inside
-    its absolute-stability region for stiff loops.
+    Capped by the fastest eigenvalue, so the grid resolves the fastest mode
+    and the crossings it drives, and by SAMPLES_PER_PERIOD samples per period
+    of every oscillating term of the input and the disturbance.
     """
     eig = np.linalg.eigvals(system.a_bar)
     rates = np.abs(eig.real)
     rates = rates[rates > 1e-9]
     tau = 1.0 / rates.min() if rates.size else 1.0
     fast = np.max(np.abs(eig)) if eig.size else 1.0
-    return min(tau / samples_per_tau, 1.0 / max(fast, 1e-9))
+    dt = min(tau / samples_per_tau, 1.0 / max(fast, 1e-9))
+    for signal in (input, disturbance):
+        for omega in (signal.frequencies() if signal is not None else ()):
+            dt = min(dt, 2.0 * np.pi / (SAMPLES_PER_PERIOD * omega))
+    return dt
 
 
-def _rk4_step(a, b, w_fun, t, x, h):
-    w1 = w_fun(t)
-    w2 = w_fun(t + 0.5 * h)
-    w3 = w_fun(t + h)
-    k1 = a @ x + b @ w1
-    k2 = a @ (x + 0.5 * h * k1) + b @ w2
-    k3 = a @ (x + 0.5 * h * k2) + b @ w2
-    k4 = a @ (x + h * k3) + b @ w3
-    return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+def expm(a: np.ndarray) -> np.ndarray:
+    """Matrix exponential by scaling and squaring of the (8, 8) Padé approximant.
 
-
-def simulate(config: SimConfig) -> SimTrace:
-    """Integrate the hybrid closed loop under the configured input.
-
-    Crossing detection uses the sign product of e_r at segment endpoints;
-    the crossing time is bisected to BISECT_REL * dt, the jump fires only if
-    (I - A_rho_bar) x is nonzero and the dwell max(lam, dt) has elapsed, and
-    state-norm overflow marks the trace as diverged instead of raising.
+    ``a`` may be a stack of matrices (shape (..., n, n)).  Each matrix is
+    scaled to 1-norm <= 1/2, where the approximant's relative backward error
+    is below 1e-22 (Golub & Van Loan, Matrix Computations, algorithm 11.3.1).
     """
-    sys_ = config.system
-    a, bmat = sys_.a_bar, sys_.b_bar
-    ce, de = sys_.c_e_bar.ravel(), sys_.d_e
-    cy = sys_.c_bar.ravel()
-    a_rho = sys_.a_rho_bar
-    r_fun, d_fun = config.input, config.disturbance
+    a = np.asarray(a, float)
+    norms = np.abs(a).sum(axis=-2).max(axis=-1, initial=0.0)
+    squarings = np.ceil(np.log2(np.maximum(norms, 0.5) / 0.5)).astype(int)
+    a = a / (2.0 ** squarings)[..., None, None]
+    q = 8
+    coef = 1.0
+    power = np.broadcast_to(np.eye(a.shape[-1]), a.shape)
+    num, den = power.copy(), power.copy()
+    for k in range(1, q + 1):
+        coef *= (q - k + 1) / (k * (2 * q - k + 1))
+        power = a @ power
+        num += coef * power
+        den += (-coef if k % 2 else coef) * power
+    out = np.linalg.solve(den, num)
+    for i in range(int(squarings.max(initial=0))):
+        more = squarings > i
+        out[more] = out[more] @ out[more]
+    return out
 
-    def w_fun(t):
-        return np.array([float(r_fun(t)), float(d_fun(t))])
 
-    def e_r_at(t, x):
-        return float(ce @ x + de * float(r_fun(t)))
+def _balance(a: np.ndarray):
+    """(D^-1 a D, d) with D = diag(d) a power-of-two scaling that brings the
+    off-diagonal row and column 1-norms of each index within a factor of 2
+    (Parlett & Reinsch).  The scaling is exact in floating point."""
+    a = a.copy()
+    d = np.ones(a.shape[0])
+    done = False
+    while not done:
+        done = True
+        for i in range(a.shape[0]):
+            col = float(np.abs(a[:, i]).sum() - abs(a[i, i]))
+            row = float(np.abs(a[i, :]).sum() - abs(a[i, i]))
+            if col == 0.0 or row == 0.0:
+                continue
+            total, f = col + row, 1.0
+            while col < row / 2.0:
+                col, row, f = 2.0 * col, row / 2.0, 2.0 * f
+            while col >= 2.0 * row:
+                col, row, f = col / 2.0, 2.0 * row, f / 2.0
+            if col + row < 0.95 * total:
+                done = False
+                d[i] *= f
+                a[:, i] *= f
+                a[i, :] /= f
+    return a, d
 
-    dt, lam = config.dt, max(config.lam, config.dt)
-    n_steps = int(np.floor(config.t_end / dt + 1e-9))
-    times = np.arange(n_steps + 1) * dt
-    states = np.empty((n_steps + 1, sys_.order))
-    flags = np.zeros(n_steps + 1)
-    resets: list[float] = []
-    jump_pairs: list = []
-    x = config.x0.copy()
-    states[0] = x
-    e_peak = abs(e_r_at(0.0, x))
-    max_norm = float(np.linalg.norm(x))
-    diverged = False
-    last_reset = -np.inf
 
-    for k in range(n_steps):
-        t0 = times[k]
-        seg_t, seg_x = t0, x
-        remaining = dt
-        jumped = False
-        for _ in range(8):                     # at most a few events per step
-            x_try = _rk4_step(a, bmat, w_fun, seg_t, seg_x, remaining)
-            e0 = e_r_at(seg_t, seg_x)
-            e1 = e_r_at(seg_t + remaining, x_try)
-            e_peak = max(e_peak, abs(e0), abs(e1))
-            if not (e0 * e1 < 0.0):
-                seg_t, seg_x = seg_t + remaining, x_try
-                break
-            # bisect the crossing instant
-            lo, hi = 0.0, remaining
-            for _ in range(80):
-                if hi - lo <= BISECT_REL * dt:
-                    break
-                mid = 0.5 * (lo + hi)
-                xm = _rk4_step(a, bmat, w_fun, seg_t, seg_x, mid)
-                em = e_r_at(seg_t + mid, xm)
-                if e0 * em <= 0.0:
-                    hi = mid
+def _horner(coefs, x: float) -> float:
+    out = 0.0
+    for c in reversed(coefs):
+        out = out * x + c
+    return out
+
+
+def _bracketed_root(p, dp, lo, hi, f_lo, f_hi, tol):
+    """Root of the polynomial p (ascending coefficients, derivative dp) in a
+    bracket where p has the sign of f_lo at lo and of f_hi at hi.
+
+    Newton steps are safeguarded by bisection (Numerical Recipes' rtsafe).
+    Returns (x, p(x)) for the end of a bracket of width <= tol on the far
+    side of the root, so p(x) has the sign of f_hi or is zero.  A Newton step
+    shorter than tol/2 is stretched to tol/2, which closes the bracket.
+    """
+    positive_lo = f_lo > 0.0
+    x = lo + (hi - lo) * f_lo / (f_lo - f_hi)       # regula falsi start
+    last_step = hi - lo
+    while hi - lo > tol:
+        fx = _horner(p, x)
+        if fx == 0.0:
+            return x, 0.0
+        if (fx > 0.0) == positive_lo:
+            lo = x
+        else:
+            hi, f_hi = x, fx
+        slope = _horner(dp, x)
+        step = -fx / slope if slope != 0.0 else math.inf
+        converging = abs(step) <= 0.5 * abs(last_step)
+        if abs(step) < 0.5 * tol:
+            step, converging = math.copysign(0.5 * tol, step), True
+        if not (converging and lo < x + step < hi):
+            step = 0.5 * (lo + hi) - x
+        last_step = step
+        x += step
+    return hi, f_hi
+
+
+class _Flow:
+    """The loop augmented with its input generators, in balanced coordinates
+    z_b = z / d: chunk powers of Phi = expm(F dt) and the Taylor vectors
+    (F h)^j / j! of the cell length h = dt / cells."""
+
+    def __init__(self, config: SimConfig):
+        sys_ = config.system
+        s_r, w_r, c_r = config.input.generator()
+        s_d, w_d, c_d = config.disturbance.generator()
+        nx, nr = sys_.order, w_r.size
+        n = nx + nr + w_d.size
+        f = np.zeros((n, n))
+        f[:nx, :nx] = sys_.a_bar
+        f[:nx, nx:nx + nr] = np.outer(sys_.b_bar[:, 0], c_r)
+        f[:nx, nx + nr:] = np.outer(sys_.b_bar[:, 1], c_d)
+        f[nx:nx + nr, nx:nx + nr] = s_r
+        f[nx + nr:, nx + nr:] = s_d
+        g = np.concatenate([sys_.c_e_bar.ravel(), sys_.d_e * c_r, np.zeros(w_d.size)])
+        f, d = _balance(f)
+        self.n, self.nx, self.dx = n, nx, d[:nx]
+        self.g = g * d                              # e_r = g @ z_b
+        self.g_dot = self.g @ f                     # e_r' = g_dot @ z_b
+        self.g_and_dot = np.column_stack([self.g, self.g_dot])
+        # rounding of the propagated state is about eps |z| per entry
+        self.e_floor = ROUNDING_REL * float(np.abs(self.g).sum())
+        self.de_floor = ROUNDING_REL * float(np.abs(self.g_dot).sum())
+        self.z0 = np.concatenate([config.x0, w_r, w_d]) / d
+        dt = config.dt
+        # at an extremum u* of e_r, e_r(end) = e_r(u*) + e_r''(xi) (end - u*)^2 / 2,
+        # and |e_r''| <= |g F^2|_1 e^(|F|_inf dt) |z|_2 over a step from z,
+        # so e_r(u*) is within dt^2/8 of that bound of the nearer end value
+        curvature = float(np.abs(self.g_dot @ f).sum()) * math.exp(np.linalg.norm(f, np.inf) * dt)
+        self.dip = curvature * dt**2 / 8.0
+        self.cells = 2 ** max(0, math.ceil(math.log2(max(np.linalg.norm(f, 1) * dt, 1.0))))
+        self.cell = dt / self.cells
+        terms = [np.eye(n)]
+        for j in range(1, TAYLOR_ORDER + 1):
+            terms.append(terms[-1] @ f * (self.cell / j))
+        self.taylor = np.concatenate(terms)
+        self.orders = np.arange(TAYLOR_ORDER + 1)
+        self.marks = np.arange(1, SCAN_MARKS + 1) / SCAN_MARKS
+        self.mark_powers = self.marks[:, None] ** self.orders
+        # stacked coefficients of a polynomial and of its derivative
+        self.value_and_slope = np.vstack([np.eye(TAYLOR_ORDER + 1),
+                                          np.diag(self.orders[1:], 1)])
+        # each power straight from the exponential, so a chunk's error does
+        # not grow with its length
+        steps = dt * np.arange(CHUNK + 1)
+        self.powers = expm(f * steps[:, None, None]).reshape((CHUNK + 1) * n, n)
+
+    def chunk(self, z, m):
+        """Balanced states after 0..m grid steps from z, one row each."""
+        return (self.powers[:(m + 1) * self.n] @ z).reshape(m + 1, self.n)
+
+    def slope(self, z) -> float:
+        """e_r' at z, or 0 where it is below its rounding level."""
+        de = float(self.g_dot @ z)
+        return de if abs(de) > self.de_floor * math.sqrt(z @ z) else 0.0
+
+    def taylor_vectors(self, z):
+        """v with z(t + s h) = sum_j s^j v[j] for s in [0, 1]."""
+        return (self.taylor @ z).reshape(TAYLOR_ORDER + 1, self.n)
+
+
+class _Run:
+    """Mutable state of one hybrid run: jump rule, event log and counters."""
+
+    def __init__(self, config: SimConfig, flow: _Flow, e0: float):
+        self.flow = flow
+        self.a_rho = config.system.a_rho_bar
+        self.i_minus_rho = np.eye(flow.nx) - self.a_rho
+        self.lam = max(config.lam, config.dt)
+        self.tol = BISECT_REL * flow.cells          # in cell units
+        self.e_peak = abs(e0)
+        self.last_reset = -math.inf
+        self.instants: list[float] = []
+        self.pairs: list = []
+        self.crossings = self.dwell = self.guard = self.tolerance = 0
+
+    def step(self, z, t0, e_a):
+        """One grid step from balanced state z at t0, where e_r = e_a, locating
+        every crossing in time order and applying the jumps it allows.
+
+        Returns (z at t0 + dt, jumped, e_r there).  The value of e_r is carried
+        from segment to segment rather than recomputed from z, so a crossing
+        just located keeps its far-side sign and is not found twice.
+        """
+        flow = self.flow
+        jumped, events = False, 0
+        for cell in range(flow.cells):
+            t_cell = t0 + cell * flow.cell
+            start = 0.0                             # cell units
+            while True:
+                v = flow.taylor_vectors(z)
+                if start == 0.0:
+                    marks, powers = flow.marks, flow.mark_powers
                 else:
-                    lo = mid
-            tau = 0.5 * (lo + hi)
-            x_tau = _rk4_step(a, bmat, w_fun, seg_t, seg_x, tau)
-            t_tau = seg_t + tau
-            guard = np.linalg.norm((np.eye(sys_.order) - a_rho) @ x_tau)
-            allowed = (guard > JUMP_GUARD_REL * max(np.linalg.norm(x_tau), 1.0)
-                       and t_tau - last_reset >= lam
-                       and abs(e_r_at(t_tau, x_tau)) <= max(CROSSING_REL_TOL * e_peak, 1e-300))
-            if allowed:
-                resets.append(t_tau)
-                last_reset = t_tau
-                x_pre = x_tau
-                x_tau = a_rho @ x_tau
-                jump_pairs.append((x_pre, x_tau.copy()))
-                jumped = True
-                seg_t, seg_x = t_tau, x_tau
-                remaining = t0 + dt - t_tau
-                if remaining <= 0.0:
+                    marks = flow.marks[flow.marks > start] - start
+                    if marks.size == 0:
+                        marks = np.array([max(0.0, 1.0 - start)])
+                    powers = marks[:, None] ** flow.orders
+                hit, e_end = self._locate(v @ flow.g, marks, powers, e_a, z)
+                if hit is None or events == MAX_EVENTS_PER_STEP:
+                    z, e_a = powers[-1] @ v, e_end
                     break
-            else:
-                # no jump: the flow is smooth through the crossing
-                seg_t, seg_x = t0 + dt, x_try
-                break
-        x = seg_x
-        states[k + 1] = x
-        flags[k + 1] = 1.0 if jumped else 0.0
-        norm = float(np.linalg.norm(x))
-        max_norm = max(max_norm, norm)
-        if not np.isfinite(norm) or norm > OVERFLOW_NORM:
-            diverged = True
-            states[k + 2:] = x
-            flags[k + 2:] = 0.0
-            break
+                s, e_a = hit
+                events += 1
+                z = s ** flow.orders @ v
+                start += s
+                jumped |= self._crossing(t_cell + start * flow.cell, z, e_a)
+        return z, jumped, e_a
 
-    outputs = states @ cy
-    e_sig = states @ ce + de * np.asarray(r_fun(times), float)
-    return SimTrace(times, states, outputs, e_sig, flags, resets, max_norm,
-                    diverged, jump_pairs)
+    def _locate(self, p, marks, powers, e_a, z):
+        """First crossing of e_r(s) = sum_j p[j] s^j (Taylor coefficients
+        from z, s in cell units) on [0, marks[-1]].
+
+        The polynomial is sampled at the scan marks (``powers`` holds their
+        powers 0..TAYLOR_ORDER); the first sub-interval with a sign change of
+        e_r, or with an extremum between equal signs (a sign change of e_r')
+        that passes zero, holds the crossing.  Sign changes within the
+        rounding level of e_r or e_r' are not crossings.  Returns ((s, e_r(s))
+        just past the crossing, or None) and e_r at marks[-1].
+        """
+        flow = self.flow
+        coefs = (flow.value_and_slope @ p).reshape(2, -1)   # e_r and e_r'
+        e_samples, de_samples = coefs @ powers.T
+        e = [e_a] + e_samples.tolist()
+        de = [float(coefs[1, 0])] + de_samples.tolist()
+        edges = [0.0] + marks.tolist()
+        self.e_peak = max(self.e_peak, max(map(abs, e)))
+        z_norm = math.sqrt(z @ z)
+        e_floor = flow.e_floor * z_norm
+        de_floor = flow.de_floor * flow.cell * z_norm
+        p_list = dp_list = None
+        for i in range(len(edges) - 1):
+            e_lo, e_hi = e[i], e[i + 1]
+            turn = e_lo * e_hi
+            if turn < 0.0:
+                if max(abs(e_lo), abs(e_hi)) <= e_floor:
+                    continue
+            elif not (turn > 0.0 and de[i] * de[i + 1] < 0.0
+                      and min(abs(de[i]), abs(de[i + 1])) > de_floor):
+                continue
+            if p_list is None:
+                p_list, dp_list = coefs.tolist()
+            lo, hi = edges[i], edges[i + 1]
+            if turn > 0.0:
+                # an extremum between equal signs: two crossings if it passes zero
+                ddp = [j * c for j, c in enumerate(dp_list)][1:]
+                hi, _ = _bracketed_root(dp_list, ddp, lo, hi, de[i], de[i + 1], self.tol)
+                e_hi = _horner(p_list, hi)
+                if not e_lo * e_hi < 0.0:
+                    continue
+            return _bracketed_root(p_list, dp_list, lo, hi, e_lo, e_hi, self.tol), e[-1]
+        return None, e[-1]
+
+    def _crossing(self, t, z, e_r) -> bool:
+        """Apply the jump rule at a located crossing; z is updated in place."""
+        self.crossings += 1
+        x = z[:self.flow.nx] * self.flow.dx
+        if t - self.last_reset < self.lam:
+            self.dwell += 1
+            return False
+        if not (np.linalg.norm(self.i_minus_rho @ x)
+                > JUMP_GUARD_REL * max(np.linalg.norm(x), 1.0)):
+            self.guard += 1
+            return False
+        if abs(e_r) > max(CROSSING_REL_TOL * self.e_peak, 1e-300):
+            self.tolerance += 1
+            return False
+        post = self.a_rho @ x
+        self.instants.append(t)
+        self.pairs.append((x, post))
+        self.last_reset = t
+        z[:self.flow.nx] = post / self.flow.dx
+        return True
 
 
-def simulate_linear(config: SimConfig) -> SimTrace:
-    """Reference integration of the base linear system (no jump logic)."""
+def _propagate(config: SimConfig, jumps: bool) -> SimTrace:
     sys_ = config.system
-    a, bmat = sys_.a_bar, sys_.b_bar
-    r_fun, d_fun = config.input, config.disturbance
-
-    def w_fun(t):
-        return np.array([float(r_fun(t)), float(d_fun(t))])
-
+    flow = _Flow(config)
+    nx, dx = flow.nx, flow.dx
     dt = config.dt
     n_steps = int(np.floor(config.t_end / dt + 1e-9))
     times = np.arange(n_steps + 1) * dt
-    states = np.empty((n_steps + 1, sys_.order))
-    x = config.x0.copy()
-    states[0] = x
-    for k in range(n_steps):
-        x = _rk4_step(a, bmat, w_fun, times[k], x, dt)
-        states[k + 1] = x
+    states = np.empty((n_steps + 1, nx))
+    e_sig = np.empty(n_steps + 1)               # e_r as the propagation saw it
+    flags = np.zeros(n_steps + 1)
+    z = flow.z0
+    states[0] = config.x0
+    e_prev, de_prev = float(flow.g @ z), flow.slope(z)
+    e_sig[0] = e_prev
+    run = _Run(config, flow, e_prev)
+    max_norm = float(np.linalg.norm(config.x0))
+    diverged = False
+    k = 0
+    while k < n_steps:
+        m = min(CHUNK, n_steps - k)
+        zs = flow.chunk(z, m)                       # row 0 is z itself
+        xs = zs[1:, :nx] * dx
+        sq_norms = np.einsum("ij,ij->i", xs, xs)
+        ed = zs @ flow.g_and_dot
+        ed[0] = e_prev, de_prev
+        e, de = ed[:, 0], ed[:, 1]
+        cut = m
+        if jumps:
+            # sign changes within the rounding level of the propagation from
+            # z are no events
+            z_norm = math.sqrt(z @ z)
+            e_abs = np.abs(e)
+            e_ok = e_abs > flow.e_floor * z_norm
+            de = np.where(np.abs(de) > flow.de_floor * z_norm, de, 0.0)
+            turn = e[:-1] * e[1:]
+            # an extremum inside a step lies within dip * |z| of the nearer
+            # end value, so only a small e_r there can hide two crossings
+            near_zero = (np.minimum(e_abs[:-1], e_abs[1:])
+                         <= flow.dip * np.sqrt(np.einsum("ij,ij->i", zs[:-1], zs[:-1])))
+            stop = np.flatnonzero(((turn < 0.0) & (e_ok[:-1] | e_ok[1:]))
+                                  | ((turn > 0.0) & (de[:-1] * de[1:] < 0.0) & near_zero)
+                                  | ~(sq_norms <= OVERFLOW_NORM**2))
+            cut = int(stop[0]) if stop.size else m
+            if cut:
+                run.e_peak = max(run.e_peak, float(np.max(e_abs[1:cut + 1])))
+        if cut:
+            e_prev, de_prev = float(e[cut]), float(de[cut])
+            states[k + 1:k + 1 + cut] = xs[:cut]
+            e_sig[k + 1:k + 1 + cut] = e[1:cut + 1]
+            max_norm = max(max_norm, math.sqrt(np.max(sq_norms[:cut])))
+            z = zs[cut]
+            k += cut
+        if cut == m:
+            continue
+        # the step k -> k + 1 holds a crossing candidate or overflows
+        z, jumped, e_prev = run.step(z, times[k], e_prev)
+        k += 1
+        x = z[:nx] * dx
+        states[k], e_sig[k] = x, e_prev
+        flags[k] = 1.0 if jumped else 0.0
+        norm = float(np.linalg.norm(x))
+        max_norm = max(max_norm, norm)
+        if not norm <= OVERFLOW_NORM:
+            diverged = True
+            states[k + 1:] = x
+            e_sig[k + 1:] = (x @ sys_.c_e_bar.ravel()
+                             + sys_.d_e * np.asarray(config.input(times[k + 1:]), float))
+            break
+        de_prev = flow.slope(z)
+
     outputs = states @ sys_.c_bar.ravel()
-    e_sig = states @ sys_.c_e_bar.ravel() + sys_.d_e * np.asarray(r_fun(times), float)
-    return SimTrace(times, states, outputs, e_sig, np.zeros(n_steps + 1), [],
-                    float(np.max(np.linalg.norm(states, axis=1))), False)
+    gaps = np.diff(run.instants)
+    return SimTrace(times, states, outputs, e_sig, flags, run.instants, max_norm,
+                    diverged, run.pairs, steps=k, crossings=run.crossings,
+                    resets_fired=len(run.instants), suppressed_dwell=run.dwell,
+                    suppressed_guard=run.guard, suppressed_tolerance=run.tolerance,
+                    min_reset_gap=float(gaps.min()) if gaps.size else math.inf)
+
+
+def simulate(config: SimConfig) -> SimTrace:
+    """Propagate the hybrid closed loop under the configured input.
+
+    Crossings are located on the exact flow and jumps follow the dwell, guard
+    and tolerance rules of the module docstring.  A state-norm overflow marks
+    the trace as diverged instead of raising; the remaining samples repeat
+    the last state.
+    """
+    return _propagate(config, jumps=True)
+
+
+def simulate_linear(config: SimConfig) -> SimTrace:
+    """The base linear system: the same exact propagator without jumps."""
+    return _propagate(config, jumps=False)
 
 
 @dataclass(frozen=True)

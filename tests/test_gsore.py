@@ -168,6 +168,20 @@ class TestCertify:
         res = certify(prob, FAST)
         assert res.certified and res.oracle_cross_check == "pass"
 
+    def test_oracle_rejection_refuses_certificate(self, monkeypatch):
+        # a candidate the independent SPR oracle rejects is never certified
+        import resetcert.gsore as gsore_module
+        from resetcert.hbeta import MatrixSprReport
+
+        elem = gsore(2.0, 1.0, 0.4, 0.4)
+        prob = gsore_problem(elem, ONE, ONE, tf([0.8], [1.0, 1.0]), points=400)
+        assert certify(prob, FAST).certified
+        monkeypatch.setattr(gsore_module, "spr_check_matrix",
+                            lambda *args, **kwargs: MatrixSprReport(
+                                False, False, 1.0, -1.0, None, None, True))
+        res = certify(prob, FAST)
+        assert res.oracle_cross_check == "fail" and not res.certified
+
     def test_gamma_out_of_range(self):
         elem, lin, g = mass_fixture(gamma1=1.2)
         with pytest.raises(DomainError):

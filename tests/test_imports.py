@@ -1,5 +1,6 @@
 """scipy stays out of ``import resetcert`` and the CLI until gsore is used."""
 
+import json
 import subprocess
 import sys
 
@@ -22,6 +23,21 @@ def test_package_and_cli_import_no_scipy(src_env):
         assert "numpy" in tops
 
 
+def test_simulate_command_loads_no_scipy(src_env, tmp_path):
+    cfg = tmp_path / "sim.json"
+    cfg.write_text(json.dumps({
+        "element": {"kind": "GFORE", "omega_r": 1.0, "gamma": 0.0},
+        "blocks": {"plant": {"num": [2.0], "den": [1.0, 1.0]}},
+        "simulation": {"t_end": 10.0,
+                       "input": {"kind": "sinusoid", "amplitude": 1.0, "freq": 1.0}}}))
+    out = tmp_path / "trace.csv"
+    argv = ["simulate", "--config", str(cfg), "--out", str(out)]
+    statement = f"import resetcert.cli\nassert resetcert.cli.main({argv!r}) == 0"
+    tops = {name.split(".")[0] for name in loaded_after(src_env, statement)}
+    assert "scipy" not in tops
+    assert out.read_text().startswith("t,x_1")
+
+
 def test_gsore_imports_scipy_optimize(src_env):
     assert "scipy.optimize" in loaded_after(src_env, "import resetcert.gsore")
 
@@ -31,3 +47,11 @@ def test_lazy_gsore_exports():
     assert resetcert.certify is resetcert.gsore.certify
     assert resetcert.gamma_factor is resetcert.gsore.gamma_factor
     assert getattr(resetcert, "no_such_name", None) is None
+
+
+def test_sim_loads_only_for_simulation(src_env):
+    for statement in ("import resetcert", "import resetcert.cli"):
+        assert "resetcert.sim" not in loaded_after(src_env, statement), statement
+    from resetcert import SimConfig, simulate  # noqa: F401
+    assert resetcert.simulate is resetcert.sim.simulate
+    assert resetcert.step_response is resetcert.sim.step_response

@@ -7,6 +7,7 @@ from resetcert.sim import (
     InputSignal,
     SimConfig,
     default_dt,
+    expm,
     realization_equivalence,
     simulate,
     simulate_linear,
@@ -27,6 +28,13 @@ def open_loop_ci(gamma=0.0):
 def gfore_loop(gamma=0.0):
     g = tf([1.0], [1.0, 1.0])
     return assemble_closed_loop(realization(gfore(1.0, gamma)), [[gamma]], ONE, ONE, g, ONE)
+
+
+def polynomial_input(roots, scale=1.0):
+    """scale * prod (t - root) as a sum of exppoly t^k terms."""
+    coefs = scale * np.poly(roots)[::-1]
+    return InputSignal("exppoly", terms=tuple((float(c), k, 0.0, 0.0, 0.0)
+                                              for k, c in enumerate(coefs)))
 
 
 class TestClosedFormOracle:
@@ -50,15 +58,114 @@ class TestClosedFormOracle:
         assert np.all(tr.states == 0.0)
         assert tr.reset_instants == []
 
-    def test_convergence_order(self):
-        # away from resets (t_end < pi) halving dt must gain a factor >= 8
+    @pytest.mark.parametrize("dt", [1e-3, 0.05, 0.2])
+    def test_exact_flow_at_any_step(self, dt):
+        # the flow is exact, so the closed form holds to rounding whatever
+        # the sample step, and the resets sit at k pi
         cl = open_loop_ci(0.0)
+        tr = simulate(SimConfig(cl, dt=dt, t_end=6 * np.pi, input=sinusoid_input(1.0, 1.0)))
+        k = np.floor(tr.times / np.pi + 1e-12)
+        exact = (-1.0) ** k - np.cos(tr.times)
+        assert np.max(np.abs(tr.states[:, 0] - exact)) <= 1e-12
+        assert len(tr.reset_instants) == 5
+        for i, t in enumerate(tr.reset_instants, start=1):
+            assert abs(t - i * np.pi) <= 1e-9
 
-        def err(dt):
-            tr = simulate(SimConfig(cl, dt=dt, t_end=3.0, input=sinusoid_input(1.0, 1.0)))
-            return np.max(np.abs(tr.states[:, 0] - (1.0 - np.cos(tr.times))))
 
-        assert err(0.2) / err(0.1) >= 8.0
+class TestGenerators:
+    @staticmethod
+    def generated(signal, t):
+        s, w0, c = signal.generator()
+        return np.array([c @ expm(s * tk) @ w0 for tk in t])
+
+    def test_exppoly_cosine_is_shifted_sinusoid(self):
+        t = np.linspace(0.0, 20.0, 101)
+        a = InputSignal("exppoly", terms=((1.7, 0, 0.0, 2.3, 0.4),))
+        b = sinusoid_input(1.7, 2.3, 0.4 + np.pi / 2)
+        assert np.max(np.abs(self.generated(a, t) - self.generated(b, t))) <= 1e-12
+        cl = gfore_loop(0.0)
+        ta = simulate(SimConfig(cl, dt=0.01, t_end=20.0, input=a))
+        tb = simulate(SimConfig(cl, dt=0.01, t_end=20.0, input=b))
+        assert np.max(np.abs(ta.states - tb.states)) <= 1e-12
+        assert ta.reset_instants == pytest.approx(tb.reset_instants, abs=1e-12)
+
+    def test_exppoly_constant_is_step(self):
+        t = np.linspace(0.0, 20.0, 101)
+        a = InputSignal("exppoly", terms=((1.3, 0, 0.0, 0.0, 0.0),))
+        b = step_input(1.3)
+        assert np.max(np.abs(self.generated(a, t) - self.generated(b, t))) <= 1e-12
+        cl = assemble_closed_loop(realization(gfore(1.0, 0.0)), [[0.0]], ONE, ONE,
+                                  tf([9.0], [1.0, 1.0]), ONE)
+        ta = simulate(SimConfig(cl, dt=0.01, t_end=20.0, input=a))
+        tb = simulate(SimConfig(cl, dt=0.01, t_end=20.0, input=b))
+        assert tb.reset_instants
+        assert np.max(np.abs(ta.states - tb.states)) <= 1e-12
+
+    def test_generator_matches_closed_form(self):
+        t = np.linspace(0.0, 5.0, 51)
+        signal = InputSignal("exppoly", terms=((0.7, 2, -0.3, 1.5, 0.2),
+                                               (-1.1, 1, 0.1, 0.0, 0.0)))
+        scale = np.max(np.abs(signal(t)))
+        assert np.max(np.abs(self.generated(signal, t) - signal(t))) <= 1e-13 * scale
+
+    def test_exppoly_power_must_be_integer(self):
+        with pytest.raises(ValueError):
+            InputSignal("exppoly", terms=((1.0, 1.5, 0.0, 0.0, 0.0),)).generator()
+
+
+class TestEventCounters:
+    def test_clegg_counts(self):
+        cl = open_loop_ci(0.0)
+        tr = simulate(SimConfig(cl, dt=1e-3, t_end=6 * np.pi, input=sinusoid_input(1.0, 1.0)))
+        assert tr.steps == tr.times.size - 1
+        assert (tr.crossings, tr.resets_fired) == (5, 5)
+        assert (tr.suppressed_dwell, tr.suppressed_guard, tr.suppressed_tolerance) == (0, 0, 0)
+        assert tr.min_reset_gap == pytest.approx(np.pi, abs=1e-9)
+
+    def test_crossings_faster_than_dwell(self):
+        # crossings every pi against a dwell of 4: after the jump at pi, 2 pi
+        # is inside the dwell, at 3 pi the state is back at zero (guard), 4 pi
+        # fires and 5 pi is inside its dwell
+        cl = open_loop_ci(0.0)
+        tr = simulate(SimConfig(cl, dt=0.01, t_end=6 * np.pi, lam=4.0,
+                                input=sinusoid_input(1.0, 1.0)))
+        assert tr.crossings == 5
+        assert tr.reset_instants == pytest.approx([np.pi, 4 * np.pi], abs=1e-9)
+        assert tr.resets_fired == 2
+        assert (tr.suppressed_dwell, tr.suppressed_guard) == (2, 1)
+        assert tr.min_reset_gap == pytest.approx(3 * np.pi, abs=1e-9)
+
+    def test_guard_suppresses_identity_reset(self):
+        cl = gfore_loop(1.0)
+        tr = simulate(SimConfig(cl, dt=0.01, t_end=30.0, input=sinusoid_input(1.0, 1.0)))
+        assert tr.crossings > 0
+        assert tr.suppressed_guard == tr.crossings
+        assert tr.resets_fired == 0 and tr.min_reset_gap == np.inf
+
+
+class TestCrossingsInsideAStep:
+    def test_two_crossings_in_one_step(self):
+        # e_r = cos t - 0.9 dips above zero on (2 pi - a, 2 pi + a), a =
+        # acos 0.9, inside the single step (5.7, 7.6] whose endpoints are
+        # both negative; the first crossing fires, the second is within the
+        # dwell
+        cl = open_loop_ci(0.0)
+        signal = InputSignal("exppoly", terms=((-0.9, 0, 0.0, 0.0, 0.0),
+                                               (1.0, 0, 0.0, 1.0, 0.0)))
+        tr = simulate(SimConfig(cl, dt=1.9, t_end=7.6, input=signal))
+        a = np.arccos(0.9)
+        assert tr.reset_instants == pytest.approx([a, 2 * np.pi - a], abs=1e-9)
+        assert tr.crossings == 3 and tr.suppressed_dwell == 1
+
+    def test_scan_continues_after_rejected_crossing(self):
+        # e_r = -(t - 0.5)(t - 1.2)(t - 1.6)(t - 1.8) with dt = dwell = 1: the
+        # crossing at 1.2 falls in the dwell after 0.5, the one at 1.6 fires,
+        # the one at 1.8 falls in its dwell
+        cl = open_loop_ci(0.0)
+        signal = polynomial_input([0.5, 1.2, 1.6, 1.8], scale=-1.0)
+        tr = simulate(SimConfig(cl, dt=1.0, t_end=3.0, input=signal))
+        assert tr.reset_instants == pytest.approx([0.5, 1.6], abs=1e-9)
+        assert tr.crossings == 4 and tr.suppressed_dwell == 2
 
 
 class TestJumpSemantics:
@@ -191,3 +298,13 @@ class TestTraceExport:
         dt = default_dt(cl)
         rates = np.abs(np.linalg.eigvals(cl.a_bar).real)
         assert dt == pytest.approx(1.0 / rates.min() / 200.0)
+
+    def test_default_dt_resolves_the_input(self):
+        # 40 samples per period of a 50 rad/s input on a slow loop
+        cl = gfore_loop(0.0)
+        cap = 2.0 * np.pi / (40 * 50.0)
+        assert default_dt(cl) > cap
+        assert default_dt(cl, input=sinusoid_input(1.0, 50.0)) == pytest.approx(cap)
+        assert default_dt(cl, disturbance=InputSignal(
+            "exppoly", terms=((1.0, 1, -0.1, 50.0, 0.0),))) == pytest.approx(cap)
+        assert default_dt(cl, input=step_input(2.0)) == default_dt(cl)
