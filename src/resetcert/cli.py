@@ -219,6 +219,7 @@ def cmd_gsore(args) -> int:
         "rank_check": result.rank_check,
         "seed": result.seed,
         "ratio_windows": {k: list(v) for k, v in result.ratio_windows.items() if v},
+        "search": result.search,
     }
     _emit_json(out, args.out)
     return 0 if result.certified else 2

@@ -16,7 +16,7 @@ variables are reported as the scale-free ratios Q1..Q4.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.optimize import differential_evolution, minimize_scalar
@@ -38,6 +38,10 @@ from .nsv import feature_band
 M_BOUND = 4.0
 M_SLACK = 1e-6          # M < 4 is tested as m <= 4 - M_SLACK
 STRICT_MARGIN = 1e-9
+# a DE restart stops once its best objective is a feasible m <= M_BOUND / 2
+# that fell by at most STALL_DROP over the last STALL_GENERATIONS generations
+STALL_GENERATIONS = 20
+STALL_DROP = 1e-3
 
 
 # ---------------------------------------------------------------------------
@@ -365,13 +369,38 @@ def _seed_population(bounds, scans, size, rng):
     return genes
 
 
+def _stalled(best) -> bool:
+    """Early-stop rule for one DE restart.
+
+    ``best[k]`` is the best objective after generation k (``best[0]`` after
+    the initial population).  The restart stops once the best value is a
+    feasible m <= M_BOUND / 2 (penalized points score 1e9 and above) that
+    fell by at most STALL_DROP over the last STALL_GENERATIONS generations.
+    Such an m clears the bound by a wide margin, so further generations only
+    push the candidate towards the boundary of the feasible set.
+    """
+    if len(best) <= STALL_GENERATIONS:
+        return False
+    now = best[-1]
+    return now <= M_BOUND / 2 and best[-1 - STALL_GENERATIONS] - now <= STALL_DROP
+
+
 @dataclass(frozen=True)
 class OptimizerSettings:
     population: int = 200
-    generations: int = 500
+    generations: int = 500      # a cap: a restart may stop earlier (_stalled)
     restarts: int = 8
     seed: int = 0
     penalty_weight: float = 1e3
+
+    def __post_init__(self):
+        if self.generations < 1 or self.restarts < 1:
+            raise DomainError("optimizer generations and restarts must be at least 1")
+        # restart k seeds the DE with seed + 1009 k, which must fit 32 bits
+        top = 2**32 - 1 - 1009 * (self.restarts - 1)
+        if not 0 <= self.seed <= top:
+            raise DomainError(f"optimizer seed must lie in [0, {top}] "
+                              f"for {self.restarts} restarts")
 
 
 @dataclass(frozen=True)
@@ -386,13 +415,18 @@ class CertificateResult:
     rank_check: str             # "pass" | "fail" | "conditional"
     seed: int
     ratio_windows: dict = field(default_factory=dict)
+    # one entry per DE restart run: seed, generations, best objective and
+    # why it stopped ("stalled", "converged" or "maxiter")
+    search: list = field(default_factory=list)
 
 
 def certify(problem: GsoreProblem, settings: OptimizerSettings | None = None) -> CertificateResult:
     """Search for a certificate and verify it strictly.
 
     Failure to find a feasible point is reported as ``certified=False``; the
-    conditions are sufficient only, never a proof of instability.
+    conditions are sufficient only, never a proof of instability.  Each DE
+    restart ends early once ``_stalled`` holds; ``search`` on the result
+    records how every restart that ran ended.
     """
     settings = settings or OptimizerSettings()
     elem = problem.element
@@ -412,13 +446,29 @@ def certify(problem: GsoreProblem, settings: OptimizerSettings | None = None) ->
                                 problem.n_minus_m, gamma_bound, settings.penalty_weight)
     best_x, best_j = None, np.inf
     pop = max(20, settings.population)
+    search = []
     for k in range(settings.restarts):
-        rng = np.random.default_rng(settings.seed + 1009 * k)
+        seed = settings.seed + 1009 * k
+        rng = np.random.default_rng(seed)
         init = _seed_population(bounds, scans, pop, rng)
+        # with deferred updating each generation is one vectorized call, so
+        # the running minimum after each call is population_energies[0]
+        best = []
+
+        def tracked(x):
+            vals = fun(x)
+            low = float(np.min(vals))
+            best.append(min(best[-1], low) if best else low)
+            return vals
+
         res = differential_evolution(
-            fun, bounds, seed=settings.seed + 1009 * k, maxiter=settings.generations,
+            tracked, bounds, seed=seed, maxiter=settings.generations,
             tol=1e-10, polish=False, vectorized=True,
-            updating="deferred", init=init)
+            updating="deferred", init=init,
+            callback=lambda xk, convergence=None: _stalled(best))
+        stop = "stalled" if _stalled(best) else "converged" if res.success else "maxiter"
+        search.append({"seed": seed, "generations": int(res.nit),
+                       "best": float(res.fun), "stop": stop})
         if float(res.fun) < best_j:
             best_j, best_x = float(res.fun), np.array(res.x)
         if best_j < M_BOUND - 10 * M_SLACK:
@@ -435,7 +485,8 @@ def certify(problem: GsoreProblem, settings: OptimizerSettings | None = None) ->
     if "q4_over_q3" in windows_hat:
         lo, hi = windows_hat["q4_over_q3"]
         windows["q4_over_q3"] = (lo / alpha, hi / alpha)
-    return _verify_candidate(problem, params, windows, settings.seed)
+    return replace(_verify_candidate(problem, params, windows, settings.seed),
+                   search=search)
 
 
 def _ratio_at(problem: GsoreProblem, params, omega):

@@ -128,6 +128,31 @@ class TestGsoreCheck:
         cfg = write_config(tmp_path, bad)
         assert run(["gsore-check", "--config", cfg, "--grid-points", "400"]) == 1
 
+    def test_search_trace_in_json(self, tmp_path):
+        cfg = write_config(tmp_path, gsore_config())
+        out = tmp_path / "out.json"
+        assert run(["gsore-check", "--config", cfg, "--seed", "42",
+                    "--grid-points", "400", "--out", str(out)]) == 0
+        search = json.loads(out.read_text())["search"]
+        assert len(search) >= 1 and search[0]["seed"] == 42
+        for entry in search:
+            assert set(entry) == {"seed", "generations", "best", "stop"}
+            assert 1 <= entry["generations"] <= 150
+            assert entry["stop"] in ("stalled", "converged", "maxiter")
+
+    @pytest.mark.parametrize("optimizer, seed", [
+        ({"restarts": 0}, "0"), ({"generations": 0}, "0"), ({}, "-1"),
+        ({"restarts": 2}, str(2**32 - 1009)),
+    ], ids=["restarts-0", "generations-0", "seed-negative", "seed-too-large"])
+    def test_invalid_optimizer_settings_exit_1(self, tmp_path, capsys, optimizer, seed):
+        cfg = gsore_config()
+        cfg["optimizer"].update(optimizer)
+        path = write_config(tmp_path, cfg)
+        assert run(["gsore-check", "--config", path, "--seed", seed,
+                    "--grid-points", "400"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
 
 class TestHbeta:
     def test_search_and_check(self, tmp_path):

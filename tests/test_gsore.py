@@ -6,8 +6,13 @@ from resetcert.elements import base_tf, gsore
 from resetcert.errors import DomainError
 from resetcert.frf import FrfTable, LoopSamples
 from resetcert.gsore import (
+    M_BOUND,
+    STALL_DROP,
+    STALL_GENERATIONS,
     CertificateResult,
     OptimizerSettings,
+    _stalled,
+    _verify_candidate,
     certify,
     f1,
     f2,
@@ -197,6 +202,75 @@ class TestCertify:
         _, _, r1, r2, r3 = res.reconstructed
         for gam in (-0.9, 0.0, 0.7):
             assert r1 * r3 > gamma_factor(gam, gam) * r2**2
+
+
+class TestEarlyStop:
+    def test_stall_predicate(self):
+        n = STALL_GENERATIONS
+        flat = [1.0] * (n + 1)
+        assert _stalled(flat)
+        assert not _stalled(flat[:-1])                       # too few generations
+        assert _stalled([M_BOUND / 2] * (n + 1))
+        assert not _stalled([M_BOUND / 2 + 1e-9] * (n + 1))  # not well below 4
+        assert not _stalled([3.0] * 200)
+        assert not _stalled([1e9 + 5.0] * 200)               # penalized: infeasible
+        falling = [1.0 + 2 * STALL_DROP] + [1.0] * n         # dropped over the window
+        assert not _stalled(falling)
+        assert _stalled(falling + [1.0])
+        # a long-stalled infeasible prefix does not count once feasible
+        assert not _stalled([1e9] * 100 + [0.5] * n)
+        assert _stalled([1e9] * 100 + [0.5] * (n + 1))
+
+    def test_type4_certificate_holds_on_dense_grid(self):
+        # the bench Type IV fixture: the full-length search drove m towards
+        # 0 and left the candidate on the boundary of the feasible set
+        elem = gsore(2.0, 1.0, 0.3, 0.5)
+        g = tf([1.0], np.convolve([1.0, 1.0], [1.0, 0.5]))
+        res = certify(gsore_problem(elem, ONE, ONE, g, points=400), OptimizerSettings())
+        assert res.certified and res.oracle_cross_check == "pass"
+        dense = gsore_problem(elem, ONE, ONE, g, points=40000)
+        assert _verify_candidate(dense, res.reconstructed, {}, 0).certified
+
+    def test_acceptance_fixture_stops_on_stall(self):
+        elem, lin, g = mass_fixture()
+        res = certify(gsore_problem(elem, ONE, lin, g, points=400), OptimizerSettings())
+        assert res.certified
+        assert len(res.search) == 1
+        first = res.search[0]
+        assert set(first) == {"seed", "generations", "best", "stop"}
+        assert first["seed"] == 0
+        assert first["stop"] == "stalled" and first["generations"] < 150
+        assert first["best"] <= M_BOUND / 2
+
+    def test_generation_cap_is_reported(self):
+        elem = gsore(2.0, 1.0, 0.4, 0.4)
+        prob = gsore_problem(elem, ONE, ONE, tf([0.8], [1.0, 1.0]), points=400)
+        res = certify(prob, OptimizerSettings(population=20, generations=5, restarts=2,
+                                              seed=3))
+        # five generations find no feasible point, so both restarts run out
+        assert [(s["seed"], s["generations"], s["stop"]) for s in res.search] == [
+            (3, 5, "maxiter"), (1012, 5, "maxiter")]
+        assert all(s["best"] >= 1e9 for s in res.search)
+        assert not res.certified
+
+
+class TestOptimizerSettings:
+    @pytest.mark.parametrize("kwargs", [
+        {"restarts": 0}, {"generations": 0}, {"seed": -1}, {"seed": 2**32},
+        {"restarts": 2, "seed": 2**32 - 1009},
+    ])
+    def test_invalid_settings_raise(self, kwargs):
+        with pytest.raises(DomainError):
+            OptimizerSettings(**kwargs)
+
+    def test_largest_seed_runs(self):
+        # restart k seeds the DE with seed + 1009 k; the last must fit 32 bits
+        settings = OptimizerSettings(population=20, generations=2, restarts=2,
+                                     seed=2**32 - 1 - 1009)
+        elem = gsore(2.0, 1.0, 0.4, 0.4)
+        prob = gsore_problem(elem, ONE, ONE, tf([0.8], [1.0, 1.0]), points=400)
+        res = certify(prob, settings)
+        assert [s["seed"] for s in res.search] == [2**32 - 1 - 1009, 2**32 - 1]
 
 
 class TestRandomizedConsistency:
