@@ -18,10 +18,10 @@ import numpy as np
 from . import elements
 from .elements import ResetElement
 from .errors import ConfigError, ResetCertError
-from .frf import FrfTable, load_frf, save_frf
-from .hbeta import HbetaCandidate, loop_invariants, search_candidate_scalar, spr_check_scalar
-from .lti import RationalTF, assemble_closed_loop, tf
-from .nsv import certify_first_order, loop_variant, nsv_grid_samples
+from .frf import Loop, load_frf, save_frf
+from .hbeta import HbetaCandidate, search_candidate_scalar, spr_check_scalar
+from .lti import RationalTF, tf
+from .nsv import certify_first_order, nsv_grid_samples
 
 
 def _atomic_write(path: str, text: str) -> None:
@@ -76,8 +76,8 @@ def _block_from_cfg(cfg) -> RationalTF:
         raise ConfigError(f"unknown block template {name!r}")
     try:
         return tf(cfg["num"], cfg["den"])
-    except (KeyError, TypeError) as exc:
-        raise ConfigError(f"block needs num/den coefficient lists: {exc}") from None
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        raise ConfigError(f"block needs numeric num/den lists, den nonzero: {exc}") from None
 
 
 def _element_from_cfg(cfg) -> ResetElement:
@@ -114,15 +114,23 @@ def _load_config(args):
             raise ConfigError(f"invalid JSON in {args.config}: {exc}") from None
 
 
-def _plant_from(args, cfg):
+def _loop_from(args, cfg) -> Loop:
+    """The element, blocks and architecture of a config; ``--frf`` replaces
+    blocks.plant with a measured table."""
+    element = _element_from_cfg(cfg.get("element"))
+    blocks = cfg.get("blocks", {})
     if args.frf:
         if not os.path.exists(args.frf):
             raise ConfigError(f"FRF file not found: {args.frf}")
-        return load_frf(args.frf, args.frf_format)
-    blocks = cfg.get("blocks", {})
-    if "plant" not in blocks:
+        plant = load_frf(args.frf, args.frf_format)
+    elif "plant" not in blocks:
         raise ConfigError("config needs blocks.plant or an --frf file")
-    return _block_from_cfg(blocks["plant"])
+    else:
+        plant = _block_from_cfg(blocks["plant"])
+    return Loop(element, _block_from_cfg(blocks.get("c_l1")),
+                _block_from_cfg(blocks.get("c_l2")), plant,
+                c_s=_block_from_cfg(blocks.get("c_s")),
+                architecture=cfg.get("architecture", "standard"))
 
 
 def _parse_asymptote(text):
@@ -143,16 +151,10 @@ def _write_nsv_csv(nsv, path):
 
 def cmd_classify(args) -> int:
     cfg = _load_config(args)
-    element = _element_from_cfg(cfg.get("element"))
-    blocks = cfg.get("blocks", {})
-    plant = _plant_from(args, cfg)
+    loop = _loop_from(args, cfg)
     verdict = certify_first_order(
-        element,
-        _block_from_cfg(blocks.get("c_l1")),
-        _block_from_cfg(blocks.get("c_l2")),
-        plant,
-        c_s=_block_from_cfg(blocks.get("c_s")),
-        architecture=cfg.get("architecture", "standard"),
+        loop.element, loop.c_l1, loop.c_l2, loop.plant, c_s=loop.c_s,
+        architecture=loop.architecture,
         points=args.grid_points,
         plant_rhp_poles=int(cfg.get("plant_rhp_poles", 0)),
         plant_origin_poles=int(cfg.get("plant_origin_poles", 0)),
@@ -181,18 +183,12 @@ def cmd_gsore(args) -> int:
     from .gsore import OptimizerSettings, certify, gsore_problem  # imports scipy.optimize
 
     cfg = _load_config(args)
-    element = _element_from_cfg(cfg.get("element"))
-    if element.kind != "GSORE":
+    loop = _loop_from(args, cfg)
+    if loop.element.kind != "GSORE":
         raise ConfigError("gsore-check needs a GSORE element")
-    blocks = cfg.get("blocks", {})
-    plant = _plant_from(args, cfg)
     extra = cfg.get("gsore", {})
     problem = gsore_problem(
-        element,
-        _block_from_cfg(blocks.get("c_l1")),
-        _block_from_cfg(blocks.get("c_l2")),
-        plant,
-        c_s=_block_from_cfg(blocks.get("c_s")),
+        loop.element, loop.c_l1, loop.c_l2, loop.plant, c_s=loop.c_s,
         points=args.grid_points,
         origin_pole=extra.get("origin_pole"),
         k_s0=extra.get("k_s0"),
@@ -227,18 +223,12 @@ def cmd_gsore(args) -> int:
 
 def cmd_hbeta(args) -> int:
     cfg = _load_config(args)
-    element = _element_from_cfg(cfg.get("element"))
-    blocks = cfg.get("blocks", {})
-    plant = _plant_from(args, cfg)
-    if isinstance(plant, FrfTable):
+    loop = _loop_from(args, cfg)
+    if not loop.rational:
         raise ConfigError("hbeta needs rational blocks for the limit checks")
-    c_l1 = _block_from_cfg(blocks.get("c_l1"))
-    c_l2 = _block_from_cfg(blocks.get("c_l2"))
-    c_s = _block_from_cfg(blocks.get("c_s"))
-    variant = loop_variant(element, cfg.get("architecture"))
-    samples, _ = nsv_grid_samples(plant, c_l1, c_l2, c_s, element,
+    element, c_s, p_lin, variant = loop.element, loop.c_s, loop.p_lin, loop.variant
+    samples, _ = nsv_grid_samples(loop.plant, loop.c_l1, loop.c_l2, c_s, element,
                                   variant=variant, points=args.grid_points)
-    p_lin, _, _, _, _, _ = loop_invariants(element, c_l1, c_l2, plant, c_s)
     cand_cfg = cfg.get("candidate")
     if cand_cfg:
         cand = HbetaCandidate(float(cand_cfg["beta_prime"]), float(cand_cfg["rho_prime"]))
@@ -271,16 +261,11 @@ def cmd_simulate(args) -> int:
     from .sim import InputSignal, SimConfig, default_dt, simulate
 
     cfg = _load_config(args)
-    element = _element_from_cfg(cfg.get("element"))
-    blocks = cfg.get("blocks", {})
-    plant = _plant_from(args, cfg)
-    if isinstance(plant, FrfTable):
+    loop = _loop_from(args, cfg)
+    if not loop.rational:
         raise ConfigError("simulation needs a rational plant model")
+    element = loop.element
     sim_cfg = cfg.get("simulation", {})
-    c_l1 = _block_from_cfg(blocks.get("c_l1"))
-    c_l2 = _block_from_cfg(blocks.get("c_l2"))
-    c_s = _block_from_cfg(blocks.get("c_s"))
-    arch = cfg.get("architecture", "standard")
 
     inp_cfg = sim_cfg.get("input", {"kind": "step", "amplitude": 1.0})
     inp = InputSignal(inp_cfg.get("kind", "step"),
@@ -306,8 +291,7 @@ def cmd_simulate(args) -> int:
     if not args.out:
         raise ConfigError("simulate needs --out for the trace CSV")
     for suffix, a_rho in runs:
-        cl = assemble_closed_loop(elements.realization(element), a_rho,
-                                  c_l1, c_l2, plant, c_s, architecture=arch)
+        cl = loop.closed_loop(a_rho)
         dt = float(sim_cfg.get("dt", default_dt(cl, input=inp)))
         t_end = float(sim_cfg.get("t_end", 2000 * dt))
         x0 = sim_cfg.get("x0")
@@ -318,9 +302,8 @@ def cmd_simulate(args) -> int:
         trace.save_csv(f"{base}{suffix}{ext}" if suffix else args.out)
 
     if args.nsv_out:
-        _, nsv = nsv_grid_samples(plant, c_l1, c_l2, c_s, element,
-                                  variant=loop_variant(element, arch),
-                                  points=args.grid_points)
+        _, nsv = nsv_grid_samples(loop.plant, loop.c_l1, loop.c_l2, loop.c_s, element,
+                                  variant=loop.variant, points=args.grid_points)
         _write_nsv_csv(nsv, args.nsv_out)
     return 0
 

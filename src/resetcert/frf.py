@@ -8,13 +8,17 @@ Frequencies are stored internally in rad/s.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .errors import EmptyTable, NonMonotoneFrequency, OutOfBand, ParseError
-from .lti import RationalTF, evaluate
+from .elements import ResetElement, base_tf, realization
+from .errors import ConfigError, EmptyTable, NonMonotoneFrequency, OutOfBand, ParseError
+from .lti import (ClosedLoop, RationalTF, assemble_closed_loop, evaluate,
+                  leading_coefficients, relative_degree, series, tf)
 
 TWO_PI = 2.0 * np.pi
+MIN_GRID_POINTS = 32    # fewest base grid points a certifier reads a loop from
 
 
 @dataclass(frozen=True)
@@ -144,3 +148,96 @@ def compose_loop(plant, c_l1: RationalTF, c_r: RationalTF, c_l2: RationalTF,
         loop = loop * cs_vals
     cr_vals = evaluate(c_r, grid) * np.ones_like(grid, dtype=complex)
     return LoopSamples(grid, np.asarray(loop, complex), cs_vals, cr_vals)
+
+
+@dataclass(frozen=True)
+class Loop:
+    """One reset control loop and the constants every verdict reads from it.
+
+    ``plant`` is a RationalTF or a measured FrfTable; the constants that need
+    a model (``p_lin``, ``loop_tf``, ``k_n``, ``n_minus_m``, ``origin_poles``)
+    are None for a table.  ``c_s=None`` is the unit shaping filter and
+    ``architecture=None`` the standard one.  Each constant is derived on
+    first use, once.
+    """
+
+    element: ResetElement
+    c_l1: RationalTF
+    c_l2: RationalTF
+    plant: object
+    c_s: RationalTF | None = None
+    architecture: str | None = "standard"
+
+    def __post_init__(self):
+        arch = "standard" if self.architecture is None else self.architecture
+        if arch not in ("standard", "modified"):
+            raise ConfigError(f"unknown architecture {arch!r}; use standard or modified")
+        object.__setattr__(self, "architecture", arch)
+        object.__setattr__(self, "c_s", tf([1.0]) if self.c_s is None else self.c_s)
+
+    @property
+    def rational(self) -> bool:
+        return isinstance(self.plant, RationalTF)
+
+    @property
+    def variant(self) -> str:
+        """NSV variant: "sosre" for a SOSRE element, else the architecture."""
+        return "sosre" if self.element.kind == "SOSRE" else self.architecture
+
+    @cached_property
+    def c_r(self) -> RationalTF:
+        return base_tf(self.element)
+
+    @cached_property
+    def p_lin(self) -> RationalTF | None:
+        """C_L1 * C_L2 * G, the linear part without the reset element."""
+        return series(series(self.c_l1, self.c_l2), self.plant) if self.rational else None
+
+    @cached_property
+    def _l_and_l_cs(self):
+        """(L, L * Cs) of the standard architecture; L * Cs is the modified L."""
+        if not self.rational:
+            return None, None
+        loop = series(series(self.c_l1, self.c_r), series(self.c_l2, self.plant))
+        return loop, series(loop, self.c_s)
+
+    @property
+    def loop_tf(self) -> RationalTF | None:
+        """L(s); Cs is in the product under the modified architecture."""
+        standard, with_shaping = self._l_and_l_cs
+        return with_shaping if self.architecture == "modified" else standard
+
+    @cached_property
+    def _leading(self):
+        """(k_n, k_s0): lim s^(n-m) L(s) Cs(s) and Cs(0) with den(0) = 1."""
+        l_cs = self._l_and_l_cs[1] if self.rational else self.c_s
+        k_n, k_s0 = leading_coefficients(l_cs, self.c_s)
+        return (k_n if self.rational else None), k_s0
+
+    k_n = property(lambda self: self._leading[0])
+    k_s0 = property(lambda self: self._leading[1])
+
+    @property
+    def n_minus_m(self) -> int | None:
+        """Relative degree of L * Cs."""
+        return relative_degree(self._l_and_l_cs[1]) if self.rational else None
+
+    @cached_property
+    def origin_poles(self) -> int | None:
+        """Poles of C_L1 * C_L2 * G at s = 0, net of its zeros there."""
+        if self.p_lin is None:
+            return None
+        num, den = (np.flatnonzero(c) for c in (self.p_lin.num, self.p_lin.den))
+        return max(0, int(den[0] - num[0])) if num.size else 0
+
+    def samples(self, grid) -> LoopSamples:
+        """L, Cs and C_R on ``grid``; Cs enters L under the modified architecture."""
+        return compose_loop(self.plant, self.c_l1, self.c_r, self.c_l2, self.c_s, grid,
+                            include_shaping_in_loop=self.architecture == "modified")
+
+    def closed_loop(self, a_rho=None) -> ClosedLoop:
+        """Hybrid closed loop (rational plant); a_rho defaults to the element's."""
+        a_rho = self.element.a_rho if a_rho is None else a_rho
+        return assemble_closed_loop(realization(self.element), a_rho, self.c_l1,
+                                    self.c_l2, self.plant, self.c_s,
+                                    architecture=self.architecture)

@@ -21,18 +21,11 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.optimize import differential_evolution, minimize_scalar
 
-from .elements import ResetElement, base_tf, reset_matrix_condition
+from .elements import ResetElement, reset_matrix_condition
 from .errors import DomainError, GridTooSparse, NotPositiveDefinite
-from .frf import FrfTable, LoopSamples, compose_loop, interpolate
+from .frf import MIN_GRID_POINTS, Loop, LoopSamples
 from .hbeta import HbetaCandidate, limit_matrix_infinity, limit_matrix_zero, spr_check_matrix
-from .lti import (
-    RationalTF,
-    evaluate,
-    leading_coefficients,
-    relative_degree,
-    series,
-    tf,
-)
+from .lti import RationalTF, controllability_observability
 from .nsv import feature_band
 
 M_BOUND = 4.0
@@ -154,16 +147,12 @@ def ratio_window(F1, F2, F3, ratios):
 
 @dataclass(frozen=True)
 class GsoreProblem:
-    element: ResetElement
+    loop: Loop
     samples: LoopSamples
     k_s0: float
     k_n: float
     origin_pole: bool
     n_minus_m: int
-    c_l1: RationalTF | None = None
-    c_l2: RationalTF | None = None
-    plant: object = None
-    c_s: RationalTF | None = None
 
     def __post_init__(self):
         g1, g2 = self.gammas
@@ -171,10 +160,14 @@ class GsoreProblem:
             raise DomainError(f"reset factors ({g1}, {g2}) outside (-1, 1)")
         if self.element.omega_r <= 0 or self.element.xi <= 0:
             raise DomainError("omega_r and xi must be positive")
-        if self.samples.omega.size < 32:
+        if self.samples.omega.size < MIN_GRID_POINTS:
             raise GridTooSparse("certification needs a denser frequency grid")
         if self.origin_pole and self.samples.omega[0] <= 0.0:
             raise DomainError("origin-pole certification uses an open grid (w > 0)")
+
+    @property
+    def element(self) -> ResetElement:
+        return self.loop.element
 
     @property
     def gammas(self):
@@ -194,39 +187,29 @@ def gsore_problem(element: ResetElement, c_l1: RationalTF, c_l2: RationalTF,
                   k_n: float | None = None, n_minus_m: int | None = None) -> GsoreProblem:
     """Assemble a certification problem from loop blocks.
 
-    With a rational plant the loop constants (k_s0, k_n, origin-pole flag,
-    relative degree) are derived; with a measured plant they must be given.
+    Loop constants left as None are derived from the loop (k_s0 = Cs(0));
+    a measured plant needs origin_pole and n_minus_m, and its k_n defaults to 0.
     """
-    c_s = c_s if c_s is not None else tf([1.0])
-    c_r = base_tf(element)
+    loop = Loop(element, c_l1, c_l2, plant, c_s)
     wr = element.omega_r
-    if isinstance(plant, FrfTable):
-        if origin_pole is None or k_s0 is None or n_minus_m is None:
-            raise DomainError("measured plant: origin_pole, k_s0 and n_minus_m are required")
-        lo, hi = plant.band
-        grid = np.logspace(np.log10(lo), np.log10(hi), points)
-        k_n = 0.0 if k_n is None else k_n
-    else:
-        loop_tf = series(series(c_l1, c_r), series(c_l2, plant))
-        lcs = series(loop_tf, c_s)
-        k_n_d, k_s0_d = leading_coefficients(lcs, c_s)
-        p_lin = series(series(c_l1, c_l2), plant)
-        nv = next((i for i, x in enumerate(p_lin.num) if x != 0.0), 0)
-        dv = next((i for i, x in enumerate(p_lin.den) if x != 0.0), 0)
-        origin_pole = (dv - nv > 0) if origin_pole is None else origin_pole
-        k_s0 = k_s0_d if k_s0 is None else k_s0
-        k_n = k_n_d if k_n is None else k_n
-        n_minus_m = relative_degree(lcs) if n_minus_m is None else n_minus_m
-        lo_f, hi_f = feature_band(plant, c_l1, c_l2, c_s, c_r, extra=(wr,))
+    if loop.rational:
+        origin_pole = loop.origin_poles > 0 if origin_pole is None else origin_pole
+        k_n = loop.k_n if k_n is None else k_n
+        n_minus_m = loop.n_minus_m if n_minus_m is None else n_minus_m
+        lo_f, hi_f = feature_band(plant, c_l1, c_l2, loop.c_s, loop.c_r, extra=(wr,))
         lo = 1e-4 * wr if origin_pole else min(lo_f * 1e-2, 1e-4 * wr)
         hi = max(hi_f, wr) * 1e2
-        grid = np.logspace(np.log10(lo), np.log10(hi), points)
-    if not origin_pole and not isinstance(plant, FrfTable):
+    else:
+        if origin_pole is None or n_minus_m is None:
+            raise DomainError("measured plant: origin_pole and n_minus_m are required")
+        lo, hi = plant.band
+        k_n = 0.0 if k_n is None else k_n
+    grid = np.logspace(np.log10(lo), np.log10(hi), points)
+    if loop.rational and not origin_pole:
         grid = np.concatenate([[0.0], grid])    # closed interval at w = 0
-    samples = compose_loop(plant, c_l1, c_r, c_l2, c_s, grid)
-    return GsoreProblem(element, samples, float(k_s0), float(k_n),
-                        bool(origin_pole), int(n_minus_m),
-                        c_l1=c_l1, c_l2=c_l2, plant=plant, c_s=c_s)
+    k_s0 = loop.k_s0 if k_s0 is None else k_s0
+    return GsoreProblem(loop, loop.samples(grid), float(k_s0), float(k_n),
+                        bool(origin_pole), int(n_minus_m))
 
 
 # ---------------------------------------------------------------------------
@@ -275,11 +258,12 @@ def _population_objective(data: FreqData, ptype, k_s0, wr, xi, kn, n_minus_m,
         x = np.atleast_2d(np.asarray(x, float))
         if x.shape[0] != 4:
             x = x.T
-        b1, b2, r1, r2, r3 = _params_from_genes(x, ptype, k_s0)
-        d1 = (np.outer(r1, data.t1) + np.outer(r2, data.t2) + np.outer(b1, data.t3))
-        d2 = (np.outer(r3, data.u1) + np.outer(r2, data.u2) + np.outer(b2, data.u3))
-        c = (np.outer(r2, data.t1) + np.outer(r3, data.t2) + np.outer(b2, data.t3)
-             + np.outer(r2, data.u1) + np.outer(r1, data.u2) + np.outer(b1, data.u3))
+        b1, b2, r1, r2, r3 = params = _params_from_genes(x, ptype, k_s0)
+        # one row per population member, one column per frequency
+        cb1, cb2, cr1, cr2, cr3 = cols = tuple(v[:, None] for v in params)
+        d1 = data.d1(cr1, cr2, cb1)
+        d2 = data.d2(cr3, cr2, cb2)
+        c = data.off_diag(cols)
         dscale = np.abs(d1) + np.abs(d2) + np.abs(c) + 1e-300
         pen = (np.maximum(0.0, -d1 / dscale).max(axis=1)
                + np.maximum(0.0, -d2 / dscale).max(axis=1))
@@ -489,43 +473,30 @@ def certify(problem: GsoreProblem, settings: OptimizerSettings | None = None) ->
                    search=search)
 
 
-def _ratio_at(problem: GsoreProblem, params, omega):
-    """c^2/(d1*d2) at arbitrary positive frequencies (off-grid refinement)."""
-    elem = problem.element
-    c_r = base_tf(elem)
-    omega = np.atleast_1d(np.asarray(omega, float))
-    if isinstance(problem.plant, FrfTable):
-        g_vals = interpolate(problem.plant, omega)
-    else:
-        g_vals = evaluate(problem.plant, omega)
-    L = (evaluate(problem.c_l1, omega) * evaluate(c_r, omega)
-         * evaluate(problem.c_l2, omega) * g_vals)
-    sub = LoopSamples(omega, np.asarray(L, complex),
-                      evaluate(problem.c_s, omega) * np.ones_like(omega, complex),
-                      evaluate(c_r, omega) * np.ones_like(omega, complex))
-    d = FreqData.from_samples(sub, elem.omega_r, elem.xi)
-    b1, b2, r1, r2, r3 = params
-    d1 = d.d1(r1, r2, b1)
-    d2 = d.d2(r3, r2, b2)
-    c = d.off_diag(params)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where((d1 > 0) & (d2 > 0), c**2 / (d1 * d2), np.inf)
-
-
-def _refined_sup(problem: GsoreProblem, params) -> float:
-    """Grid supremum of the ratio, sharpened around the argmax."""
-    data = FreqData.from_samples(problem.samples, problem.element.omega_r,
-                                 problem.element.xi)
+def _ratio(data: FreqData, params):
+    """c^2/(d1*d2) per frequency; +inf wherever d1 or d2 is not positive."""
     b1, b2, r1, r2, r3 = params
     d1 = data.d1(r1, r2, b1)
     d2 = data.d2(r3, r2, b2)
-    if not np.all((d1 > 0) & (d2 > 0)):
-        return float("inf")
-    ratio = data.off_diag(params) ** 2 / (d1 * d2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where((d1 > 0) & (d2 > 0), data.off_diag(params) ** 2 / (d1 * d2), np.inf)
+
+
+def _ratio_at(problem: GsoreProblem, params, omega):
+    """The ratio at arbitrary positive frequencies (off-grid refinement)."""
+    sub = problem.loop.samples(np.atleast_1d(np.asarray(omega, float)))
+    return _ratio(FreqData.from_samples(sub, problem.element.omega_r, problem.element.xi),
+                  params)
+
+
+def _refined_sup(problem: GsoreProblem, data: FreqData, params) -> float:
+    """Grid supremum of the ratio on ``data`` (the problem's grid), sharpened
+    around the argmax."""
+    ratio = _ratio(data, params)
     i = int(np.argmax(ratio))
     m = float(ratio[i])
     w = problem.samples.omega
-    if problem.plant is not None and 0 < i < w.size - 1 and w[i - 1] > 0.0:
+    if np.isfinite(m) and 0 < i < w.size - 1 and w[i - 1] > 0.0:
         res = minimize_scalar(
             lambda t: -float(_ratio_at(problem, params, np.exp(t))[0]),
             bounds=(np.log(w[i - 1]), np.log(w[i + 1])), method="bounded",
@@ -577,7 +548,7 @@ def _verify_candidate(problem: GsoreProblem, params, windows, seed) -> Certifica
     report.append({"id": "jump-map-strict-inequality", "satisfied": bool(jump_ok),
                    "margin": float(r1 * r3 - gamma_factor(g1, g2) * r2**2)})
 
-    m_value = _refined_sup(problem, params) if (s1_ok and s2_ok) else float("inf")
+    m_value = _refined_sup(problem, data, params) if (s1_ok and s2_ok) else float("inf")
     m_ok = bool(m_value <= M_BOUND - M_SLACK)
     report.append({"id": "sup-ratio-below-four", "satisfied": m_ok,
                    "margin": float(M_BOUND - m_value)})
@@ -613,14 +584,10 @@ def rank_condition(problem: GsoreProblem, params) -> str:
     Needs a rational closed loop; measured-plant problems return
     ``"conditional"`` instead of a boolean verdict.
     """
-    if problem.c_l1 is None or isinstance(problem.plant, FrfTable):
+    if not problem.loop.rational:
         return "conditional"
-    from .elements import realization
-    from .lti import assemble_closed_loop, controllability_observability
     b1, b2, r1, r2, r3 = params
-    elem = problem.element
-    cl = assemble_closed_loop(realization(elem), elem.a_rho, problem.c_l1,
-                              problem.c_l2, problem.plant, problem.c_s)
+    cl = problem.loop.closed_loop()
     n = cl.order
     beta = -np.array([[b1], [b2]])
     c0 = np.hstack([np.array([[r1, r2], [r2, r3]]), beta @ cl.c_e_bar[:, 2:]])

@@ -7,9 +7,10 @@ by s*C_R for the single-state second-order element).  The matrix path checks
 positive definiteness of the real symmetric part of the 2x2 response plus the
 applicable limit matrices and the strict jump-map inequality.
 
-This module recomputes every quantity from raw loop samples and rational
-blocks on its own; it shares no code path with the classifier or the
-certifier it validates.
+The loop constants come from the shared loop description ``frf.Loop``;
+N(w) and the 2x2 SPR entries are recomputed here from raw loop samples and
+rational blocks, sharing no code path with the classifier or the certifier
+it validates.
 """
 
 from __future__ import annotations
@@ -20,18 +21,8 @@ import numpy as np
 
 from .elements import ResetElement, base_tf, reset_matrix_condition
 from .errors import GridTooSparse, NotPositiveDefinite
-from .frf import LoopSamples
-from .lti import (
-    RationalTF,
-    dc_limit,
-    high_frequency_re_limit,
-    leading_coefficients,
-    polyadd,
-    polymul,
-    relative_degree,
-    series,
-    tf,
-)
+from .frf import Loop, LoopSamples
+from .lti import RationalTF, dc_limit, high_frequency_re_limit, polyadd, polymul, tf
 
 MARGIN = 1e-9   # strictness margin, relative to the local response scale
 
@@ -103,6 +94,21 @@ def _limits_scalar(h: RationalTF):
     return lim0, liminf
 
 
+def _scalar_nsv(samples: LoopSamples, element: ResetElement, variant: str):
+    """(N_chi, N_upsilon) of the scalar checks, recomputed from raw loop samples."""
+    L, cs, cr, w = samples.loop, samples.shaping, samples.reset_base, samples.omega
+    kappa = 1.0 + np.conj(L)
+    if variant == "modified":
+        n_chi = (L * kappa / cs).real
+    else:
+        n_chi = (L * cs * kappa).real
+    if element.kind == "SOSRE":
+        n_ups = -(w * kappa * cr).imag
+    else:
+        n_ups = (kappa * cr).real
+    return n_chi, n_ups
+
+
 def spr_check_scalar(candidate: HbetaCandidate, samples: LoopSamples,
                      element: ResetElement, c_s: RationalTF | None = None,
                      p_lin: RationalTF | None = None,
@@ -117,22 +123,13 @@ def spr_check_scalar(candidate: HbetaCandidate, samples: LoopSamples,
     bp = float(np.asarray(candidate.beta_prime).reshape(()))
     rp = float(np.asarray(candidate.rho_prime).reshape(()))
     c_s = c_s if c_s is not None else tf([1.0])
-    L, cs, cr, w = samples.loop, samples.shaping, samples.reset_base, samples.omega
-    if w.size < 8:
+    if samples.omega.size < 8:
         raise GridTooSparse("need a denser grid for the SPR sweep")
-    kappa = 1.0 + np.conj(L)
-    if variant == "modified":
-        n_chi = (L * kappa / cs).real
-    else:
-        n_chi = (L * cs * kappa).real
-    if element.kind == "SOSRE":
-        n_ups = -(w * kappa * cr).imag
-    else:
-        n_ups = (kappa * cr).real
+    n_chi, n_ups = _scalar_nsv(samples, element, variant)
     norm = np.hypot(n_chi, n_ups) * np.hypot(bp, rp)
     margins = (bp * n_chi + rp * n_ups) / np.maximum(norm, 1e-300)
     i = int(np.argmin(margins))
-    min_margin, worst = float(margins[i]), float(w[i])
+    min_margin, worst = float(margins[i]), float(samples.omega[i])
     rho_ok = rp > 0.0
     grid_ok = min_margin > MARGIN
 
@@ -157,17 +154,7 @@ def search_candidate_scalar(samples: LoopSamples, element: ResetElement,
     loses nothing.  Returns the passing direction with the largest worst-case
     grid margin, or None when no direction passes.
     """
-    c_s = c_s if c_s is not None else tf([1.0])
-    L, cs, cr, w = samples.loop, samples.shaping, samples.reset_base, samples.omega
-    kappa = 1.0 + np.conj(L)
-    if variant == "modified":
-        n_chi = (L * kappa / cs).real
-    else:
-        n_chi = (L * cs * kappa).real
-    if element.kind == "SOSRE":
-        n_ups = -(w * kappa * cr).imag
-    else:
-        n_ups = (kappa * cr).real
+    n_chi, n_ups = _scalar_nsv(samples, element, variant)
     norm = np.maximum(np.hypot(n_chi, n_ups), 1e-300)
     phis = np.arange(steps) * (2.0 * np.pi / steps)
     dirs = np.stack([np.cos(phis), np.sin(phis)], axis=1)
@@ -298,11 +285,6 @@ def spr_check_matrix(candidate: HbetaCandidate, samples: LoopSamples,
 def loop_invariants(element: ResetElement, c_l1: RationalTF, c_l2: RationalTF,
                     plant: RationalTF, c_s: RationalTF):
     """(p_lin, loop_tf, k_s0, k_n, origin_pole, n_minus_m) for oracle contexts."""
-    p_lin = series(series(c_l1, c_l2), plant)
-    loop_tf = series(base_tf(element), p_lin)
-    lcs = series(loop_tf, c_s)
-    k_n, k_s0 = leading_coefficients(lcs, c_s)
-    num_val = next((i for i, x in enumerate(p_lin.num) if x != 0.0), 0)
-    den_val = next((i for i, x in enumerate(p_lin.den) if x != 0.0), 0)
-    origin = den_val - num_val > 0
-    return p_lin, loop_tf, k_s0, k_n, origin, relative_degree(lcs)
+    loop = Loop(element, c_l1, c_l2, plant, c_s)
+    return (loop.p_lin, loop.loop_tf, loop.k_s0, loop.k_n, loop.origin_poles > 0,
+            loop.n_minus_m)

@@ -43,11 +43,11 @@ def canonical(coeffs) -> np.ndarray:
         return np.zeros(1)
     while c.size > 1 and c[-1] == 0.0:
         c = c[:-1]
-    scale = np.max(np.abs(c))
+    scale = np.abs(c).max()
     if scale == 0.0:
         return np.zeros(1)
     while c.size > 1:
-        neighbor = np.max(np.abs(c[max(0, c.size - 3):-1]))
+        neighbor = np.abs(c[max(0, c.size - 3):-1]).max()
         if abs(c[-1]) <= CANONICAL_RTOL * scale and abs(c[-1]) <= 1e-9 * neighbor:
             c = c[:-1]
         else:
@@ -101,7 +101,7 @@ class RationalTF:
     def __post_init__(self):
         num = canonical(self.num)
         den = canonical(self.den)
-        if is_zero_poly(den):
+        if den.size == 1 and den[0] == 0.0:
             raise ZeroDivisionError("transfer function denominator is zero")
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
@@ -115,14 +115,14 @@ class RationalTF:
     def zero() -> "RationalTF":
         return RationalTF(np.array([0.0]), np.array([1.0]))
 
-    # -- structure ---------------------------------------------------------
+    # -- structure (num and den are canonical) -----------------------------
     @property
     def degree_num(self) -> int:
-        return poly_degree(self.num)
+        return self.num.size - 1
 
     @property
     def degree_den(self) -> int:
-        return poly_degree(self.den)
+        return self.den.size - 1
 
     def is_zero(self) -> bool:
         return is_zero_poly(self.num)

@@ -12,23 +12,20 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .elements import ResetElement, base_tf
-from .errors import SparseGrid, ZeroShapingFilter
-from .frf import FrfTable, LoopSamples, compose_loop
+from .elements import ResetElement
+from .errors import GridTooSparse, SparseGrid, ZeroShapingFilter
+from .frf import MIN_GRID_POINTS, FrfTable, Loop, LoopSamples
 from .lti import (
     RationalTF,
     base_linear_stability,
     canonical,
     jw_split,
-    leading_coefficients,
     log_grid,
     minimality_check,
     nyquist_stability_from_samples,
     poly_degree,
     polyadd,
     polymul,
-    relative_degree,
-    series,
     tf,
 )
 
@@ -377,14 +374,6 @@ def feature_band(*tfs, extra=()):
     return min(feats), max(feats)
 
 
-def loop_variant(element: ResetElement, architecture: str | None) -> str:
-    """NSV variant of a loop: SOSRE elements have their own; otherwise the
-    modified architecture (shaping filter inside the loop) or the standard."""
-    if element.kind == "SOSRE":
-        return "sosre"
-    return "modified" if architecture == "modified" else "standard"
-
-
 def nsv_grid_samples(plant, c_l1: RationalTF, c_l2: RationalTF, c_s: RationalTF,
                      element: ResetElement, variant: str = "standard",
                      points: int = 2000, refine: int = REFINE_LEVELS):
@@ -394,18 +383,20 @@ def nsv_grid_samples(plant, c_l1: RationalTF, c_l2: RationalTF, c_s: RationalTF,
     interval where a component changes sign or the angle jumps by pi/7 or
     more.  Only the new midpoints are evaluated: a sample does not depend on
     its neighbours, so the result equals a fresh evaluation on the final grid.
+    Fewer than MIN_GRID_POINTS base points raise GridTooSparse.
     """
-    c_r = base_tf(element)
-    in_loop = variant == "modified"
+    if points < MIN_GRID_POINTS:
+        raise GridTooSparse(f"{points} grid points; the NSV needs at least {MIN_GRID_POINTS}")
+    in_loop = variant == "modified"     # the modified variant puts Cs in the loop
+    loop = Loop(element, c_l1, c_l2, plant, c_s, "modified" if in_loop else "standard")
     if isinstance(plant, FrfTable):
         lo, hi = plant.band
         grid = np.logspace(np.log10(lo), np.log10(hi), points)
     else:
-        lo, hi = feature_band(plant, c_l1, c_l2, c_s, c_r,
+        lo, hi = feature_band(plant, c_l1, c_l2, c_s, loop.c_r,
                               extra=(element.omega_r if element.kind != "CI" else 1.0,))
         grid = log_grid(lo, hi, points)
-    samples = compose_loop(plant, c_l1, c_r, c_l2, c_s, grid,
-                           include_shaping_in_loop=in_loop)
+    samples = loop.samples(grid)
     nsv = compute_nsv(samples, variant)
     for _ in range(refine):
         chi, ups, w = nsv.n_chi, nsv.n_upsilon, nsv.omega
@@ -416,8 +407,7 @@ def nsv_grid_samples(plant, c_l1: RationalTF, c_l2: RationalTF, c_s: RationalTF,
         if flips.size == 0:
             break
         mids = np.sqrt(w[flips] * w[flips + 1])
-        fresh = compose_loop(plant, c_l1, c_r, c_l2, c_s, mids,
-                             include_shaping_in_loop=in_loop)
+        fresh = loop.samples(mids)
         _, order = np.unique(np.concatenate([w, mids]), return_index=True)
         samples = _merged(samples, fresh, order)
         if in_loop:
@@ -449,14 +439,6 @@ class CertifiedVerdict:
     nsv: Nsv
 
 
-def _origin_pole_count(p: RationalTF) -> int:
-    vn, _ = _valuation(p.num)
-    vd, _ = _valuation(p.den)
-    if vn is None:
-        return 0
-    return max(0, vd - vn)
-
-
 def certify_first_order(element: ResetElement, c_l1: RationalTF, c_l2: RationalTF,
                         plant, c_s: RationalTF | None = None,
                         architecture: str = "standard", points: int = 2000,
@@ -469,31 +451,22 @@ def certify_first_order(element: ResetElement, c_l1: RationalTF, c_l2: RationalT
     proviso.  With a measured plant the stability check falls back to the
     winding count and minimality is assumed (reported as such).
     """
-    c_s = c_s if c_s is not None else tf([1.0])
-    variant = loop_variant(element, architecture)
-    c_r = base_tf(element)
-    rational_plant = isinstance(plant, RationalTF)
+    loop = Loop(element, c_l1, c_l2, plant, c_s, architecture)
+    c_s, c_r, variant = loop.c_s, loop.c_r, loop.variant
     bullets = []
 
-    # loop transfer function (with the shaping filter when it sits in the loop)
     samples, nsv = nsv_grid_samples(plant, c_l1, c_l2, c_s, element,
                                     variant=variant, points=points)
-    if rational_plant:
-        loop_tf = series(series(c_l1, c_r), series(c_l2, plant))
-        if architecture == "modified":
-            loop_tf = series(loop_tf, c_s)
-        rep = base_linear_stability(loop_tf)
+    k_s0, k_n, n_minus_m = loop.k_s0, loop.k_n, loop.n_minus_m
+    if loop.rational:
+        rep = base_linear_stability(loop.loop_tf)
         bullets.append(("base-linear-stability", "pass" if rep.stable else "fail",
                         f"{rep.poles.size} closed-loop poles"))
-        cancels = minimality_check(loop_tf)
+        cancels = minimality_check(loop.loop_tf)
         bullets.append(("open-loop-minimality", "pass" if not cancels else "fail",
                         "no cancellations" if not cancels else f"cancellation at {cancels[0]:.4g}"))
-        p_lin = series(series(c_l1, c_l2), plant)
-        origin = _origin_pole_count(p_lin)
-        lcs = series(loop_tf, c_s) if architecture == "standard" else loop_tf
-        k_n, k_s0 = leading_coefficients(lcs, c_s)
-        n_minus_m = relative_degree(lcs)
-        extra = asymptotic_angles(loop_tf, c_s, c_r, variant=variant)
+        origin = loop.origin_poles
+        extra = asymptotic_angles(loop.loop_tf, c_s, c_r, variant=variant)
     else:
         rep = nyquist_stability_from_samples(samples.omega, samples.loop,
                                              rhp_poles=plant_rhp_poles,
@@ -503,9 +476,6 @@ def certify_first_order(element: ResetElement, c_l1: RationalTF, c_l2: RationalT
         bullets.append(("open-loop-minimality", "assumed",
                         "measured plant: cancellations not checkable"))
         origin = plant_origin_poles
-        _, k_s0 = leading_coefficients(tf([1.0]), c_s)
-        k_n = None
-        n_minus_m = None
         extra = []
         if asymptote is not None:
             lo_slope, hi_slope = asymptote

@@ -213,6 +213,35 @@ class TestSimulate:
         assert np.all(np.diff(data["omega_rad_s"]) > 0)
 
 
+def lead_shaped(**changes):
+    cfg = {"element": {"kind": "GFORE", "omega_r": 1.0, "gamma": 0.0},
+           "blocks": {"plant": {"num": [1.0], "den": [1.0, 1.0]},
+                      "c_s": {"num": [1.0, 1.0], "den": [1.0, 0.1]}},
+           "simulation": {"dt": 0.01, "t_end": 1.0}}
+    cfg.update(changes.pop("top", {}))
+    cfg["blocks"].update(changes)
+    return cfg
+
+
+class TestMalformedLoopInput:
+    @pytest.mark.parametrize("command, cfg", [
+        ("classify", lead_shaped(top={"architecture": "foo"})),
+        ("simulate", lead_shaped(top={"architecture": "foo"})),
+        ("classify", lead_shaped(plant={"num": [1.0], "den": [0]})),
+        ("classify", lead_shaped(plant={"num": ["a"], "den": [1.0, 1.0]})),
+    ], ids=["architecture-classify", "architecture-simulate", "zero-den", "text-num"])
+    def test_refused_with_exit_1(self, tmp_path, capsys, command, cfg):
+        path = write_config(tmp_path, cfg)
+        assert run([command, "--config", path, "--out", str(tmp_path / "out"),
+                    "--grid-points", "400"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
+    def test_too_few_grid_points_exit_1(self, tmp_path):
+        cfg = write_config(tmp_path, GFORE_DEMO)
+        assert run(["classify", "--config", cfg, "--grid-points", "2"]) == 1
+
+
 class TestClassifyFromFrf:
     def test_measured_plant_with_asymptotes(self, tmp_path):
         from resetcert.lti import evaluate, tf

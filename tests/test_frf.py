@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from resetcert.errors import EmptyTable, NonMonotoneFrequency, OutOfBand, ParseError
-from resetcert.frf import FrfTable, compose_loop, interpolate, load_frf, save_frf
-from resetcert.lti import evaluate, tf
-from resetcert.elements import gfore, base_tf
+from resetcert.errors import ConfigError, EmptyTable, NonMonotoneFrequency, OutOfBand, ParseError
+from resetcert.frf import FrfTable, Loop, compose_loop, interpolate, load_frf, save_frf
+from resetcert.lti import assemble_closed_loop, evaluate, series, tf
+from resetcert.elements import base_tf, clegg, gfore, pci, realization, sosre
 
 TWO_PI = 2.0 * np.pi
 
@@ -130,3 +130,66 @@ class TestComposeLoop:
         one = tf([1.0])
         with pytest.raises(OutOfBand):
             compose_loop(plant, one, one, one, one, np.array([100.0]))
+
+
+class TestLoop:
+    ONE = tf([1.0])
+    LEAD = tf([1.0, 1.0], [1.0, 0.1])
+
+    def test_variant_selection(self):
+        one = self.ONE
+        assert Loop(sosre(1.0, 1.0, 0.0), one, one, one, architecture="modified").variant == "sosre"
+        assert Loop(sosre(1.0, 1.0, 0.0), one, one, one).variant == "sosre"
+        assert Loop(gfore(1.0), one, one, one, architecture="modified").variant == "modified"
+        for arch in ("standard", None):
+            assert Loop(pci(1.0, 0.3), one, one, one, architecture=arch).variant == "standard"
+        assert Loop(clegg(), one, one, one, architecture="standard").variant == "standard"
+
+    def test_unknown_architecture_refused(self):
+        with pytest.raises(ConfigError):
+            Loop(gfore(1.0), self.ONE, self.ONE, self.ONE, architecture="foo")
+        assert Loop(gfore(1.0), self.ONE, self.ONE, self.ONE,
+                    architecture=None).architecture == "standard"
+
+    def test_double_integrator_origin_poles(self):
+        g = tf([1.0], [0.0, 0.0, 1.0, 1.0])
+        loop = Loop(gfore(1.0), self.ONE, self.ONE, g)
+        assert loop.origin_poles == 2
+        assert loop.n_minus_m == 4
+        # a zero at the origin in the controller cancels one of them
+        assert Loop(gfore(1.0), tf([0.0, 1.0], [1.0, 1.0]), self.ONE, g).origin_poles == 1
+
+    def test_modified_puts_shaping_in_the_loop(self):
+        g = tf([2.0], [1.0, 1.0])
+        std = Loop(gfore(1.0), self.ONE, self.ONE, g, c_s=self.LEAD)
+        mod = Loop(gfore(1.0), self.ONE, self.ONE, g, c_s=self.LEAD, architecture="modified")
+        expect = series(std.loop_tf, self.LEAD)
+        assert np.array_equal(mod.loop_tf.num, expect.num)
+        assert np.array_equal(mod.loop_tf.den, expect.den)
+        assert mod.k_n == std.k_n == pytest.approx(20.0)
+        assert mod.n_minus_m == std.n_minus_m == 2
+        grid = np.logspace(-1, 1, 5)
+        np.testing.assert_allclose(mod.samples(grid).loop,
+                                   std.samples(grid).loop * evaluate(self.LEAD, grid))
+
+    def test_measured_plant_constants(self):
+        band = np.logspace(-2, 2, 100)
+        table = FrfTable(band, evaluate(tf([1.0], [1.0, 1.0]), band))
+        loop = Loop(gfore(1.0), self.ONE, self.ONE, table, c_s=tf([2.0, 1.0], [4.0, 1.0]))
+        assert not loop.rational
+        for name in ("p_lin", "loop_tf", "k_n", "n_minus_m", "origin_poles"):
+            assert getattr(loop, name) is None, name
+        assert loop.k_s0 == 0.5
+
+    def test_samples_and_closed_loop_match_the_blocks(self):
+        g = tf([1.0], [0.0, 1.0, 1.0])
+        elem = gfore(2.0, 0.4)
+        loop = Loop(elem, self.LEAD, self.ONE, g, c_s=self.LEAD)
+        grid = np.logspace(-1, 1, 7)
+        ref = compose_loop(g, self.LEAD, base_tf(elem), self.ONE, self.LEAD, grid)
+        assert np.array_equal(loop.samples(grid).loop, ref.loop)
+        cl = loop.closed_loop([[0.0]])
+        want = assemble_closed_loop(realization(elem), [[0.0]], self.LEAD, self.ONE, g,
+                                    self.LEAD)
+        assert np.array_equal(cl.a_bar, want.a_bar)
+        assert np.array_equal(loop.closed_loop().a_rho_bar[:1, :1], [[0.4]])

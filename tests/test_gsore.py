@@ -22,6 +22,7 @@ from resetcert.gsore import (
     rank_condition,
 )
 from resetcert.lti import evaluate, series, tf
+from resetcert.nsv import certify_first_order
 
 rng = np.random.default_rng(5)
 ONE = tf([1.0])
@@ -356,6 +357,36 @@ class TestCertifyFromMeasuredPlant:
         assert res_frf.certified == res_rat.certified is True
         assert res_frf.oracle_cross_check == "pass"
         assert res_frf.rank_check == "conditional"
+        # without k_s0 the measured problem takes Cs(0), as the rational one does
+        default = gsore_problem(elem, ONE, ONE, table, points=800, origin_pole=False,
+                                k_n=rational.k_n, n_minus_m=4)
+        assert default.k_s0 == rational.k_s0 == 1.0
+        assert certify(default, FAST).q == res_frf.q
+
+    def test_measured_k_s0_is_shaping_dc_gain(self):
+        freqs = np.logspace(-3, 3, 400)
+        g = tf([1.0], np.convolve([1.0, 1.0], [1.0, 0.5]))
+        table = FrfTable(freqs, evaluate(g, freqs))
+        c_s = tf([2.0, 1.0], [4.0, 0.5])
+        kwargs = dict(c_s=c_s, points=200, origin_pole=False, n_minus_m=4)
+        elem = gsore(2.0, 1.0, 0.3, 0.5)
+        assert gsore_problem(elem, ONE, ONE, table, **kwargs).k_s0 == 0.5
+        assert gsore_problem(elem, ONE, ONE, table, k_s0=-3.0, **kwargs).k_s0 == -3.0
+
+
+class TestLoopConstantsAcrossPaths:
+    def test_gsore_and_first_order_agree(self):
+        # one lead-Cs loop: both certifiers read k_s0 and k_n from the same
+        # loop description
+        elem = gsore(2.0, 1.0, 0.3, 0.5)
+        g = tf([1.0], np.convolve([0.0, 1.0, 1.0], [1.0, 0.5]))
+        c_s = tf([1.0, 1.0], [2.0, 0.1])
+        lead = tf([1.0, 0.5], [1.0, 0.05])
+        prob = gsore_problem(elem, lead, ONE, g, c_s=c_s, points=200)
+        verdict = certify_first_order(elem, lead, ONE, g, c_s=c_s, points=200)
+        assert prob.k_s0 == verdict.k_s0 == 0.5
+        assert prob.k_n == verdict.k_n == pytest.approx(200.0)
+        assert prob.origin_pole
 
 
 class TestRankCondition:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from resetcert.elements import base_tf, clegg, gfore, pci, sosre
-from resetcert.errors import SparseGrid, ZeroShapingFilter
+from resetcert.errors import GridTooSparse, SparseGrid, ZeroShapingFilter
 from resetcert.frf import FrfTable, LoopSamples, compose_loop
 from resetcert.lti import evaluate, log_grid, series, tf
 from resetcert.nsv import (
@@ -13,7 +13,6 @@ from resetcert.nsv import (
     classify,
     compute_nsv,
     feature_band,
-    loop_variant,
     map_angle,
     nsv_grid_samples,
     sufficient_phase_conditions,
@@ -205,15 +204,6 @@ class TestCertifyFirstOrder:
         assert ("open-loop-minimality", "fail") in [(n, s) for n, s, _ in v.bullets]
 
 
-class TestLoopVariant:
-    def test_selection(self):
-        assert loop_variant(sosre(1.0, 1.0, 0.0), "modified") == "sosre"
-        assert loop_variant(gfore(1.0), "modified") == "modified"
-        for arch in ("standard", None):
-            assert loop_variant(pci(1.0, 0.3), arch) == "standard"
-        assert loop_variant(clegg(), "standard") == "standard"
-
-
 class TestRedistributionInvariance:
     def test_bit_identical_verdicts(self):
         # power-of-two gain moves keep every float in the pipeline identical
@@ -338,6 +328,19 @@ class TestGridRefinement:
                     assert np.array_equal(getattr(nsv, name), getattr(ref, name)), name
                 assert len(nsv) == samples.omega.size > 80
                 assert np.all(np.diff(nsv.omega) > 0)
+
+    def test_too_sparse_base_grid_refused(self):
+        # 2, 3 and 5 base points certified this loop although its angle range
+        # at 2000 and 20 000 points is outside both type windows
+        g = tf([6.795402602067963], [1.0, 3.1611319340646222, 3.4059823625147803,
+                                      1.5256019764593227, 0.2425253309630471])
+        elem = gfore(0.16582720168443063, 0.19990553866877359)
+        for points in (2, 3, 5, 31):
+            with pytest.raises(GridTooSparse):
+                certify_first_order(elem, ONE, ONE, g, points=points)
+        v = certify_first_order(elem, ONE, ONE, g, points=2000)
+        assert not v.certified
+        assert v.type_verdict.theta1 < -1.5 and v.type_verdict.theta2 > 4.7
 
     def test_verdict_carries_final_grid(self):
         v = certify_first_order(pci(1.0, 0.3), ONE, ONE, tf([1.0], [2.0, 1.0]), points=300)
