@@ -80,25 +80,32 @@ def _block_from_cfg(cfg) -> RationalTF:
         raise ConfigError(f"block needs numeric num/den lists, den nonzero: {exc}") from None
 
 
+def _number(cfg, key, default) -> float:
+    try:
+        return float(cfg.get(key, default))
+    except (TypeError, ValueError):
+        raise ConfigError(f"element field {key!r} needs a number, got {cfg[key]!r}") from None
+
+
 def _element_from_cfg(cfg) -> ResetElement:
     if not cfg or "kind" not in cfg:
         raise ConfigError("config needs an element section with a kind")
-    kind = cfg["kind"].upper()
-    wr = float(cfg.get("omega_r", 1.0))
-    xi = float(cfg.get("xi", 1.0))
+    kind = str(cfg["kind"]).upper()
+    wr = _number(cfg, "omega_r", 1.0)
+    xi = _number(cfg, "xi", 1.0)
+    gamma = _number(cfg, "gamma", 0.0)
     form = cfg.get("realization", "controllable")
     if kind == "CI":
-        return elements.clegg(float(cfg.get("gamma", 0.0)))
+        return elements.clegg(gamma)
     if kind == "PCI":
-        return elements.pci(wr, float(cfg.get("gamma", 0.0)))
+        return elements.pci(wr, gamma)
     if kind == "GFORE":
-        return elements.gfore(wr, float(cfg.get("gamma", 0.0)))
+        return elements.gfore(wr, gamma)
     if kind == "GSORE":
-        return elements.gsore(wr, xi, float(cfg.get("gamma1", cfg.get("gamma", 0.0))),
-                              float(cfg.get("gamma2", cfg.get("gamma", 0.0))),
-                              realization_form=form)
+        return elements.gsore(wr, xi, _number(cfg, "gamma1", gamma),
+                              _number(cfg, "gamma2", gamma), realization_form=form)
     if kind == "SOSRE":
-        return elements.sosre(wr, xi, float(cfg.get("gamma", 0.0)), realization_form=form)
+        return elements.sosre(wr, xi, gamma, realization_form=form)
     raise ConfigError(f"unknown element kind {kind!r}")
 
 
@@ -187,11 +194,13 @@ def cmd_gsore(args) -> int:
     if loop.element.kind != "GSORE":
         raise ConfigError("gsore-check needs a GSORE element")
     extra = cfg.get("gsore", {})
+    unknown = sorted(set(extra) - {"origin_pole", "k_n", "n_minus_m"})
+    if unknown:
+        raise ConfigError(f"unknown gsore keys {unknown}; use origin_pole, k_n, n_minus_m")
     problem = gsore_problem(
         loop.element, loop.c_l1, loop.c_l2, loop.plant, c_s=loop.c_s,
         points=args.grid_points,
         origin_pole=extra.get("origin_pole"),
-        k_s0=extra.get("k_s0"),
         k_n=extra.get("k_n"),
         n_minus_m=extra.get("n_minus_m"),
     )

@@ -14,7 +14,7 @@ import numpy as np
 
 from .elements import ResetElement, base_tf, realization
 from .errors import ConfigError, EmptyTable, NonMonotoneFrequency, OutOfBand, ParseError
-from .lti import (ClosedLoop, RationalTF, assemble_closed_loop, evaluate,
+from .lti import (ClosedLoop, RationalTF, assemble_closed_loop, end_term, evaluate,
                   leading_coefficients, relative_degree, series, tf)
 
 TWO_PI = 2.0 * np.pi
@@ -142,11 +142,12 @@ def compose_loop(plant, c_l1: RationalTF, c_r: RationalTF, c_l2: RationalTF,
         g_vals = interpolate(plant, grid)
     else:
         g_vals = evaluate(plant, grid)
-    loop = evaluate(c_l1, grid) * evaluate(c_r, grid) * evaluate(c_l2, grid) * g_vals
+    cr = evaluate(c_r, grid)
+    loop = evaluate(c_l1, grid) * cr * evaluate(c_l2, grid) * g_vals
     cs_vals = evaluate(c_s, grid) * np.ones_like(grid, dtype=complex)
     if include_shaping_in_loop:
         loop = loop * cs_vals
-    cr_vals = evaluate(c_r, grid) * np.ones_like(grid, dtype=complex)
+    cr_vals = cr * np.ones_like(grid, dtype=complex)
     return LoopSamples(grid, np.asarray(loop, complex), cs_vals, cr_vals)
 
 
@@ -181,8 +182,13 @@ class Loop:
 
     @property
     def variant(self) -> str:
-        """NSV variant: "sosre" for a SOSRE element, else the architecture."""
-        return "sosre" if self.element.kind == "SOSRE" else self.architecture
+        """NSV variant: "sosre" for a SOSRE element, else the architecture.
+        The SOSRE NSV keeps Cs out of L, so it has no modified form."""
+        if self.element.kind != "SOSRE":
+            return self.architecture
+        if self.architecture == "modified":
+            raise ConfigError("a SOSRE element needs the standard architecture")
+        return "sosre"
 
     @cached_property
     def c_r(self) -> RationalTF:
@@ -227,8 +233,8 @@ class Loop:
         """Poles of C_L1 * C_L2 * G at s = 0, net of its zeros there."""
         if self.p_lin is None:
             return None
-        num, den = (np.flatnonzero(c) for c in (self.p_lin.num, self.p_lin.den))
-        return max(0, int(den[0] - num[0])) if num.size else 0
+        num = end_term(self.p_lin.num, "lo")
+        return max(0, end_term(self.p_lin.den, "lo")[0] - num[0]) if num else 0
 
     def samples(self, grid) -> LoopSamples:
         """L, Cs and C_R on ``grid``; Cs enters L under the modified architecture."""

@@ -35,6 +35,7 @@ STRICT_MARGIN = 1e-9
 # that fell by at most STALL_DROP over the last STALL_GENERATIONS generations
 STALL_GENERATIONS = 20
 STALL_DROP = 1e-3
+PENALTY_WEIGHT = 1e3    # objective weight of the constraint violations
 
 
 # ---------------------------------------------------------------------------
@@ -183,19 +184,21 @@ class GsoreProblem:
 
 def gsore_problem(element: ResetElement, c_l1: RationalTF, c_l2: RationalTF,
                   plant, c_s: RationalTF | None = None, points: int = 2000,
-                  origin_pole: bool | None = None, k_s0: float | None = None,
-                  k_n: float | None = None, n_minus_m: int | None = None) -> GsoreProblem:
+                  origin_pole: bool | None = None, k_n: float | None = None,
+                  n_minus_m: int | None = None) -> GsoreProblem:
     """Assemble a certification problem from loop blocks.
 
-    Loop constants left as None are derived from the loop (k_s0 = Cs(0));
-    a measured plant needs origin_pole and n_minus_m, and its k_n defaults to 0.
+    k_s0 = Cs(0) always comes from the loop.  A rational plant gives
+    origin_pole, k_n and n_minus_m too, and passing any of them raises
+    DomainError; a measured plant needs origin_pole and n_minus_m, and its
+    k_n defaults to 0.
     """
     loop = Loop(element, c_l1, c_l2, plant, c_s)
     wr = element.omega_r
     if loop.rational:
-        origin_pole = loop.origin_poles > 0 if origin_pole is None else origin_pole
-        k_n = loop.k_n if k_n is None else k_n
-        n_minus_m = loop.n_minus_m if n_minus_m is None else n_minus_m
+        if any(v is not None for v in (origin_pole, k_n, n_minus_m)):
+            raise DomainError("rational plant: the blocks give origin_pole, k_n and n_minus_m")
+        origin_pole, k_n, n_minus_m = loop.origin_poles > 0, loop.k_n, loop.n_minus_m
         lo_f, hi_f = feature_band(plant, c_l1, c_l2, loop.c_s, loop.c_r, extra=(wr,))
         lo = 1e-4 * wr if origin_pole else min(lo_f * 1e-2, 1e-4 * wr)
         hi = max(hi_f, wr) * 1e2
@@ -207,8 +210,7 @@ def gsore_problem(element: ResetElement, c_l1: RationalTF, c_l2: RationalTF,
     grid = np.logspace(np.log10(lo), np.log10(hi), points)
     if loop.rational and not origin_pole:
         grid = np.concatenate([[0.0], grid])    # closed interval at w = 0
-    k_s0 = loop.k_s0 if k_s0 is None else k_s0
-    return GsoreProblem(loop, loop.samples(grid), float(k_s0), float(k_n),
+    return GsoreProblem(loop, loop.samples(grid), float(loop.k_s0), float(k_n),
                         bool(origin_pole), int(n_minus_m))
 
 
@@ -251,7 +253,7 @@ def _pd2_viol(a, d, off):
 
 
 def _population_objective(data: FreqData, ptype, k_s0, wr, xi, kn, n_minus_m,
-                          gamma_bound, weight):
+                          gamma_bound):
     """Vectorized penalized objective over a population of gene vectors."""
 
     def fun(x):
@@ -284,7 +286,7 @@ def _population_objective(data: FreqData, ptype, k_s0, wr, xi, kn, n_minus_m,
         pen += np.maximum(0.0, -(r1 * r3 - gamma_bound * r2**2) / pscale)
         # feasible points always outrank infeasible ones; the sup ratio only
         # orders within the feasible set
-        return np.where(pen > 0.0, 1e9 + weight * pen, np.minimum(m, 1e8))
+        return np.where(pen > 0.0, 1e9 + PENALTY_WEIGHT * pen, np.minimum(m, 1e8))
 
     return fun
 
@@ -375,7 +377,6 @@ class OptimizerSettings:
     generations: int = 500      # a cap: a restart may stop earlier (_stalled)
     restarts: int = 8
     seed: int = 0
-    penalty_weight: float = 1e3
 
     def __post_init__(self):
         if self.generations < 1 or self.restarts < 1:
@@ -427,7 +428,7 @@ def certify(problem: GsoreProblem, settings: OptimizerSettings | None = None) ->
     data = FreqData.from_samples(hat, 1.0, xi)
     bounds, windows_hat, scans = _gene_bounds(data, ptype, problem.k_s0, 1.0, xi)
     fun = _population_objective(data, ptype, problem.k_s0, 1.0, xi, k_n_hat,
-                                problem.n_minus_m, gamma_bound, settings.penalty_weight)
+                                problem.n_minus_m, gamma_bound)
     best_x, best_j = None, np.inf
     pop = max(20, settings.population)
     search = []

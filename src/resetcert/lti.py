@@ -77,11 +77,6 @@ def polyval_jw(coeffs, omega):
     return acc
 
 
-def poly_degree(coeffs) -> int:
-    c = canonical(coeffs)
-    return int(c.size - 1)
-
-
 def is_zero_poly(coeffs) -> bool:
     c = canonical(coeffs)
     return c.size == 1 and c[0] == 0.0
@@ -572,18 +567,35 @@ def real_part_rational(tfn: RationalTF):
     return canonical(p), canonical(q)
 
 
+def mirror(tfn: RationalTF) -> RationalTF:
+    """tfn(-s); on the jw axis the complex conjugate of tfn(jw)."""
+    return RationalTF(tfn.num * (-1.0) ** np.arange(tfn.num.size),
+                      tfn.den * (-1.0) ** np.arange(tfn.den.size))
+
+
+def end_term(coeffs, end: str):
+    """(power, coefficient) of the term of a polynomial that dominates as
+    w -> 0 (``end="lo"``) or w -> inf (``end="hi"``); None for the zero
+    polynomial."""
+    c = canonical(coeffs)
+    powers = np.flatnonzero(c)
+    if powers.size == 0:
+        return None
+    k = int(powers[0] if end == "lo" else powers[-1])
+    return k, float(c[k])
+
+
 def dc_limit(tfn: RationalTF) -> float:
     """lim_{s->0} tfn(s); +-inf when the valuation makes it diverge."""
-    num, den = canonical(tfn.num), canonical(tfn.den)
-    vn = next((i for i, c in enumerate(num) if c != 0.0), None)
-    vd = next((i for i, c in enumerate(den) if c != 0.0), None)
-    if vn is None:
+    num = end_term(tfn.num, "lo")
+    if num is None:
         return 0.0
+    (vn, cn), (vd, cd) = num, end_term(tfn.den, "lo")
     if vn > vd:
         return 0.0
     if vn < vd:
-        return float(np.sign(num[vn] / den[vd]) * np.inf)
-    return float(num[vn] / den[vd])
+        return float(np.sign(cn / cd) * np.inf)
+    return cn / cd
 
 
 def high_frequency_re_limit(tfn: RationalTF):
@@ -595,17 +607,14 @@ def high_frequency_re_limit(tfn: RationalTF):
     if relative_degree(tfn) <= 0 and not tfn.is_zero():
         return "value", float(tfn.num[-1] / tfn.den[-1])
     p, q = real_part_rational(tfn)
-    dq = poly_degree(q)
-    want = dq - 2
-    if want < 0:
+    dq, cq = end_term(q, "hi")
+    top = end_term(p, "hi")
+    if top is None or top[0] < dq - 2:
         return "scaled", 0.0
-    pk = p[want] if poly_degree(p) >= want and p.size > want else 0.0
-    if poly_degree(p) > want:
-        # Re part decays slower than 1/w^2: biproper already excluded, so the
-        # even-degree bound forces deg p == dq, i.e. a nonzero limit of Re
-        # itself; report it unscaled.
-        return "value", float(p[-1] / q[-1])
-    return "scaled", float(pk / q[-1])
+    # deg p > dq - 2 means Re decays slower than 1/w^2: biproper already
+    # excluded, the even-degree bound forces deg p == dq, i.e. a nonzero
+    # limit of Re itself; report it unscaled.
+    return ("value" if top[0] > dq - 2 else "scaled"), top[1] / cq
 
 
 def log_grid(omega_min: float, omega_max: float, points: int = 2000,

@@ -18,14 +18,13 @@ from .frf import MIN_GRID_POINTS, FrfTable, Loop, LoopSamples
 from .lti import (
     RationalTF,
     base_linear_stability,
-    canonical,
-    jw_split,
+    end_term,
     log_grid,
     minimality_check,
+    mirror,
     nyquist_stability_from_samples,
-    poly_degree,
-    polyadd,
     polymul,
+    real_part_rational,
     tf,
 )
 
@@ -243,118 +242,41 @@ def sufficient_phase_conditions(samples: LoopSamples) -> PhaseConditions:
 # exact asymptotic NSV angles from rational blocks
 # ---------------------------------------------------------------------------
 
-class _CRat:
-    """Complex rational function of w: (re + j*im)/den with real polynomials."""
-
-    __slots__ = ("re", "im", "den")
-
-    def __init__(self, re, im, den):
-        self.re, self.im, self.den = canonical(re), canonical(im), canonical(den)
-
-    @staticmethod
-    def from_tf(tfn: RationalTF) -> "_CRat":
-        nr, ni = jw_split(tfn.num)
-        dr, di = jw_split(tfn.den)
-        den = polyadd(polymul(dr, dr), polymul(di, di))
-        re = polyadd(polymul(nr, dr), polymul(ni, di))
-        im = polyadd(polymul(ni, dr), [-c for c in polymul(nr, di)])
-        return _CRat(re, im, den)
-
-    @staticmethod
-    def one() -> "_CRat":
-        return _CRat([1.0], [0.0], [1.0])
-
-    @staticmethod
-    def jw() -> "_CRat":
-        return _CRat([0.0], [0.0, 1.0], [1.0])
-
-    def conj(self) -> "_CRat":
-        return _CRat(self.re, -self.im, self.den)
-
-    def __mul__(self, other: "_CRat") -> "_CRat":
-        re = polyadd(polymul(self.re, other.re), [-c for c in polymul(self.im, other.im)])
-        im = polyadd(polymul(self.re, other.im), polymul(self.im, other.re))
-        return _CRat(re, im, polymul(self.den, other.den))
-
-    def __add__(self, other: "_CRat") -> "_CRat":
-        re = polyadd(polymul(self.re, other.den), polymul(other.re, self.den))
-        im = polyadd(polymul(self.im, other.den), polymul(other.im, self.den))
-        return _CRat(re, im, polymul(self.den, other.den))
-
-    def real_pair(self):
-        return self.re, self.den
-
-
 def _nsv_rationals(loop_tf: RationalTF, c_s: RationalTF, c_r: RationalTF,
                    variant: str):
-    """NSV components as real rational functions of w."""
-    L = _CRat.from_tf(loop_tf)
-    CS = _CRat.from_tf(c_s)
-    CR = _CRat.from_tf(c_r)
-    kappa = _CRat.one() + L.conj()
+    """NSV components as real rational functions of w, each a pair (P, Q)."""
+    kappa = mirror(loop_tf) + 1.0
     if variant == "modified":
-        inv_cs = _CRat.from_tf(RationalTF(c_s.den, c_s.num))
-        chi = L * kappa * inv_cs
+        chi = loop_tf * kappa * RationalTF(c_s.den, c_s.num)
     else:
-        chi = L * CS * kappa
+        chi = loop_tf * c_s * kappa
+    ups = kappa * c_r
     if variant == "sosre":
         # N_upsilon = -Im(w kappa C_R) = Re(jw kappa C_R)
-        ups = _CRat.jw() * kappa * CR
-    else:
-        ups = kappa * CR
-    return chi.real_pair(), ups.real_pair()
-
-
-def _valuation(p):
-    p = canonical(p)
-    for i, c in enumerate(p):
-        if c != 0.0:
-            return i, float(c)
-    return None, 0.0
+        ups = tf([0.0, 1.0]) * ups
+    return real_part_rational(chi), real_part_rational(ups)
 
 
 def _limit_angle(chi_pair, ups_pair, end: str) -> float | None:
     """Angle of (N_chi, N_ups) as w -> 0 (end='lo') or w -> inf (end='hi')."""
-    pc, qc = chi_pair
-    pu, qu = ups_pair
-    # common denominator qc*qu
-    a = polymul(pc, qu)
-    b = polymul(pu, qc)
-    if end == "lo":
-        va, ca = _valuation(a)
-        vb, cb = _valuation(b)
-        if va is None and vb is None:
-            return None
-        if vb is None or (va is not None and va < vb):
-            return map_angle(np.arctan2(0.0, ca))
-        if va is None or vb < va:
-            return map_angle(np.arctan2(cb, 0.0))
-        return map_angle(np.arctan2(cb, ca))
-    da, db = poly_degree(canonical(a)), poly_degree(canonical(b))
-    za, zb = np.all(canonical(a) == 0.0), np.all(canonical(b) == 0.0)
-    if za and zb:
+    (pc, qc), (pu, qu) = chi_pair, ups_pair
+    # over the common denominator qc*qu > 0 the angle is that of the numerators
+    terms = (end_term(polymul(pc, qu), end), end_term(polymul(pu, qc), end))
+    if terms == (None, None):
         return None
-    ca = canonical(a)[-1] if not za else 0.0
-    cb = canonical(b)[-1] if not zb else 0.0
-    if zb or (not za and da > db):
-        return map_angle(np.arctan2(0.0, ca))
-    if za or db > da:
-        return map_angle(np.arctan2(cb, 0.0))
-    return map_angle(np.arctan2(cb, ca))
+    # the lowest power dominates at w -> 0, the highest at w -> inf
+    rank = -1 if end == "lo" else 1
+    top = max(rank * t[0] for t in terms if t is not None)
+    x, y = (t[1] if t is not None and rank * t[0] == top else 0.0 for t in terms)
+    return map_angle(np.arctan2(y, x))
 
 
 def asymptotic_angles(loop_tf: RationalTF, c_s: RationalTF, c_r: RationalTF,
                       variant: str = "standard"):
     """Exact NSV angle limits at w -> 0 and w -> inf from rational blocks."""
-    chi_pair, ups_pair = _nsv_rationals(loop_tf, c_s, c_r, variant)
-    out = []
-    lo = _limit_angle(chi_pair, ups_pair, "lo")
-    hi = _limit_angle(chi_pair, ups_pair, "hi")
-    if lo is not None:
-        out.append(lo)
-    if hi is not None:
-        out.append(hi)
-    return out
+    pairs = _nsv_rationals(loop_tf, c_s, c_r, variant)
+    limits = (_limit_angle(*pairs, end) for end in ("lo", "hi"))
+    return [angle for angle in limits if angle is not None]
 
 
 # ---------------------------------------------------------------------------
@@ -538,8 +460,7 @@ def _frf_asymptote_angles(samples: LoopSamples, c_s, c_r, variant,
             loop_tf = tf([0.0] * slope + [gain], [1.0])
         else:
             loop_tf = tf([gain], [0.0] * (-slope) + [1.0])
-        chi_pair, ups_pair = _nsv_rationals(loop_tf, c_s, c_r, variant)
-        ang = _limit_angle(chi_pair, ups_pair, end)
+        ang = _limit_angle(*_nsv_rationals(loop_tf, c_s, c_r, variant), end)
         if ang is not None:
             out.append(ang)
     return out

@@ -229,7 +229,14 @@ class TestMalformedLoopInput:
         ("simulate", lead_shaped(top={"architecture": "foo"})),
         ("classify", lead_shaped(plant={"num": [1.0], "den": [0]})),
         ("classify", lead_shaped(plant={"num": ["a"], "den": [1.0, 1.0]})),
-    ], ids=["architecture-classify", "architecture-simulate", "zero-den", "text-num"])
+        ("classify", lead_shaped(top={"element": {"kind": "GFORE", "omega_r": "a"}})),
+        ("classify", lead_shaped(top={"architecture": "modified",
+                                      "element": {"kind": "SOSRE", "omega_r": 2.0}})),
+        ("gsore-check", dict(gsore_config(), gsore={"n_minus_m": 4})),
+        ("gsore-check", dict(gsore_config(), gsore={"k_s0": 1.0})),
+    ], ids=["architecture-classify", "architecture-simulate", "zero-den", "text-num",
+            "text-element-field", "sosre-modified", "rational-gsore-override",
+            "gsore-k_s0"])
     def test_refused_with_exit_1(self, tmp_path, capsys, command, cfg):
         path = write_config(tmp_path, cfg)
         assert run([command, "--config", path, "--out", str(tmp_path / "out"),

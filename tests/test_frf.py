@@ -138,12 +138,18 @@ class TestLoop:
 
     def test_variant_selection(self):
         one = self.ONE
-        assert Loop(sosre(1.0, 1.0, 0.0), one, one, one, architecture="modified").variant == "sosre"
         assert Loop(sosre(1.0, 1.0, 0.0), one, one, one).variant == "sosre"
         assert Loop(gfore(1.0), one, one, one, architecture="modified").variant == "modified"
         for arch in ("standard", None):
             assert Loop(pci(1.0, 0.3), one, one, one, architecture=arch).variant == "standard"
         assert Loop(clegg(), one, one, one, architecture="standard").variant == "standard"
+
+    def test_sosre_modified_refused(self):
+        # the SOSRE NSV keeps Cs out of L, the modified loop puts it in: no
+        # verdict may read both, so the variant of that loop is refused
+        loop = Loop(sosre(1.0, 1.0, 0.0), self.ONE, self.ONE, self.ONE, architecture="modified")
+        with pytest.raises(ConfigError):
+            loop.variant
 
     def test_unknown_architecture_refused(self):
         with pytest.raises(ConfigError):

@@ -351,17 +351,13 @@ class TestCertifyFromMeasuredPlant:
         freqs = np.logspace(-3, 3, 1500)
         table = FrfTable(freqs, evaluate(g, freqs))
         measured = gsore_problem(elem, ONE, ONE, table, points=800,
-                                 origin_pole=False, k_s0=1.0,
-                                 k_n=rational.k_n, n_minus_m=4)
+                                 origin_pole=False, k_n=rational.k_n, n_minus_m=4)
         res_frf = certify(measured, FAST)
         assert res_frf.certified == res_rat.certified is True
         assert res_frf.oracle_cross_check == "pass"
         assert res_frf.rank_check == "conditional"
-        # without k_s0 the measured problem takes Cs(0), as the rational one does
-        default = gsore_problem(elem, ONE, ONE, table, points=800, origin_pole=False,
-                                k_n=rational.k_n, n_minus_m=4)
-        assert default.k_s0 == rational.k_s0 == 1.0
-        assert certify(default, FAST).q == res_frf.q
+        # the measured problem takes k_s0 = Cs(0), as the rational one does
+        assert measured.k_s0 == rational.k_s0 == 1.0
 
     def test_measured_k_s0_is_shaping_dc_gain(self):
         freqs = np.logspace(-3, 3, 400)
@@ -371,7 +367,14 @@ class TestCertifyFromMeasuredPlant:
         kwargs = dict(c_s=c_s, points=200, origin_pole=False, n_minus_m=4)
         elem = gsore(2.0, 1.0, 0.3, 0.5)
         assert gsore_problem(elem, ONE, ONE, table, **kwargs).k_s0 == 0.5
-        assert gsore_problem(elem, ONE, ONE, table, k_s0=-3.0, **kwargs).k_s0 == -3.0
+
+    def test_rational_plant_refuses_constant_overrides(self):
+        # the blocks give origin_pole, k_n and n-m; a second value is refused
+        elem = gsore(2.0, 1.0, 0.3, 0.5)
+        g = tf([1.0], np.convolve([1.0, 1.0], [1.0, 0.5]))
+        for override in ({"origin_pole": False}, {"k_n": 1.0}, {"n_minus_m": 4}):
+            with pytest.raises(DomainError):
+                gsore_problem(elem, ONE, ONE, g, points=200, **override)
 
 
 class TestLoopConstantsAcrossPaths:
@@ -410,7 +413,7 @@ class TestRankCondition:
         plant = FrfTable(freqs, evaluate(g, freqs))
         elem = gsore(2.0, 1.0, 0.3, 0.5)
         prob = gsore_problem(elem, ONE, ONE, plant, points=200,
-                             origin_pole=False, k_s0=1.0, k_n=2.0, n_minus_m=4)
+                             origin_pole=False, k_n=2.0, n_minus_m=4)
         assert rank_condition(prob, (0.5, 0.2, 1.5, 0.3, 2.0)) == "conditional"
 
 

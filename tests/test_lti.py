@@ -8,11 +8,13 @@ from resetcert.lti import (
     base_linear_stability,
     controllability_observability,
     dc_limit,
+    end_term,
     evaluate,
     high_frequency_re_limit,
     leading_coefficients,
     log_grid,
     minimality_check,
+    mirror,
     nyquist_stability_from_samples,
     relative_degree,
     series,
@@ -318,12 +320,32 @@ class TestLimits:
     def test_dc_limit(self):
         assert dc_limit(tf([2.0], [2.0, 1.0])) == 1.0
         assert dc_limit(tf([0.0, 1.0], [1.0, 1.0])) == 0.0
+        assert dc_limit(tf([-1.0], [0.0, 1.0, 1.0])) == -np.inf
 
     def test_high_frequency(self):
         kind, val = high_frequency_re_limit(tf([2.0], [2.0, 1.0]))
         assert kind == "scaled" and val == pytest.approx(4.0)
         kind, val = high_frequency_re_limit(tf([1.0, 1.0], [2.0, 1.0]))
         assert kind == "value" and val == pytest.approx(1.0)
+
+    def test_end_term(self):
+        p = [0.0, 0.0, 3.0, -2.0]
+        assert end_term(p, "lo") == (2, 3.0)
+        assert end_term(p, "hi") == (3, -2.0)
+        assert end_term([5.0], "lo") == end_term([5.0], "hi") == (0, 5.0)
+        assert end_term([0.0, 0.0], "lo") is None and end_term([0.0], "hi") is None
+        # cancellation noise above the top coefficient is not the w -> inf term
+        assert end_term([1.0, 2.0, 1e-16], "hi") == (1, 2.0)
+
+    def test_mirror_conjugates_on_the_jw_axis(self):
+        g = tf([2.0, -1.0, 0.5], [0.0, 1.0, 3.0, 1.0])
+        w = np.logspace(-2, 2, 40)
+        np.testing.assert_allclose(evaluate(mirror(g), w), np.conj(evaluate(g, w)),
+                                   rtol=1e-13)
+        assert list(mirror(g).num) == [2.0, 1.0, 0.5]
+        assert list(mirror(g).den) == [0.0, -1.0, 3.0, -1.0]
+        assert list(mirror(tf([4.0])).num) == [4.0]
+        assert mirror(tf([0.0], [1.0, 1.0])).is_zero()
 
     def test_wide_spread_degrees_survive(self):
         # coefficients of wide-spread pole products decay geometrically; the

@@ -3,7 +3,7 @@ import pytest
 
 from resetcert.elements import base_tf, clegg, gfore, pci, sosre
 from resetcert.errors import GridTooSparse, SparseGrid, ZeroShapingFilter
-from resetcert.frf import FrfTable, LoopSamples, compose_loop
+from resetcert.frf import FrfTable, Loop, LoopSamples, compose_loop
 from resetcert.lti import evaluate, log_grid, series, tf
 from resetcert.nsv import (
     REFINE_LEVELS,
@@ -18,6 +18,7 @@ from resetcert.nsv import (
     sufficient_phase_conditions,
     _condition_list_type1,
     _condition_list_type2,
+    _nsv_arrays,
 )
 
 rng = np.random.default_rng(99)
@@ -249,6 +250,31 @@ class TestAsymptoticAngles:
             out = asymptotic_angles(loop, ONE, base_tf(elem))
             assert pytest.approx(np.arctan2(1.0, p0), abs=1e-12) in out
             assert pytest.approx(np.pi / 2, abs=1e-12) in out
+
+    @pytest.mark.parametrize("kind, architecture", [
+        ("GFORE", "standard"), ("PCI", "standard"), ("GFORE", "modified"),
+        ("PCI", "modified"), ("SOSRE", "standard")])
+    def test_limits_match_far_samples(self, kind, architecture):
+        # each exact limit is the NSV angle far outside the loop's features
+        local = np.random.default_rng(len(kind) + len(architecture))
+        for _ in range(4):
+            wr = 10.0 ** local.uniform(-0.5, 0.5)
+            gamma = float(local.uniform(-0.5, 0.5))
+            elem = (sosre(wr, float(local.uniform(0.5, 1.0)), gamma) if kind == "SOSRE"
+                    else pci(wr, gamma) if kind == "PCI" else gfore(wr, gamma))
+            den = [0.0, 1.0] if local.uniform() < 0.3 else [1.0]
+            for p in 10.0 ** local.uniform(-1, 1, int(local.integers(1, 4))):
+                den = np.convolve(den, [1.0, 1.0 / p])
+            g = tf([10.0 ** local.uniform(-0.5, 0.5)], den)
+            z = 10.0 ** local.uniform(-1, 1)
+            c_s = tf([1.0, 1.0 / z], [1.0, 0.1 / z]) if architecture == "modified" else ONE
+            loop = Loop(elem, ONE, ONE, g, c_s, architecture)
+            out = asymptotic_angles(loop.loop_tf, c_s, loop.c_r, loop.variant)
+            lo, hi = feature_band(g, c_s, loop.c_r, extra=(wr,))
+            far = _nsv_arrays(loop.samples([1e-6 * lo, 1e6 * hi]), loop.variant).theta
+            assert len(out) == 2
+            miss = np.angle(np.exp(1j * (np.asarray(out) - far)))
+            assert np.all(np.abs(miss) < 1e-3), (out, far)
 
     def test_grid_density_doubling_keeps_verdict(self):
         g = tf([1.0], [1.0, 1.0])
