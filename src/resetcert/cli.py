@@ -80,20 +80,22 @@ def _block_from_cfg(cfg) -> RationalTF:
         raise ConfigError(f"block needs numeric num/den lists, den nonzero: {exc}") from None
 
 
-def _number(cfg, key, default) -> float:
+def _number(value, field: str, kind=float):
+    """``value`` as a ``kind``; anything else is a ConfigError naming the
+    config ``field`` (a dotted path such as ``optimizer.population``)."""
     try:
-        return float(cfg.get(key, default))
-    except (TypeError, ValueError):
-        raise ConfigError(f"element field {key!r} needs a number, got {cfg[key]!r}") from None
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"config field {field} needs a number, got {value!r}") from None
 
 
 def _element_from_cfg(cfg) -> ResetElement:
     if not cfg or "kind" not in cfg:
         raise ConfigError("config needs an element section with a kind")
     kind = str(cfg["kind"]).upper()
-    wr = _number(cfg, "omega_r", 1.0)
-    xi = _number(cfg, "xi", 1.0)
-    gamma = _number(cfg, "gamma", 0.0)
+    wr = _number(cfg.get("omega_r", 1.0), "element.omega_r")
+    xi = _number(cfg.get("xi", 1.0), "element.xi")
+    gamma = _number(cfg.get("gamma", 0.0), "element.gamma")
     form = cfg.get("realization", "controllable")
     if kind == "CI":
         return elements.clegg(gamma)
@@ -102,8 +104,9 @@ def _element_from_cfg(cfg) -> ResetElement:
     if kind == "GFORE":
         return elements.gfore(wr, gamma)
     if kind == "GSORE":
-        return elements.gsore(wr, xi, _number(cfg, "gamma1", gamma),
-                              _number(cfg, "gamma2", gamma), realization_form=form)
+        return elements.gsore(wr, xi, _number(cfg.get("gamma1", gamma), "element.gamma1"),
+                              _number(cfg.get("gamma2", gamma), "element.gamma2"),
+                              realization_form=form)
     if kind == "SOSRE":
         return elements.sosre(wr, xi, gamma, realization_form=form)
     raise ConfigError(f"unknown element kind {kind!r}")
@@ -163,8 +166,9 @@ def cmd_classify(args) -> int:
         loop.element, loop.c_l1, loop.c_l2, loop.plant, c_s=loop.c_s,
         architecture=loop.architecture,
         points=args.grid_points,
-        plant_rhp_poles=int(cfg.get("plant_rhp_poles", 0)),
-        plant_origin_poles=int(cfg.get("plant_origin_poles", 0)),
+        plant_rhp_poles=_number(cfg.get("plant_rhp_poles", 0), "plant_rhp_poles", int),
+        plant_origin_poles=_number(cfg.get("plant_origin_poles", 0), "plant_origin_poles",
+                                   int),
         asymptote=_parse_asymptote(args.asymptote),
     )
     tv = verdict.type_verdict
@@ -175,6 +179,9 @@ def cmd_classify(args) -> int:
         "is_type2": tv.is_type2,
         "theta1": tv.theta1,
         "theta2": tv.theta2,
+        "theta1_omega": tv.theta1_omega,
+        "theta2_omega": tv.theta2_omega,
+        "grid_points": int(verdict.samples.omega.size),
         "k_s0": verdict.k_s0,
         "k_n": verdict.k_n,
         "bullets": [{"name": n, "status": s, "detail": d} for n, s, d in verdict.bullets],
@@ -206,9 +213,9 @@ def cmd_gsore(args) -> int:
     )
     opt = cfg.get("optimizer", {})
     settings = OptimizerSettings(
-        population=int(opt.get("population", 200)),
-        generations=int(opt.get("generations", 500)),
-        restarts=int(opt.get("restarts", 8)),
+        population=_number(opt.get("population", 200), "optimizer.population", int),
+        generations=_number(opt.get("generations", 500), "optimizer.generations", int),
+        restarts=_number(opt.get("restarts", 8), "optimizer.restarts", int),
         seed=args.seed,
     )
     result = certify(problem, settings)
@@ -240,7 +247,8 @@ def cmd_hbeta(args) -> int:
                                   variant=variant, points=args.grid_points)
     cand_cfg = cfg.get("candidate")
     if cand_cfg:
-        cand = HbetaCandidate(float(cand_cfg["beta_prime"]), float(cand_cfg["rho_prime"]))
+        cand = HbetaCandidate(_number(cand_cfg.get("beta_prime"), "candidate.beta_prime"),
+                              _number(cand_cfg.get("rho_prime"), "candidate.rho_prime"))
     else:
         cand = search_candidate_scalar(samples, element, c_s, p_lin, variant)
         if cand is None:
@@ -278,21 +286,23 @@ def cmd_simulate(args) -> int:
 
     inp_cfg = sim_cfg.get("input", {"kind": "step", "amplitude": 1.0})
     inp = InputSignal(inp_cfg.get("kind", "step"),
-                      amplitude=float(inp_cfg.get("amplitude", 1.0)),
-                      freq=float(inp_cfg.get("freq", 1.0)),
-                      phase=float(inp_cfg.get("phase", 0.0)),
+                      amplitude=_number(inp_cfg.get("amplitude", 1.0),
+                                        "simulation.input.amplitude"),
+                      freq=_number(inp_cfg.get("freq", 1.0), "simulation.input.freq"),
+                      phase=_number(inp_cfg.get("phase", 0.0), "simulation.input.phase"),
                       terms=tuple(tuple(t) for t in inp_cfg.get("terms", [])))
 
     gammas = sim_cfg.get("gamma_sweep")
     runs = []
     if gammas:
-        for g in gammas:
+        for i, g in enumerate(gammas):
+            g = _number(g, f"simulation.gamma_sweep[{i}]")
             if element.n_r == 1:
-                a_rho = [[float(g)]]
+                a_rho = [[g]]
             elif element.kind == "SOSRE":
-                a_rho = [[float(g), 0.0], [0.0, 1.0]]
+                a_rho = [[g, 0.0], [0.0, 1.0]]
             else:
-                a_rho = [[float(g), 0.0], [0.0, float(g)]]
+                a_rho = [[g, 0.0], [0.0, g]]
             runs.append((f"_gamma{g:g}", a_rho))
     else:
         runs.append(("", element.a_rho))
@@ -301,10 +311,11 @@ def cmd_simulate(args) -> int:
         raise ConfigError("simulate needs --out for the trace CSV")
     for suffix, a_rho in runs:
         cl = loop.closed_loop(a_rho)
-        dt = float(sim_cfg.get("dt", default_dt(cl, input=inp)))
-        t_end = float(sim_cfg.get("t_end", 2000 * dt))
-        x0 = sim_cfg.get("x0")
-        run_cfg = SimConfig(cl, dt=dt, t_end=t_end, lam=sim_cfg.get("lambda"),
+        dt = _number(sim_cfg.get("dt", default_dt(cl, input=inp)), "simulation.dt")
+        t_end = _number(sim_cfg.get("t_end", 2000 * dt), "simulation.t_end")
+        x0, lam = sim_cfg.get("x0"), sim_cfg.get("lambda")
+        run_cfg = SimConfig(cl, dt=dt, t_end=t_end,
+                            lam=None if lam is None else _number(lam, "simulation.lambda"),
                             input=inp, x0=None if x0 is None else np.asarray(x0, float))
         trace = simulate(run_cfg)
         base, ext = os.path.splitext(args.out)

@@ -129,6 +129,13 @@ class LoopSamples:
     reset_base: np.ndarray  # C_R(jw)
 
 
+def _response(block: RationalTF, grid):
+    """A linear block's response on ``grid``; a constant block is just its gain."""
+    if block.num.size == block.den.size == 1:
+        return block.num[0] / block.den[0]
+    return evaluate(block, grid)
+
+
 def compose_loop(plant, c_l1: RationalTF, c_r: RationalTF, c_l2: RationalTF,
                  c_s: RationalTF, grid, include_shaping_in_loop: bool = False) -> LoopSamples:
     """Evaluate L = C_L1 * C_R * C_L2 * G on a grid, factor by factor.
@@ -143,8 +150,8 @@ def compose_loop(plant, c_l1: RationalTF, c_r: RationalTF, c_l2: RationalTF,
     else:
         g_vals = evaluate(plant, grid)
     cr = evaluate(c_r, grid)
-    loop = evaluate(c_l1, grid) * cr * evaluate(c_l2, grid) * g_vals
-    cs_vals = evaluate(c_s, grid) * np.ones_like(grid, dtype=complex)
+    loop = _response(c_l1, grid) * cr * _response(c_l2, grid) * g_vals
+    cs_vals = _response(c_s, grid) * np.ones_like(grid, dtype=complex)
     if include_shaping_in_loop:
         loop = loop * cs_vals
     cr_vals = cr * np.ones_like(grid, dtype=complex)

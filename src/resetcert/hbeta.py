@@ -151,14 +151,26 @@ def search_candidate_scalar(samples: LoopSamples, element: ResetElement,
     """Sweep the (beta', rho') direction over the unit circle.
 
     Positivity of Re H is scale-invariant in the candidate, so the unit norm
-    loses nothing.  Returns the passing direction with the largest worst-case
-    grid margin, or None when no direction passes.
+    loses nothing.  A direction with a positive margin sees every unit N(w)
+    inside one arc narrower than pi, and its worst sample is one of the arc's
+    two ends, so only those two samples are swept.  Returns the passing
+    direction with the largest worst-case grid margin, or None when no
+    direction passes.
     """
     n_chi, n_ups = _scalar_nsv(samples, element, variant)
-    norm = np.maximum(np.hypot(n_chi, n_ups), 1e-300)
+    norm = np.hypot(n_chi, n_ups)
+    angle = np.arctan2(n_ups, n_chi)
+    by_angle = np.argsort(angle)
+    ordered = angle[by_angle]
+    gaps = np.diff(ordered, append=ordered[0] + 2.0 * np.pi)
+    j = int(np.argmax(gaps))
+    if not (gaps[j] > np.pi and norm.min() > 0.0):
+        return None     # no open half plane holds every N(w)
+    ends = by_angle[[j, (j + 1) % by_angle.size]]   # the arc's two ends
     phis = np.arange(steps) * (2.0 * np.pi / steps)
     dirs = np.stack([np.cos(phis), np.sin(phis)], axis=1)
-    margins = (dirs @ np.stack([n_chi, n_ups]) / norm).min(axis=1)
+    margins = (dirs @ np.stack([n_chi[ends], n_ups[ends]])
+               / np.maximum(norm[ends], 1e-300)).min(axis=1)
     order = np.argsort(-margins)
     for k in order:
         if margins[k] <= MARGIN or dirs[k, 1] <= 0.0:

@@ -169,9 +169,10 @@ def evaluate(tfn: RationalTF, omega):
     den_v = polyval_jw(tfn.den, omega)
     # scale-free pole guard: |den(jw)| against the coefficient magnitude bound
     w = np.abs(np.asarray(omega, float))
-    bound = sum(abs(c) * np.maximum(w, 1e-300) ** k for k, c in enumerate(tfn.den))
+    w_pos = np.maximum(w, 1e-300)
+    bound = sum(abs(c) * w_pos ** k for k, c in enumerate(tfn.den))
     bad = np.abs(den_v) <= 1e-14 * bound
-    if np.any(bad):
+    if bad.any():
         w_bad = np.atleast_1d(w)[np.atleast_1d(bad)][0]
         raise EvaluationAtPole(f"denominator underflows at omega={w_bad:g}")
     out = num_v / den_v

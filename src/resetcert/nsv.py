@@ -57,6 +57,8 @@ class TypeVerdict:
     theta1: float
     theta2: float
     diagnostics: list = field(default_factory=list)
+    theta1_omega: float | None = None   # grid omega of theta1; None at an asymptotic limit
+    theta2_omega: float | None = None
 
 
 def map_angle(theta):
@@ -180,8 +182,10 @@ def classify(nsv: Nsv, origin_pole: bool = False, k_s0: float = 1.0,
         if gap >= THETA_GAP_MAX:
             raise SparseGrid(f"adjacent angle gap {gap:.3f} rad >= pi/6; refine the grid")
     all_theta = np.concatenate([theta, np.asarray(list(extra_thetas), float)])
-    theta1 = float(np.min(all_theta))
-    theta2 = float(np.max(all_theta))
+    extremes = (int(np.argmin(all_theta)), int(np.argmax(all_theta)))
+    theta1, theta2 = (float(all_theta[i]) for i in extremes)
+    theta1_omega, theta2_omega = (float(omega[i]) if i < omega.size else None
+                                  for i in extremes)
 
     diagnostics = []
     norms = np.hypot(n_chi, n_ups)
@@ -213,7 +217,7 @@ def classify(nsv: Nsv, origin_pole: bool = False, k_s0: float = 1.0,
                         "ok" if _condition_list_type1(n_chi, n_ups, theta) else "violated"))
     diagnostics.append(("type2-condition-list",
                         "ok" if _condition_list_type2(n_chi, n_ups, theta) else "violated"))
-    return TypeVerdict(is1, is2, theta1, theta2, diagnostics)
+    return TypeVerdict(is1, is2, theta1, theta2, diagnostics, theta1_omega, theta2_omega)
 
 
 @dataclass(frozen=True)
@@ -303,9 +307,12 @@ def nsv_grid_samples(plant, c_l1: RationalTF, c_l2: RationalTF, c_s: RationalTF,
 
     Each of at most ``refine`` rounds inserts the geometric midpoint of every
     interval where a component changes sign or the angle jumps by pi/7 or
-    more.  Only the new midpoints are evaluated: a sample does not depend on
-    its neighbours, so the result equals a fresh evaluation on the final grid.
-    Fewer than MIN_GRID_POINTS base points raise GridTooSparse.
+    more.  An interval that is not split keeps its ends, so after the first
+    round only the two halves of each split interval are tested again.  Only
+    the new midpoints are evaluated and the pieces are merged once at the end:
+    a sample does not depend on its neighbours, so the result equals a fresh
+    evaluation on the final grid.  Fewer than MIN_GRID_POINTS base points
+    raise GridTooSparse.
     """
     if points < MIN_GRID_POINTS:
         raise GridTooSparse(f"{points} grid points; the NSV needs at least {MIN_GRID_POINTS}")
@@ -320,29 +327,47 @@ def nsv_grid_samples(plant, c_l1: RationalTF, c_l2: RationalTF, c_s: RationalTF,
         grid = log_grid(lo, hi, points)
     samples = loop.samples(grid)
     nsv = compute_nsv(samples, variant)
+    pieces = [(samples, nsv)]
+    keys = _split_keys(nsv)
+    left, right = keys[:, :-1], keys[:, 1:]     # the ends of every base interval
     for _ in range(refine):
-        chi, ups, w = nsv.n_chi, nsv.n_upsilon, nsv.omega
-        gaps = np.abs(np.diff(np.unwrap(np.arctan2(ups, chi))))
-        flips = np.nonzero((np.sign(chi[:-1]) != np.sign(chi[1:]))
-                           | (np.sign(ups[:-1]) != np.sign(ups[1:]))
-                           | (gaps >= np.pi / 7.0))[0]
-        if flips.size == 0:
+        mids = np.sqrt(left[0] * right[0])
+        # a midpoint that rounds onto an end adds no point
+        split = _flagged(left, right) & (left[0] < mids) & (mids < right[0])
+        if not split.any():
             break
-        mids = np.sqrt(w[flips] * w[flips + 1])
-        fresh = loop.samples(mids)
-        _, order = np.unique(np.concatenate([w, mids]), return_index=True)
-        samples = _merged(samples, fresh, order)
+        left, right = left[:, split], right[:, split]
+        fresh = loop.samples(mids[split])
+        fresh_nsv = _nsv_arrays(fresh, variant)
+        pieces.append((fresh, fresh_nsv))
+        centre = _split_keys(fresh_nsv)
+        left, right = np.hstack([left, centre]), np.hstack([centre, right])
+    if len(pieces) > 1:
+        order = np.argsort(np.concatenate([s.omega for s, _ in pieces]))
+        samples, nsv = (_merged(records, order) for records in zip(*pieces))
         if in_loop:
             # the zero-shaping threshold is relative to the whole grid
             _check_shaping(samples)
-        nsv = _merged(nsv, _nsv_arrays(fresh, variant), order)
     return samples, nsv
 
 
-def _merged(old, new, order):
-    """Join two per-frequency array records of one type, in grid order."""
-    return type(old)(*(np.concatenate([getattr(old, f.name), getattr(new, f.name)])[order]
-                       for f in fields(old)))
+def _split_keys(nsv: Nsv) -> np.ndarray:
+    """Rows omega, N_chi, N_upsilon and atan2 angle: what the split test reads."""
+    return np.stack([nsv.omega, nsv.n_chi, nsv.n_upsilon,
+                     np.arctan2(nsv.n_upsilon, nsv.n_chi)])
+
+
+def _flagged(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Intervals where a component changes sign or the angle turns by pi/7 or more."""
+    turn = np.abs(np.mod(right[3] - left[3] + np.pi, 2.0 * np.pi) - np.pi)
+    return ((np.sign(left[1]) != np.sign(right[1])) | (np.sign(left[2]) != np.sign(right[2]))
+            | (turn >= np.pi / 7.0))
+
+
+def _merged(records, order):
+    """Join per-frequency array records of one type, in grid order."""
+    return type(records[0])(*(np.concatenate([getattr(r, f.name) for r in records])[order]
+                              for f in fields(records[0])))
 
 
 # ---------------------------------------------------------------------------

@@ -74,6 +74,29 @@ class TestClassify:
     def test_missing_config_exit_1(self, tmp_path):
         assert run(["classify", "--config", str(tmp_path / "nope.json")]) == 1
 
+    @pytest.mark.parametrize("cfg, on_grid", [(GFORE_DEMO, False), (CI_ORIGIN, True)],
+                             ids=["asymptotic-extremes", "grid-extremes"])
+    def test_extremes_and_grid_size(self, tmp_path, cfg, on_grid):
+        # GFORE_DEMO's angle extremes are its w -> 0 and w -> inf limits (null
+        # omega); CI_ORIGIN's are attained on the grid, at the omega reported
+        path = write_config(tmp_path, cfg)
+        outs = [tmp_path / "a.json", tmp_path / "b.json"]
+        nsv_csv = tmp_path / "nsv.csv"
+        for out in outs:
+            run(["classify", "--config", path, "--out", str(out), "--nsv-out", str(nsv_csv),
+                 "--grid-points", "600"])
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+        data = json.loads(outs[0].read_text())
+        rows = np.genfromtxt(nsv_csv, delimiter=",", names=True)
+        assert data["grid_points"] == rows.size > 600
+        for key in ("theta1", "theta2"):
+            omega = data[f"{key}_omega"]
+            if not on_grid:
+                assert omega is None
+                continue
+            (i,) = np.flatnonzero(rows["omega_rad_s"] == omega)
+            assert rows["theta_deg"][i] == np.degrees(data[key])
+
     def test_reproducible_json(self, tmp_path):
         cfg = write_config(tmp_path, GFORE_DEMO)
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -234,9 +257,31 @@ class TestMalformedLoopInput:
                                       "element": {"kind": "SOSRE", "omega_r": 2.0}})),
         ("gsore-check", dict(gsore_config(), gsore={"n_minus_m": 4})),
         ("gsore-check", dict(gsore_config(), gsore={"k_s0": 1.0})),
+        ("classify", lead_shaped(top={"plant_rhp_poles": "a"})),
+        ("classify", lead_shaped(top={"plant_origin_poles": [1]})),
+        ("hbeta", lead_shaped(top={"candidate": {"beta_prime": "x", "rho_prime": 1.0}})),
+        ("hbeta", lead_shaped(top={"candidate": {"beta_prime": 1.0, "rho_prime": None}})),
+        ("hbeta", lead_shaped(top={"candidate": {"beta_prime": 1.0}})),
+        ("gsore-check", dict(gsore_config(), optimizer={"population": "x"})),
+        ("gsore-check", dict(gsore_config(), optimizer={"generations": [150]})),
+        ("gsore-check", dict(gsore_config(), optimizer={"restarts": 1e999})),
+        ("simulate", lead_shaped(top={"simulation": {"dt": "x", "t_end": 1.0}})),
+        ("simulate", lead_shaped(top={"simulation": {"dt": 0.01, "t_end": "x"}})),
+        ("simulate", lead_shaped(top={"simulation": {
+            "dt": 0.01, "t_end": 1.0, "input": {"kind": "step", "amplitude": "x"}}})),
+        ("simulate", lead_shaped(top={"simulation": {
+            "dt": 0.01, "t_end": 1.0, "input": {"kind": "sinusoid", "freq": "x"}}})),
+        ("simulate", lead_shaped(top={"simulation": {
+            "dt": 0.01, "t_end": 1.0, "input": {"kind": "sinusoid", "phase": "x"}}})),
+        ("simulate", lead_shaped(top={"simulation": {
+            "dt": 0.01, "t_end": 1.0, "gamma_sweep": [0.0, "x"]}})),
+        ("simulate", lead_shaped(top={"simulation": {"dt": 0.01, "t_end": 1.0, "lambda": "x"}})),
     ], ids=["architecture-classify", "architecture-simulate", "zero-den", "text-num",
             "text-element-field", "sosre-modified", "rational-gsore-override",
-            "gsore-k_s0"])
+            "gsore-k_s0", "text-rhp-poles", "list-origin-poles", "text-beta-prime",
+            "null-rho-prime", "missing-rho-prime", "text-population", "list-generations",
+            "infinite-restarts", "text-dt", "text-t-end", "text-amplitude", "text-freq",
+            "text-phase", "text-gamma-sweep", "text-lambda"])
     def test_refused_with_exit_1(self, tmp_path, capsys, command, cfg):
         path = write_config(tmp_path, cfg)
         assert run([command, "--config", path, "--out", str(tmp_path / "out"),

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from resetcert.elements import base_tf, clegg, gfore, gsore, pci, realization, sosre
-from resetcert.errors import NotPositiveDefinite
-from resetcert.frf import LoopSamples
+from resetcert.errors import NotPositiveDefinite, ResetCertError
+from resetcert.frf import Loop, LoopSamples
 from resetcert.hbeta import (
+    MARGIN,
     HbetaCandidate,
     build_h_scalar,
     limit_matrix_infinity,
@@ -13,10 +14,11 @@ from resetcert.hbeta import (
     search_candidate_scalar,
     spr_check_matrix,
     spr_check_scalar,
+    _scalar_nsv,
     _sym_matrix_entries,
 )
 from resetcert.lti import assemble_closed_loop, dc_limit, evaluate, high_frequency_re_limit, series, tf
-from resetcert.nsv import nsv_grid_samples
+from resetcert.nsv import certify_first_order, nsv_grid_samples
 
 from test_lti import tf_close
 
@@ -132,6 +134,80 @@ class TestScalarCheck:
         dirs = np.stack([np.cos(phis), np.sin(phis)], axis=1)
         margins = (dirs @ np.stack([n_chi, n_ups])).min(axis=1)
         assert margins.max() <= 1e-9
+
+
+def brute_force_candidate(samples, element, c_s, p_lin, variant, steps=720):
+    """The steps x N sweep over every sample's margin, kept as the reference
+    that the arc-end sweep of search_candidate_scalar must reproduce."""
+    n_chi, n_ups = _scalar_nsv(samples, element, variant)
+    norm = np.maximum(np.hypot(n_chi, n_ups), 1e-300)
+    phis = np.arange(steps) * (2.0 * np.pi / steps)
+    dirs = np.stack([np.cos(phis), np.sin(phis)], axis=1)
+    margins = (dirs @ np.stack([n_chi, n_ups]) / norm).min(axis=1)
+    for k in np.argsort(-margins):
+        if margins[k] <= MARGIN or dirs[k, 1] <= 0.0:
+            continue
+        cand = HbetaCandidate(float(dirs[k, 0]), float(dirs[k, 1]))
+        if spr_check_scalar(cand, samples, element, c_s, p_lin, variant).passed:
+            return cand
+    return None
+
+
+def samples_with_nsv(n_chi, n_ups):
+    """Loop samples whose standard scalar N(w) is (n_chi, n_ups): with L = 1,
+    kappa = 2, so Cs = n_chi / 2 and C_R = n_ups / 2."""
+    n = len(n_chi)
+    return LoopSamples(np.linspace(1.0, 2.0, n), np.ones(n, complex),
+                       np.asarray(n_chi, complex) / 2.0, np.asarray(n_ups, complex) / 2.0)
+
+
+class TestArcSweep:
+    """search_candidate_scalar reads only the two ends of the arc of N(w)
+    angles; it must return what the full sweep over every sample returns."""
+
+    def test_equals_brute_force_on_fo_population(self, workloads):
+        kinds = []
+        for seed in (1, 7):
+            for lp in workloads.fo_loops(seed):
+                try:
+                    v = certify_first_order(lp.element, ONE, ONE, lp.plant, c_s=lp.c_s,
+                                            architecture=lp.architecture,
+                                            points=workloads.FO_POINTS,
+                                            asymptote=lp.asymptote)
+                except ResetCertError:
+                    continue
+                if not v.certified:
+                    continue
+                p_lin = Loop(lp.element, ONE, ONE, lp.plant, lp.c_s).p_lin
+                args = (v.samples, lp.element, lp.c_s, p_lin, lp.variant)
+                cand = search_candidate_scalar(*args)
+                assert cand is not None, lp.id
+                assert cand == brute_force_candidate(*args), lp.id
+                kinds.append((lp.variant, p_lin is None))
+        assert {"standard", "modified", "sosre"} <= {variant for variant, _ in kinds}
+        assert any(table for _, table in kinds) and len(kinds) >= 150
+
+    @pytest.mark.parametrize("lo, hi, passes", [
+        (0.75 * np.pi, 1.25 * np.pi, True),
+        (-0.3, np.pi - 0.32, True),
+        (-0.3, np.pi - 0.28, False),
+    ], ids=["across-branch-cut", "just-under-pi", "just-over-pi"])
+    def test_hand_made_arcs(self, lo, hi, passes):
+        th = np.linspace(lo, hi, 40)
+        r = np.linspace(0.5, 2.0, 40)[::-1]
+        samples = samples_with_nsv(r * np.cos(th), r * np.sin(th))
+        cand = search_candidate_scalar(samples, gfore(1.0))
+        assert cand == brute_force_candidate(samples, gfore(1.0), ONE, None, "standard")
+        assert (cand is not None) == passes
+
+    def test_zero_sample_gives_none(self):
+        th = np.linspace(0.2, 1.2, 40)
+        n_chi, n_ups = np.cos(th), np.sin(th)
+        assert search_candidate_scalar(samples_with_nsv(n_chi, n_ups), gfore(1.0)) is not None
+        n_chi[17] = n_ups[17] = 0.0
+        samples = samples_with_nsv(n_chi, n_ups)
+        assert search_candidate_scalar(samples, gfore(1.0)) is None
+        assert brute_force_candidate(samples, gfore(1.0), ONE, None, "standard") is None
 
 
 class TestModifiedArchitecture:

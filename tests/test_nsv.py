@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -302,6 +304,26 @@ class TestAsymptoticAngles:
             assert verdicts[0] == verdicts[1]
 
 
+def full_rescan(plant, c_s, elem, variant, points, refine):
+    """The refinement with every round rescanning the whole grid (signs and the
+    unwrapped angle) and evaluating the merged grid afresh: the reference for
+    the split-interval rounds of nsv_grid_samples."""
+    loop = Loop(elem, ONE, ONE, plant, c_s, "modified" if variant == "modified" else "standard")
+    samples, nsv = nsv_grid_samples(plant, ONE, ONE, c_s, elem, variant=variant,
+                                    points=points, refine=0)
+    for _ in range(refine):
+        chi, ups, w = nsv.n_chi, nsv.n_upsilon, nsv.omega
+        gaps = np.abs(np.diff(np.unwrap(np.arctan2(ups, chi))))
+        flips = np.nonzero((np.sign(chi[:-1]) != np.sign(chi[1:]))
+                           | (np.sign(ups[:-1]) != np.sign(ups[1:]))
+                           | (gaps >= np.pi / 7.0))[0]
+        if flips.size == 0:
+            break
+        samples = loop.samples(np.unique(np.concatenate([w, np.sqrt(w[flips] * w[flips + 1])])))
+        nsv = compute_nsv(samples, variant)
+    return samples, nsv
+
+
 class TestGridRefinement:
     G = tf([1.0], [1.0, 1.0])
     LEAD = tf([1.0, 0.5], [1.0, 5.0])
@@ -354,6 +376,23 @@ class TestGridRefinement:
                     assert np.array_equal(getattr(nsv, name), getattr(ref, name)), name
                 assert len(nsv) == samples.omega.size > 80
                 assert np.all(np.diff(nsv.omega) > 0)
+
+    def test_split_intervals_equal_full_rescans(self, workloads):
+        loops = [(*case, 80) for case in self.cases()]
+        loops += [(lp.variant, lp.plant, lp.element, lp.c_s, workloads.FO_POINTS)
+                  for lp in workloads.fo_loops(11)[::5]]
+        assert len(loops) == 5 + 24
+        grown = 0
+        for variant, plant, elem, c_s, points in loops:
+            for refine in (1, 3, 8):
+                got = nsv_grid_samples(plant, ONE, ONE, c_s, elem, variant=variant,
+                                       points=points, refine=refine)
+                ref = full_rescan(plant, c_s, elem, variant, points, refine)
+                for a, b in zip(got, ref):
+                    for f in fields(a):
+                        assert np.array_equal(getattr(a, f.name), getattr(b, f.name)), f.name
+            grown += len(got[1]) > points
+        assert grown >= 20
 
     def test_too_sparse_base_grid_refused(self):
         # 2, 3 and 5 base points certified this loop although its angle range
