@@ -64,13 +64,13 @@ def _block_from_cfg(cfg) -> RationalTF:
         return tf([1.0])
     if isinstance(cfg, (int, float)):
         return tf([float(cfg)])
-    if "template" in cfg:
+    if isinstance(cfg, dict) and "template" in cfg:
         name = cfg["template"]
-        params = cfg.get("params", {})
+        params = _section(cfg, "params", "template params")
         if name == "cglp_pid":
             try:
-                return cglp_pid_blocks(params["k_p"], params["omega_c"],
-                                       params["omega_d"], params["xi_d"])
+                return cglp_pid_blocks(*(_number(params[k], f"params.{k}") for k in
+                                         ("k_p", "omega_c", "omega_d", "xi_d")))
             except KeyError as exc:
                 raise ConfigError(f"cglp_pid template missing parameter {exc}") from None
         raise ConfigError(f"unknown block template {name!r}")
@@ -89,8 +89,31 @@ def _number(value, field: str, kind=float):
         raise ConfigError(f"config field {field} needs a number, got {value!r}") from None
 
 
+def _list(value, field: str) -> list:
+    """``value`` if it is a JSON list; anything else is a ConfigError naming
+    the config ``field``."""
+    if not isinstance(value, list):
+        raise ConfigError(f"config field {field} needs a list, got {value!r}")
+    return value
+
+
+def _numbers(value, field: str) -> list:
+    return [_number(v, f"{field}[{i}]") for i, v in enumerate(_list(value, field))]
+
+
+def _section(cfg: dict, key: str, field: str | None = None) -> dict:
+    """``cfg[key]`` as a JSON object, ``{}`` when absent or null; anything
+    else is a ConfigError naming the config ``field`` (default ``key``)."""
+    value = cfg.get(key)
+    if value is None:
+        return {}
+    if not isinstance(value, dict):
+        raise ConfigError(f"config field {field or key} needs a JSON object, got {value!r}")
+    return value
+
+
 def _element_from_cfg(cfg) -> ResetElement:
-    if not cfg or "kind" not in cfg:
+    if "kind" not in cfg:
         raise ConfigError("config needs an element section with a kind")
     kind = str(cfg["kind"]).upper()
     wr = _number(cfg.get("omega_r", 1.0), "element.omega_r")
@@ -119,16 +142,19 @@ def _load_config(args):
         raise ConfigError(f"config file not found: {args.config}")
     with open(args.config, encoding="utf-8") as fh:
         try:
-            return json.load(fh)
+            cfg = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"invalid JSON in {args.config}: {exc}") from None
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"config {args.config} needs a JSON object at the top")
+    return cfg
 
 
 def _loop_from(args, cfg) -> Loop:
     """The element, blocks and architecture of a config; ``--frf`` replaces
     blocks.plant with a measured table."""
-    element = _element_from_cfg(cfg.get("element"))
-    blocks = cfg.get("blocks", {})
+    element = _element_from_cfg(_section(cfg, "element"))
+    blocks = _section(cfg, "blocks")
     if args.frf:
         if not os.path.exists(args.frf):
             raise ConfigError(f"FRF file not found: {args.frf}")
@@ -200,7 +226,7 @@ def cmd_gsore(args) -> int:
     loop = _loop_from(args, cfg)
     if loop.element.kind != "GSORE":
         raise ConfigError("gsore-check needs a GSORE element")
-    extra = cfg.get("gsore", {})
+    extra = _section(cfg, "gsore")
     unknown = sorted(set(extra) - {"origin_pole", "k_n", "n_minus_m"})
     if unknown:
         raise ConfigError(f"unknown gsore keys {unknown}; use origin_pole, k_n, n_minus_m")
@@ -211,7 +237,7 @@ def cmd_gsore(args) -> int:
         k_n=extra.get("k_n"),
         n_minus_m=extra.get("n_minus_m"),
     )
-    opt = cfg.get("optimizer", {})
+    opt = _section(cfg, "optimizer")
     settings = OptimizerSettings(
         population=_number(opt.get("population", 200), "optimizer.population", int),
         generations=_number(opt.get("generations", 500), "optimizer.generations", int),
@@ -245,7 +271,7 @@ def cmd_hbeta(args) -> int:
     element, c_s, p_lin, variant = loop.element, loop.c_s, loop.p_lin, loop.variant
     samples, _ = nsv_grid_samples(loop.plant, loop.c_l1, loop.c_l2, c_s, element,
                                   variant=variant, points=args.grid_points)
-    cand_cfg = cfg.get("candidate")
+    cand_cfg = _section(cfg, "candidate")
     if cand_cfg:
         cand = HbetaCandidate(_number(cand_cfg.get("beta_prime"), "candidate.beta_prime"),
                               _number(cand_cfg.get("rho_prime"), "candidate.rho_prime"))
@@ -282,21 +308,26 @@ def cmd_simulate(args) -> int:
     if not loop.rational:
         raise ConfigError("simulation needs a rational plant model")
     element = loop.element
-    sim_cfg = cfg.get("simulation", {})
+    sim_cfg = _section(cfg, "simulation")
 
-    inp_cfg = sim_cfg.get("input", {"kind": "step", "amplitude": 1.0})
+    inp_cfg = _section(sim_cfg, "input", "simulation.input")
     inp = InputSignal(inp_cfg.get("kind", "step"),
                       amplitude=_number(inp_cfg.get("amplitude", 1.0),
                                         "simulation.input.amplitude"),
                       freq=_number(inp_cfg.get("freq", 1.0), "simulation.input.freq"),
                       phase=_number(inp_cfg.get("phase", 0.0), "simulation.input.phase"),
-                      terms=tuple(tuple(t) for t in inp_cfg.get("terms", [])))
+                      terms=tuple(tuple(_numbers(t, f"simulation.input.terms[{i}]"))
+                                  for i, t in enumerate(_list(inp_cfg.get("terms", []),
+                                                              "simulation.input.terms"))))
+
+    x0 = sim_cfg.get("x0")
+    if x0 is not None:
+        x0 = np.array(_numbers(x0, "simulation.x0"))
 
     gammas = sim_cfg.get("gamma_sweep")
     runs = []
     if gammas:
-        for i, g in enumerate(gammas):
-            g = _number(g, f"simulation.gamma_sweep[{i}]")
+        for g in _numbers(gammas, "simulation.gamma_sweep"):
             if element.n_r == 1:
                 a_rho = [[g]]
             elif element.kind == "SOSRE":
@@ -313,10 +344,13 @@ def cmd_simulate(args) -> int:
         cl = loop.closed_loop(a_rho)
         dt = _number(sim_cfg.get("dt", default_dt(cl, input=inp)), "simulation.dt")
         t_end = _number(sim_cfg.get("t_end", 2000 * dt), "simulation.t_end")
-        x0, lam = sim_cfg.get("x0"), sim_cfg.get("lambda")
+        if x0 is not None and x0.size != cl.order:
+            raise ConfigError(f"config field simulation.x0 needs {cl.order} entries, "
+                              f"got {x0.size}")
+        lam = sim_cfg.get("lambda")
         run_cfg = SimConfig(cl, dt=dt, t_end=t_end,
                             lam=None if lam is None else _number(lam, "simulation.lambda"),
-                            input=inp, x0=None if x0 is None else np.asarray(x0, float))
+                            input=inp, x0=x0)
         trace = simulate(run_cfg)
         base, ext = os.path.splitext(args.out)
         trace.save_csv(f"{base}{suffix}{ext}" if suffix else args.out)

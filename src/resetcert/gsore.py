@@ -36,6 +36,9 @@ STRICT_MARGIN = 1e-9
 STALL_GENERATIONS = 20
 STALL_DROP = 1e-3
 PENALTY_WEIGHT = 1e3    # objective weight of the constraint violations
+SEARCH_POINTS = 128     # most grid samples a DE restart starts on (see certify)
+EXCHANGE_POINTS = 16    # failing samples added per exchange round
+EXCHANGE_ROUNDS = 8     # rounds before a restart falls back to the full grid
 
 
 # ---------------------------------------------------------------------------
@@ -69,6 +72,9 @@ class FreqData:
             u2=(cr * kappa * (2j * xi * omega_r * w - w**2)).real - np.abs(kappa) ** 2,
             u3=(L * kappa * cs * lead).real,
         )
+
+    def take(self, idx) -> "FreqData":
+        return FreqData(*(getattr(self, name)[idx] for name in self.__dataclass_fields__))
 
     def d1(self, rho1, rho2, beta1):
         return rho1 * self.t1 + rho2 * self.t2 + beta1 * self.t3
@@ -400,9 +406,24 @@ class CertificateResult:
     rank_check: str             # "pass" | "fail" | "conditional"
     seed: int
     ratio_windows: dict = field(default_factory=dict)
-    # one entry per DE restart run: seed, generations, best objective and
-    # why it stopped ("stalled", "converged" or "maxiter")
+    # one entry per DE restart run: seed, generations, best objective, why
+    # it stopped ("stalled", "converged" or "maxiter") and the working-set
+    # size ("points"), all of the restart's last DE run
     search: list = field(default_factory=list)
+
+
+def _search_set(n: int) -> np.ndarray:
+    """Every k-th of n grid indices from 0 (w = 0 when the grid has it) and
+    the last one, with the smallest k that keeps at most SEARCH_POINTS."""
+    k = max(1, -(-(n - 1) // (SEARCH_POINTS - 1)))
+    return np.unique(np.r_[np.arange(0, n - 1, k), n - 1])
+
+
+def _loop_params(x, ptype: str, k_s0: float, alpha: float):
+    """Genes of the normalized search -> loop-scale (beta1, beta2, rho1, rho2, rho3)."""
+    b1, b2, r1, r2, r3 = (float(v[0]) for v in _params_from_genes(
+        np.reshape(x, (4, 1)), ptype, k_s0))
+    return (b1, alpha * b2, alpha * r1, alpha**2 * r2, alpha**3 * r3)
 
 
 def certify(problem: GsoreProblem, settings: OptimizerSettings | None = None) -> CertificateResult:
@@ -410,8 +431,11 @@ def certify(problem: GsoreProblem, settings: OptimizerSettings | None = None) ->
 
     Failure to find a feasible point is reported as ``certified=False``; the
     conditions are sufficient only, never a proof of instability.  Each DE
-    restart ends early once ``_stalled`` holds; ``search`` on the result
-    records how every restart that ran ended.
+    restart searches at most SEARCH_POINTS grid samples and ends early once
+    ``_stalled`` holds.  When its best point fails ``_grid_check``, the
+    verifier's full-grid test, or stalled on a full-grid m above M_BOUND / 2,
+    the restart reruns with the same seed on a larger set (``_exchange``).
+    ``search`` records how each restart ended, and on how many samples.
     """
     settings = settings or OptimizerSettings()
     elem = problem.element
@@ -426,43 +450,37 @@ def certify(problem: GsoreProblem, settings: OptimizerSettings | None = None) ->
                       problem.samples.shaping, alpha**2 * problem.samples.reset_base)
     k_n_hat = problem.k_n / alpha**problem.n_minus_m
     data = FreqData.from_samples(hat, 1.0, xi)
+    loop_data = FreqData.from_samples(problem.samples, wr, xi)
     bounds, windows_hat, scans = _gene_bounds(data, ptype, problem.k_s0, 1.0, xi)
-    fun = _population_objective(data, ptype, problem.k_s0, 1.0, xi, k_n_hat,
-                                problem.n_minus_m, gamma_bound)
+    args = (ptype, problem.k_s0, 1.0, xi, k_n_hat, problem.n_minus_m, gamma_bound)
+    full_fun, n = _population_objective(data, *args), data.omega.size
     best_x, best_j = None, np.inf
     pop = max(20, settings.population)
     search = []
     for k in range(settings.restarts):
         seed = settings.seed + 1009 * k
-        rng = np.random.default_rng(seed)
-        init = _seed_population(bounds, scans, pop, rng)
-        # with deferred updating each generation is one vectorized call, so
-        # the running minimum after each call is population_energies[0]
-        best = []
-
-        def tracked(x):
-            vals = fun(x)
-            low = float(np.min(vals))
-            best.append(min(best[-1], low) if best else low)
-            return vals
-
-        res = differential_evolution(
-            tracked, bounds, seed=seed, maxiter=settings.generations,
-            tol=1e-10, polish=False, vectorized=True,
-            updating="deferred", init=init,
-            callback=lambda xk, convergence=None: _stalled(best))
-        stop = "stalled" if _stalled(best) else "converged" if res.success else "maxiter"
+        init = _seed_population(bounds, scans, pop, np.random.default_rng(seed))
+        points = _search_set(n)
+        for rounds in range(EXCHANGE_ROUNDS + 1):
+            res, stop = _de_run(_population_objective(data.take(points), *args), bounds,
+                                init, seed, settings.generations)
+            if points.size == n or float(res.fun) > M_BOUND - M_SLACK:
+                break       # more samples cannot lower the objective
+            check = _grid_check(problem, loop_data,
+                                _loop_params(res.x, ptype, problem.k_s0, alpha))
+            # the stall stop presumes m <= M_BOUND / 2, which a coarse set can fake
+            m = check[3]
+            if m <= M_BOUND / 2 or (m <= M_BOUND - M_SLACK and stop != "stalled"):
+                break
+            points = _exchange(points, check, n, rounds)
         search.append({"seed": seed, "generations": int(res.nit),
-                       "best": float(res.fun), "stop": stop})
-        if float(res.fun) < best_j:
-            best_j, best_x = float(res.fun), np.array(res.x)
+                       "best": float(res.fun), "stop": stop, "points": int(points.size)})
+        full_j = float(full_fun(res.x)[0])
+        if full_j < best_j:
+            best_j, best_x = full_j, np.array(res.x)
         if best_j < M_BOUND - 10 * M_SLACK:
             break
-    b1, b2, r1, r2, r3 = (float(np.asarray(v).ravel()[0])
-                          for v in _params_from_genes(best_x.reshape(4, 1), ptype,
-                                                      problem.k_s0))
-    # map the normalized certificate back to the loop scale
-    params = (b1, alpha * b2, alpha * r1, alpha**2 * r2, alpha**3 * r3)
+    params = _loop_params(best_x, ptype, problem.k_s0, alpha)
     windows = {}
     if "q2_over_q1" in windows_hat:
         lo, hi = windows_hat["q2_over_q1"]
@@ -472,6 +490,55 @@ def certify(problem: GsoreProblem, settings: OptimizerSettings | None = None) ->
         windows["q4_over_q3"] = (lo / alpha, hi / alpha)
     return replace(_verify_candidate(problem, params, windows, settings.seed),
                    search=search)
+
+
+def _de_run(fun, bounds, init, seed: int, generations: int):
+    """One DE run from ``init``: (scipy result, why it stopped)."""
+    # with deferred updating each generation is one vectorized call, so the
+    # running minimum after each call is population_energies[0]
+    best = []
+
+    def tracked(x):
+        vals = fun(x)
+        low = float(np.min(vals))
+        best.append(min(best[-1], low) if best else low)
+        return vals
+
+    res = differential_evolution(
+        tracked, bounds, seed=seed, maxiter=generations, tol=1e-10, polish=False,
+        vectorized=True, updating="deferred", init=init,
+        callback=lambda xk, convergence=None: _stalled(best))
+    return res, "stalled" if _stalled(best) else "converged" if res.success else "maxiter"
+
+
+def _exchange(points, check, n: int, rounds: int):
+    """The working set plus up to EXCHANGE_POINTS samples whose ratio exceeds
+    M_BOUND / 2, worst first (failed S1/S2 count as infinite, the smaller
+    margin first); the full grid after EXCHANGE_ROUNDS rounds or when no
+    such sample is left outside the set."""
+    s1, s2, ratio, _ = check
+    bad = np.where((s1 > STRICT_MARGIN) & (s2 > STRICT_MARGIN), ratio, np.inf)
+    order = np.lexsort((np.minimum(s1, s2), -bad))
+    order = order[(bad[order] > M_BOUND / 2) & ~np.isin(order, points)]
+    if rounds + 1 == EXCHANGE_ROUNDS or order.size == 0:
+        return np.arange(n)
+    return np.union1d(points, order[:EXCHANGE_POINTS])
+
+
+def _grid_check(problem: GsoreProblem, data: FreqData, params):
+    """The full-grid part of the certificate: (s1, s2, ratio, m), the S1/S2
+    margins and c^2/(d1 d2) per sample and the refined sup ratio, which is
+    inf unless both margins clear STRICT_MARGIN everywhere.  Each diagonal
+    entry is divided by the sum of its terms' magnitudes, the rounding bound
+    of that sum, so no frequency scaling of the loop moves the verdict."""
+    b1, b2, r1, r2, r3 = params
+    s1 = data.d1(r1, r2, b1) / (np.abs(r1 * data.t1) + np.abs(r2 * data.t2)
+                                + np.abs(b1 * data.t3) + 1e-300)
+    s2 = data.d2(r3, r2, b2) / (np.abs(r3 * data.u1) + np.abs(r2 * data.u2)
+                                + np.abs(b2 * data.u3) + 1e-300)
+    ratio = _ratio(data, params)
+    strict = s1.min() > STRICT_MARGIN and s2.min() > STRICT_MARGIN
+    return s1, s2, ratio, _refined_sup(problem, ratio, params) if strict else float("inf")
 
 
 def _ratio(data: FreqData, params):
@@ -490,10 +557,9 @@ def _ratio_at(problem: GsoreProblem, params, omega):
                   params)
 
 
-def _refined_sup(problem: GsoreProblem, data: FreqData, params) -> float:
-    """Grid supremum of the ratio on ``data`` (the problem's grid), sharpened
+def _refined_sup(problem: GsoreProblem, ratio, params) -> float:
+    """Supremum of the per-sample ``ratio`` on the problem's grid, sharpened
     around the argmax."""
-    ratio = _ratio(data, params)
     i = int(np.argmax(ratio))
     m = float(ratio[i])
     w = problem.samples.omega
@@ -513,15 +579,13 @@ def _verify_candidate(problem: GsoreProblem, params, windows, seed) -> Certifica
     g1, g2 = problem.gammas
     report = []
     data = FreqData.from_samples(problem.samples, wr, xi)
-    d1 = data.d1(r1, r2, b1)
-    d2 = data.d2(r3, r2, b2)
-    scale = np.abs(d1) + np.abs(d2) + 1e-300
-    s1_ok = bool(np.all(d1 > STRICT_MARGIN * scale))
-    s2_ok = bool(np.all(d2 > STRICT_MARGIN * scale))
+    s1, s2, _, m_value = _grid_check(problem, data, params)
+    s1_ok = bool(s1.min() > STRICT_MARGIN)
+    s2_ok = bool(s2.min() > STRICT_MARGIN)
     report.append({"id": "S1-diagonal-positivity", "satisfied": s1_ok,
-                   "worst_omega": float(data.omega[int(np.argmin(d1 / scale))])})
+                   "worst_omega": float(data.omega[int(np.argmin(s1))])})
     report.append({"id": "S2-diagonal-positivity", "satisfied": s2_ok,
-                   "worst_omega": float(data.omega[int(np.argmin(d2 / scale))])})
+                   "worst_omega": float(data.omega[int(np.argmin(s2))])})
 
     cand = HbetaCandidate(np.array([b1, b2]), np.array([[r1, r2], [r2, r3]]))
     m_inf = limit_matrix_infinity(cand, wr, xi, problem.n_minus_m,
@@ -549,7 +613,6 @@ def _verify_candidate(problem: GsoreProblem, params, windows, seed) -> Certifica
     report.append({"id": "jump-map-strict-inequality", "satisfied": bool(jump_ok),
                    "margin": float(r1 * r3 - gamma_factor(g1, g2) * r2**2)})
 
-    m_value = _refined_sup(problem, data, params) if (s1_ok and s2_ok) else float("inf")
     m_ok = bool(m_value <= M_BOUND - M_SLACK)
     report.append({"id": "sup-ratio-below-four", "satisfied": m_ok,
                    "margin": float(M_BOUND - m_value)})

@@ -198,7 +198,9 @@ class MatrixSprReport:
 
 
 def _sym_matrix_entries(candidate, samples: LoopSamples, omega_r: float, xi: float):
-    """Entries of the real symmetric part of the 2x2 SPR response, times |kappa|^2."""
+    """Entries (d1, d2, c) of the real symmetric part of the 2x2 SPR response,
+    times |kappa|^2, and the sums of the magnitudes of the terms of d1 and of
+    d2, the rounding bounds the strict tests compare them with."""
     b, r = candidate.as_matrix_params()
     b1, b2 = float(b[0]), float(b[1])
     r1, r2, r3 = float(r[0, 0]), float(r[0, 1]), float(r[1, 1])
@@ -215,7 +217,9 @@ def _sym_matrix_entries(candidate, samples: LoopSamples, omega_r: float, xi: flo
     d1 = 2.0 * (r1 * t1 + r2 * t2 + b1 * t3)
     d2 = 2.0 * (r3 * u1 + r2 * u2 + b2 * u3)
     c = (r2 * t1 + r3 * t2 + b2 * t3) + (r2 * u1 + r1 * u2 + b1 * u3)
-    return d1, d2, c
+    scale1 = 2.0 * (np.abs(r1 * t1) + np.abs(r2 * t2) + np.abs(b1 * t3))
+    scale2 = 2.0 * (np.abs(r3 * u1) + np.abs(r2 * u2) + np.abs(b2 * u3))
+    return d1, d2, c, scale1, scale2
 
 
 def limit_matrix_infinity(candidate, omega_r: float, xi: float,
@@ -271,12 +275,13 @@ def spr_check_matrix(candidate: HbetaCandidate, samples: LoopSamples,
     if samples.omega.size < 8:
         raise GridTooSparse("need a denser grid for the SPR sweep")
     wr, xi = element.omega_r, element.xi
-    d1, d2, c = _sym_matrix_entries(candidate, samples, wr, xi)
-    scale = np.abs(d1) + np.abs(d2) + np.abs(c)
-    scale = np.maximum(scale, 1e-300)
+    d1, d2, c, scale1, scale2 = _sym_matrix_entries(candidate, samples, wr, xi)
+    # each entry against its own rounding bound: no frequency scaling of the
+    # loop moves the verdict
     det = d1 * d2 - c * c
-    ok = (d1 > MARGIN * scale) & (d2 > MARGIN * scale) & (det > MARGIN * scale**2)
-    det_margin = det / scale**2
+    det_scale = np.maximum(np.abs(d1 * d2), 1e-300)
+    ok = (d1 > MARGIN * scale1) & (d2 > MARGIN * scale2) & (det > MARGIN * det_scale)
+    det_margin = det / det_scale
     grid_ok = bool(np.all(ok))
     worst = float(samples.omega[int(np.argmin(det_margin))])
 

@@ -159,7 +159,7 @@ class TestGsoreCheck:
         search = json.loads(out.read_text())["search"]
         assert len(search) >= 1 and search[0]["seed"] == 42
         for entry in search:
-            assert set(entry) == {"seed", "generations", "best", "stop"}
+            assert set(entry) == {"seed", "generations", "best", "stop", "points"}
             assert 1 <= entry["generations"] <= 150
             assert entry["stop"] in ("stalled", "converged", "maxiter")
 
@@ -288,6 +288,30 @@ class TestMalformedLoopInput:
                     "--grid-points", "400"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("command, cfg, field", [
+        ("simulate", lead_shaped(top={"simulation": {"dt": 0.01, "t_end": 1.0,
+                                                     "x0": ["a", 0]}}), "simulation.x0[0]"),
+        ("hbeta", lead_shaped(top={"candidate": 5}), "candidate"),
+        ("gsore-check", dict(gsore_config(), optimizer="x"), "optimizer"),
+        ("simulate", lead_shaped(top={"simulation": {"input": 5}}), "simulation.input"),
+        ("simulate", lead_shaped(top={"simulation": {"dt": 0.01, "t_end": 1.0,
+                                                     "gamma_sweep": 5}}),
+         "simulation.gamma_sweep"),
+        ("simulate", lead_shaped(top={"simulation": {"input": {"kind": "exppoly",
+                                                               "terms": [[1, "x", 0, 0, 0]]}}}),
+         "simulation.input.terms[0][1]"),
+        ("classify", lead_shaped(c_l1={"template": "cglp_pid", "params": [1]}),
+         "template params"),
+    ], ids=["text-x0", "number-candidate", "text-optimizer", "number-input",
+            "number-gamma-sweep", "text-term", "list-template-params"])
+    def test_malformed_section_names_the_field(self, tmp_path, capsys, command, cfg, field):
+        path = write_config(tmp_path, cfg)
+        assert run([command, "--config", path, "--out", str(tmp_path / "out"),
+                    "--grid-points", "400"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert f"config field {field} " in err
 
     def test_too_few_grid_points_exit_1(self, tmp_path):
         cfg = write_config(tmp_path, GFORE_DEMO)

@@ -7,10 +7,12 @@ from resetcert.errors import DomainError
 from resetcert.frf import FrfTable, LoopSamples
 from resetcert.gsore import (
     M_BOUND,
+    SEARCH_POINTS,
     STALL_DROP,
     STALL_GENERATIONS,
     CertificateResult,
     OptimizerSettings,
+    _search_set,
     _stalled,
     _verify_candidate,
     certify,
@@ -238,7 +240,7 @@ class TestEarlyStop:
         assert res.certified
         assert len(res.search) == 1
         first = res.search[0]
-        assert set(first) == {"seed", "generations", "best", "stop"}
+        assert set(first) == {"seed", "generations", "best", "stop", "points"}
         assert first["seed"] == 0
         assert first["stop"] == "stalled" and first["generations"] < 150
         assert first["best"] <= M_BOUND / 2
@@ -336,6 +338,95 @@ class TestScaleInvariance:
         expect = (a.q[0] * alpha, a.q[1] * alpha**2, a.q[2] * alpha**2, a.q[3] * alpha)
         for got, want in zip(b.q, expect):
             assert got == pytest.approx(want, rel=0.2)
+
+
+def scaled_acceptance_problem(scale, points=500):
+    """The TestScaleInvariance loop stretched in frequency by ``scale``."""
+    wc, wd, wr, wp = 10.0 * scale, 36.0 * scale, 40.0 * scale, 200.0 * scale
+    g = tf([1.0], np.convolve([0.0, 0.0, 1.0], np.convolve([1.0, 1 / wp], [1.0, 1 / wp])))
+    elem = gsore(wr, 1.0, 0.5, 0.5)
+    probe = series(base_tf(elem), series(cglp_pid_blocks(1.0, wc, wd, 1.0), g))
+    k_p = 1.0 / abs(evaluate(probe, wc))
+    return gsore_problem(elem, ONE, cglp_pid_blocks(k_p, wc, wd, 1.0), g, points=points)
+
+
+class TestScaleFreeMargins:
+    def test_certified_at_scale_100(self):
+        # d1 and d2 carry different units: a margin relative to |d1| + |d2|
+        # refused this loop at scale 100 (min d1/(|d1| + |d2|) = 5.8e-10
+        # against 5.8e-6 at scale 1)
+        res = certify(scaled_acceptance_problem(100.0), FAST)
+        assert res.certified
+        assert res.oracle_cross_check == "pass" and res.rank_check == "pass"
+
+    def test_mapped_certificate_passes_at_every_scale(self):
+        # a certificate of the scale-1 loop, mapped through the frequency
+        # scaling, certifies the scaled loop and passes the matrix oracle
+        base = certify(scaled_acceptance_problem(1.0), FAST)
+        assert base.certified
+        b1, b2, r1, r2, r3 = base.reconstructed
+        for a in (0.01, 20.0 * np.pi, 100.0):
+            mapped = (b1, a * b2, a * r1, a**2 * r2, a**3 * r3)
+            res = _verify_candidate(scaled_acceptance_problem(a), mapped, {}, 0)
+            assert res.certified and res.oracle_cross_check == "pass", a
+
+
+def notched_demo_problem(zeta, omega_z, ratio, points=2000):
+    """Demo 02's loop with its plant times the lightly damped pair
+    M(s) = (1 + 2 zeta s/wz + s^2/wz^2) / (1 + 2 zeta s/wp + s^2/wp^2),
+    wp = ratio * wz."""
+    elem, lin, g = mass_fixture()
+    wp = ratio * omega_z
+    notch = tf([1.0, 2 * zeta / omega_z, 1 / omega_z**2], [1.0, 2 * zeta / wp, 1 / wp**2])
+    return gsore_problem(elem, ONE, lin, series(g, notch), points=points)
+
+
+class TestExchange:
+    SETTINGS = OptimizerSettings(population=80, generations=150, restarts=2, seed=0)
+
+    def test_exchange_round_fires(self):
+        # the 126-sample working set misses the notch: the first candidate
+        # fails S1/S2 on the full grid and the restart reruns with the
+        # failing samples added
+        prob = notched_demo_problem(1e-3, 25.0, 0.98)
+        res = certify(prob, self.SETTINGS)
+        start = _search_set(prob.samples.omega.size).size
+        assert start <= SEARCH_POINTS
+        assert any(s["points"] > start for s in res.search)
+        assert res.certified and res.oracle_cross_check == "pass"
+
+    def test_stall_premise_is_rechecked(self):
+        # on the working set this restart stalls at m = 0.82 while the same
+        # candidate reads m = 2.9 on the full grid; the stall stop presumes
+        # m <= 2, so the restart reruns on a larger set
+        prob = notched_demo_problem(5e-3, 3.0, 1.05)
+        res = certify(prob, self.SETTINGS)
+        assert res.certified and res.oracle_cross_check == "pass"
+        assert [s["stop"] for s in res.search] == ["stalled"]
+        assert res.search[0]["points"] > _search_set(prob.samples.omega.size).size
+        assert res.m_value <= M_BOUND / 2
+
+    def test_small_grid_keeps_full_search(self, monkeypatch):
+        import resetcert.gsore as gsore_module
+
+        for n in (1, 2, 50, SEARCH_POINTS):
+            assert np.array_equal(_search_set(n), np.arange(n))
+        wide = _search_set(2001)
+        assert wide.size <= SEARCH_POINTS and wide[0] == 0 and wide[-1] == 2000
+        # a grid of at most SEARCH_POINTS samples is searched whole, and the
+        # full-grid check runs only once, in the verifier
+        calls = []
+        check = gsore_module._grid_check
+        monkeypatch.setattr(gsore_module, "_grid_check",
+                            lambda *args: calls.append(1) or check(*args))
+        elem = gsore(2.0, 1.0, 0.4, 0.4)
+        prob = gsore_problem(elem, ONE, ONE, tf([0.8], [1.0, 1.0]), points=100)
+        n = prob.samples.omega.size
+        assert n <= SEARCH_POINTS
+        res = certify(prob, FAST)
+        assert res.certified
+        assert [s["points"] for s in res.search] == [n] * len(res.search)
+        assert len(calls) == 1
 
 
 class TestCertifyFromMeasuredPlant:

@@ -271,7 +271,7 @@ class TestMatrixEntries:
         b0 = np.vstack([np.eye(2), np.zeros((cl.order - 2, 2))])
         samples, _ = nsv_grid_samples(g, cl1, ONE, cs, elem, points=40, refine=0)
         cand = HbetaCandidate(np.array([b1, b2]), np.array([[r1, r2], [r2, r3]]))
-        d1, d2, c = _sym_matrix_entries(cand, samples, elem.omega_r, elem.xi)
+        d1, d2, c, _, _ = _sym_matrix_entries(cand, samples, elem.omega_r, elem.xi)
         for i, w in enumerate(samples.omega):
             h = c0 @ np.linalg.inv(1j * w * np.eye(cl.order) - cl.a_bar) @ b0
             sym = h + h.conj().T

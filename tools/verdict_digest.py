@@ -13,6 +13,9 @@ Groups, all built from the benchmark's inputs in ``bench/workloads.py``:
 - ``gsore``: ``certify`` on each ``gsore_fixtures`` loop at frequency
   scales 0.3, 1 and 4 (q, m_value and the reconstructed parameters as hex,
   the constraint report and the search record);
+- ``gsore-verdicts``: the same certificates reduced to (type, scale,
+  certified, oracle, rank), so a search change that moves m and q but no
+  verdict reads as equal;
 - ``cli``: exit code and the ``--out``/``--nsv-out`` bytes of every
   ``cli_inputs`` command for seeds 1-3, run in-process.
 
@@ -22,6 +25,7 @@ Run it on two checkouts and compare the lines.
 from __future__ import annotations
 
 import contextlib
+import functools
 import hashlib
 import io
 import json
@@ -71,17 +75,32 @@ def fo_digest() -> str:
     return h.hexdigest()
 
 
-def gsore_digest() -> str:
-    h = hashlib.sha1()
+@functools.cache
+def gsore_results() -> list:
+    out = []
     for ptype, blocks in wl.gsore_fixtures().items():
         for scale in GSORE_SCALES:
             elem, c_l1, c_l2, g = wl.frequency_scaled(blocks, scale)
             problem = gsore.gsore_problem(elem, c_l1, c_l2, g, points=wl.GSORE_POINTS)
-            res = gsore.certify(problem, gsore.OptimizerSettings())
-            head = [ptype, scale, [_hex(q) for q in res.q], _hex(res.m_value),
-                    [_hex(p) for p in res.reconstructed], res.constraint_report,
-                    res.search]
-            h.update(json.dumps(head, sort_keys=True).encode())
+            out.append((ptype, scale, gsore.certify(problem, gsore.OptimizerSettings())))
+    return out
+
+
+def gsore_digest() -> str:
+    h = hashlib.sha1()
+    for ptype, scale, res in gsore_results():
+        head = [ptype, scale, [_hex(q) for q in res.q], _hex(res.m_value),
+                [_hex(p) for p in res.reconstructed], res.constraint_report,
+                res.search]
+        h.update(json.dumps(head, sort_keys=True).encode())
+    return h.hexdigest()
+
+
+def gsore_verdicts_digest() -> str:
+    h = hashlib.sha1()
+    for ptype, scale, res in gsore_results():
+        head = [ptype, scale, res.certified, res.oracle_cross_check, res.rank_check]
+        h.update(json.dumps(head).encode())
     return h.hexdigest()
 
 
@@ -104,7 +123,8 @@ def cli_digest() -> str:
 
 
 def main() -> int:
-    for name, fn in (("fo", fo_digest), ("gsore", gsore_digest), ("cli", cli_digest)):
+    for name, fn in (("fo", fo_digest), ("gsore", gsore_digest),
+                     ("gsore-verdicts", gsore_verdicts_digest), ("cli", cli_digest)):
         print(f"{name} {fn()}", flush=True)
     return 0
 
