@@ -37,8 +37,6 @@ STALL_GENERATIONS = 20
 STALL_DROP = 1e-3
 PENALTY_WEIGHT = 1e3    # objective weight of the constraint violations
 SEARCH_POINTS = 128     # most grid samples a DE restart starts on (see certify)
-EXCHANGE_POINTS = 16    # failing samples added per exchange round
-EXCHANGE_ROUNDS = 8     # rounds before a restart falls back to the full grid
 
 
 # ---------------------------------------------------------------------------
@@ -406,9 +404,9 @@ class CertificateResult:
     rank_check: str             # "pass" | "fail" | "conditional"
     seed: int
     ratio_windows: dict = field(default_factory=dict)
-    # one entry per DE restart run: seed, generations, best objective, why
-    # it stopped ("stalled", "converged" or "maxiter") and the working-set
-    # size ("points"), all of the restart's last DE run
+    # one entry per DE restart: seed, generations summed over its DE runs,
+    # and the best objective, why it stopped ("stalled", "converged" or
+    # "maxiter") and the grid-sample count ("points") of its last run
     search: list = field(default_factory=list)
 
 
@@ -434,8 +432,9 @@ def certify(problem: GsoreProblem, settings: OptimizerSettings | None = None) ->
     restart searches at most SEARCH_POINTS grid samples and ends early once
     ``_stalled`` holds.  When its best point fails ``_grid_check``, the
     verifier's full-grid test, or stalled on a full-grid m above M_BOUND / 2,
-    the restart reruns with the same seed on a larger set (``_exchange``).
-    ``search`` records how each restart ended, and on how many samples.
+    the restart reruns once with the same seed on the full grid.  The best
+    full-grid objective over every DE run is kept.  ``search`` records how
+    each restart ended, and on how many samples.
     """
     settings = settings or OptimizerSettings()
     elem = problem.element
@@ -461,23 +460,24 @@ def certify(problem: GsoreProblem, settings: OptimizerSettings | None = None) ->
         seed = settings.seed + 1009 * k
         init = _seed_population(bounds, scans, pop, np.random.default_rng(seed))
         points = _search_set(n)
-        for rounds in range(EXCHANGE_ROUNDS + 1):
-            res, stop = _de_run(_population_objective(data.take(points), *args), bounds,
-                                init, seed, settings.generations)
-            if points.size == n or float(res.fun) > M_BOUND - M_SLACK:
-                break       # more samples cannot lower the objective
-            check = _grid_check(problem, loop_data,
-                                _loop_params(res.x, ptype, problem.k_s0, alpha))
+        runs = [_de_run(_population_objective(data.take(points), *args), bounds,
+                        init, seed, settings.generations)]
+        res, stop = runs[0]
+        # a point above the bound on the set is above it on the full grid too
+        if points.size < n and float(res.fun) <= M_BOUND - M_SLACK:
+            m = _grid_check(problem, loop_data,
+                            _loop_params(res.x, ptype, problem.k_s0, alpha))[2]
             # the stall stop presumes m <= M_BOUND / 2, which a coarse set can fake
-            m = check[3]
-            if m <= M_BOUND / 2 or (m <= M_BOUND - M_SLACK and stop != "stalled"):
-                break
-            points = _exchange(points, check, n, rounds)
-        search.append({"seed": seed, "generations": int(res.nit),
+            if m > M_BOUND / 2 and (m > M_BOUND - M_SLACK or stop == "stalled"):
+                points = np.arange(n)
+                runs.append(_de_run(full_fun, bounds, init, seed, settings.generations))
+        res, stop = runs[-1]
+        search.append({"seed": seed, "generations": sum(int(r.nit) for r, _ in runs),
                        "best": float(res.fun), "stop": stop, "points": int(points.size)})
-        full_j = float(full_fun(res.x)[0])
-        if full_j < best_j:
-            best_j, best_x = full_j, np.array(res.x)
+        for r, _ in runs:
+            full_j = float(full_fun(r.x)[0])
+            if full_j < best_j:
+                best_j, best_x = full_j, np.array(r.x)
         if best_j < M_BOUND - 10 * M_SLACK:
             break
     params = _loop_params(best_x, ptype, problem.k_s0, alpha)
@@ -511,23 +511,9 @@ def _de_run(fun, bounds, init, seed: int, generations: int):
     return res, "stalled" if _stalled(best) else "converged" if res.success else "maxiter"
 
 
-def _exchange(points, check, n: int, rounds: int):
-    """The working set plus up to EXCHANGE_POINTS samples whose ratio exceeds
-    M_BOUND / 2, worst first (failed S1/S2 count as infinite, the smaller
-    margin first); the full grid after EXCHANGE_ROUNDS rounds or when no
-    such sample is left outside the set."""
-    s1, s2, ratio, _ = check
-    bad = np.where((s1 > STRICT_MARGIN) & (s2 > STRICT_MARGIN), ratio, np.inf)
-    order = np.lexsort((np.minimum(s1, s2), -bad))
-    order = order[(bad[order] > M_BOUND / 2) & ~np.isin(order, points)]
-    if rounds + 1 == EXCHANGE_ROUNDS or order.size == 0:
-        return np.arange(n)
-    return np.union1d(points, order[:EXCHANGE_POINTS])
-
-
 def _grid_check(problem: GsoreProblem, data: FreqData, params):
-    """The full-grid part of the certificate: (s1, s2, ratio, m), the S1/S2
-    margins and c^2/(d1 d2) per sample and the refined sup ratio, which is
+    """The full-grid part of the certificate: (s1, s2, m), the S1/S2
+    margins per sample and the refined sup of c^2/(d1 d2), which is
     inf unless both margins clear STRICT_MARGIN everywhere.  Each diagonal
     entry is divided by the sum of its terms' magnitudes, the rounding bound
     of that sum, so no frequency scaling of the loop moves the verdict."""
@@ -536,9 +522,9 @@ def _grid_check(problem: GsoreProblem, data: FreqData, params):
                                 + np.abs(b1 * data.t3) + 1e-300)
     s2 = data.d2(r3, r2, b2) / (np.abs(r3 * data.u1) + np.abs(r2 * data.u2)
                                 + np.abs(b2 * data.u3) + 1e-300)
-    ratio = _ratio(data, params)
     strict = s1.min() > STRICT_MARGIN and s2.min() > STRICT_MARGIN
-    return s1, s2, ratio, _refined_sup(problem, ratio, params) if strict else float("inf")
+    return s1, s2, (_refined_sup(problem, _ratio(data, params), params) if strict
+                    else float("inf"))
 
 
 def _ratio(data: FreqData, params):
@@ -579,7 +565,7 @@ def _verify_candidate(problem: GsoreProblem, params, windows, seed) -> Certifica
     g1, g2 = problem.gammas
     report = []
     data = FreqData.from_samples(problem.samples, wr, xi)
-    s1, s2, _, m_value = _grid_check(problem, data, params)
+    s1, s2, m_value = _grid_check(problem, data, params)
     s1_ok = bool(s1.min() > STRICT_MARGIN)
     s2_ok = bool(s2.min() > STRICT_MARGIN)
     report.append({"id": "S1-diagonal-positivity", "satisfied": s1_ok,

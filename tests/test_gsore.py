@@ -385,26 +385,35 @@ class TestExchange:
     SETTINGS = OptimizerSettings(population=80, generations=150, restarts=2, seed=0)
 
     def test_exchange_round_fires(self):
-        # the 126-sample working set misses the notch: the first candidate
-        # fails S1/S2 on the full grid and the restart reruns with the
-        # failing samples added
-        prob = notched_demo_problem(1e-3, 25.0, 0.98)
+        # the 121-sample working set misses the notch: the first candidate's
+        # sup ratio is unbounded next to it on the full grid, so the restart
+        # reruns on all of it
+        prob = notched_demo_problem(1e-3, 25.0, 0.98, points=600)
+        n = prob.samples.omega.size
         res = certify(prob, self.SETTINGS)
-        start = _search_set(prob.samples.omega.size).size
-        assert start <= SEARCH_POINTS
-        assert any(s["points"] > start for s in res.search)
+        assert _search_set(n).size <= SEARCH_POINTS
+        assert any(s["points"] == n for s in res.search)
         assert res.certified and res.oracle_cross_check == "pass"
 
-    def test_stall_premise_is_rechecked(self):
-        # on the working set this restart stalls at m = 0.82 while the same
-        # candidate reads m = 2.9 on the full grid; the stall stop presumes
-        # m <= 2, so the restart reruns on a larger set
-        prob = notched_demo_problem(5e-3, 3.0, 1.05)
+    def test_stall_premise_is_rechecked(self, monkeypatch):
+        import resetcert.gsore as gsore_module
+
+        # on the working set this restart stalls at m < 1 while the same
+        # candidate reads m > 2 on the full grid; the stall stop presumes
+        # m <= 2, so the restart reruns on the full grid, and the certificate
+        # is no worse than the stalled candidate
+        checks = []
+        check = gsore_module._grid_check
+        monkeypatch.setattr(gsore_module, "_grid_check",
+                            lambda *args: checks.append(check(*args)) or checks[-1])
+        prob = notched_demo_problem(5e-3, 3.0, 1.05, points=600)
         res = certify(prob, self.SETTINGS)
+        stalled_m = checks[0][2]
+        assert M_BOUND / 2 < stalled_m < M_BOUND
         assert res.certified and res.oracle_cross_check == "pass"
         assert [s["stop"] for s in res.search] == ["stalled"]
-        assert res.search[0]["points"] > _search_set(prob.samples.omega.size).size
-        assert res.m_value <= M_BOUND / 2
+        assert res.search[0]["points"] == prob.samples.omega.size
+        assert res.m_value <= min(stalled_m, M_BOUND / 2)
 
     def test_small_grid_keeps_full_search(self, monkeypatch):
         import resetcert.gsore as gsore_module
