@@ -300,8 +300,33 @@ def cmd_hbeta(args) -> int:
     return 0 if rep.passed else 2
 
 
+def _input_from_cfg(inp_cfg: dict):
+    from .sim import INPUT_KINDS, InputSignal
+
+    kind = inp_cfg.get("kind", "step")
+    if kind not in INPUT_KINDS:
+        raise ConfigError(f"config field simulation.input.kind needs one of "
+                          f"{', '.join(INPUT_KINDS)}, got {kind!r}")
+    terms = []
+    for i, t in enumerate(_list(inp_cfg.get("terms", []), "simulation.input.terms")):
+        term = _numbers(t, f"simulation.input.terms[{i}]")
+        if len(term) != 5:
+            raise ConfigError(f"config field simulation.input.terms[{i}] needs 5 numbers "
+                              f"(amp, power, sigma, omega, phase), got {t!r}")
+        if not (term[1] >= 0 and term[1].is_integer()):
+            raise ConfigError(f"config field simulation.input.terms[{i}][1] needs a "
+                              f"nonnegative integer power, got {t[1]!r}")
+        terms.append(tuple(term))
+    return InputSignal(kind,
+                       amplitude=_number(inp_cfg.get("amplitude", 1.0),
+                                         "simulation.input.amplitude"),
+                       freq=_number(inp_cfg.get("freq", 1.0), "simulation.input.freq"),
+                       phase=_number(inp_cfg.get("phase", 0.0), "simulation.input.phase"),
+                       terms=tuple(terms))
+
+
 def cmd_simulate(args) -> int:
-    from .sim import InputSignal, SimConfig, default_dt, simulate
+    from .sim import SimConfig, default_dt, simulate
 
     cfg = _load_config(args)
     loop = _loop_from(args, cfg)
@@ -309,16 +334,7 @@ def cmd_simulate(args) -> int:
         raise ConfigError("simulation needs a rational plant model")
     element = loop.element
     sim_cfg = _section(cfg, "simulation")
-
-    inp_cfg = _section(sim_cfg, "input", "simulation.input")
-    inp = InputSignal(inp_cfg.get("kind", "step"),
-                      amplitude=_number(inp_cfg.get("amplitude", 1.0),
-                                        "simulation.input.amplitude"),
-                      freq=_number(inp_cfg.get("freq", 1.0), "simulation.input.freq"),
-                      phase=_number(inp_cfg.get("phase", 0.0), "simulation.input.phase"),
-                      terms=tuple(tuple(_numbers(t, f"simulation.input.terms[{i}]"))
-                                  for i, t in enumerate(_list(inp_cfg.get("terms", []),
-                                                              "simulation.input.terms"))))
+    inp = _input_from_cfg(_section(sim_cfg, "input", "simulation.input"))
 
     x0 = sim_cfg.get("x0")
     if x0 is not None:
@@ -340,21 +356,32 @@ def cmd_simulate(args) -> int:
 
     if not args.out:
         raise ConfigError("simulate needs --out for the trace CSV")
+    summary = {}
     for suffix, a_rho in runs:
         cl = loop.closed_loop(a_rho)
         dt = _number(sim_cfg.get("dt", default_dt(cl, input=inp)), "simulation.dt")
+        if not dt > 0:
+            raise ConfigError(f"config field simulation.dt needs a positive number, got {dt!r}")
         t_end = _number(sim_cfg.get("t_end", 2000 * dt), "simulation.t_end")
+        if not t_end > dt:
+            raise ConfigError(f"config field simulation.t_end needs a number above "
+                              f"dt = {dt!r}, got {t_end!r}")
         if x0 is not None and x0.size != cl.order:
             raise ConfigError(f"config field simulation.x0 needs {cl.order} entries, "
                               f"got {x0.size}")
         lam = sim_cfg.get("lambda")
-        run_cfg = SimConfig(cl, dt=dt, t_end=t_end,
-                            lam=None if lam is None else _number(lam, "simulation.lambda"),
-                            input=inp, x0=x0)
-        trace = simulate(run_cfg)
+        if lam is not None:
+            lam = _number(lam, "simulation.lambda")
+            if not lam >= 0:
+                raise ConfigError(f"config field simulation.lambda needs a nonnegative "
+                                  f"number, got {lam!r}")
+        trace = simulate(SimConfig(cl, dt=dt, t_end=t_end, lam=lam, input=inp, x0=x0))
         base, ext = os.path.splitext(args.out)
         trace.save_csv(f"{base}{suffix}{ext}" if suffix else args.out)
+        summary[suffix] = trace.counters()
 
+    if args.summary:
+        _emit_json(summary, args.summary)
     if args.nsv_out:
         _, nsv = nsv_grid_samples(loop.plant, loop.c_l1, loop.c_l2, loop.c_s, element,
                                   variant=loop.variant, points=args.grid_points)
@@ -389,7 +416,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("classify", parents=[common]).set_defaults(fn=cmd_classify)
     sub.add_parser("gsore-check", parents=[common]).set_defaults(fn=cmd_gsore)
     sub.add_parser("hbeta", parents=[common]).set_defaults(fn=cmd_hbeta)
-    sub.add_parser("simulate", parents=[common]).set_defaults(fn=cmd_simulate)
+    simulate = sub.add_parser("simulate", parents=[common])
+    simulate.add_argument("--summary", help="write the event counters of each run as JSON")
+    simulate.set_defaults(fn=cmd_simulate)
     conv = sub.add_parser("frf-convert", parents=[common])
     conv.add_argument("--to", choices=["complex", "magphase"], default="complex")
     conv.set_defaults(fn=cmd_frf_convert)

@@ -543,17 +543,28 @@ def _ratio_at(problem: GsoreProblem, params, omega):
                   params)
 
 
+class _Unbounded(Exception):
+    """The ratio is +inf off-grid: d1 or d2 is not positive there."""
+
+
 def _refined_sup(problem: GsoreProblem, ratio, params) -> float:
     """Supremum of the per-sample ``ratio`` on the problem's grid, sharpened
-    around the argmax."""
+    around the argmax; +inf as soon as a probe finds the ratio unbounded."""
     i = int(np.argmax(ratio))
     m = float(ratio[i])
     w = problem.samples.omega
     if np.isfinite(m) and 0 < i < w.size - 1 and w[i - 1] > 0.0:
-        res = minimize_scalar(
-            lambda t: -float(_ratio_at(problem, params, np.exp(t))[0]),
-            bounds=(np.log(w[i - 1]), np.log(w[i + 1])), method="bounded",
-            options={"xatol": 1e-6})
+        def negative_ratio(t):
+            r = float(_ratio_at(problem, params, np.exp(t))[0])
+            if r == np.inf:
+                raise _Unbounded
+            return -r
+
+        try:
+            res = minimize_scalar(negative_ratio, bounds=(np.log(w[i - 1]), np.log(w[i + 1])),
+                                  method="bounded", options={"xatol": 1e-6})
+        except _Unbounded:
+            return np.inf
         m = max(m, float(-res.fun))
     return m
 

@@ -11,12 +11,17 @@ autonomous system z' = F z, so between resets z(t + h) = expm(F h) z
 - F is balanced once per run by an exact power-of-two diagonal scaling.
   Exponentials come from scaling and squaring of a Padé approximant (numpy
   only).
-- Grid samples are propagated in chunks from the stacked powers
-  expm(F j dt), j = 0..CHUNK, one matrix product per chunk.  A chunk is cut
-  at the first step whose end values show a sign change of e_r, an extremum
-  of e_r near zero (a sign change of e_r' under equal signs of e_r, which
-  may hide two crossings), or a state-norm overflow.  Sign changes at the
-  rounding level of the propagation are not events.
+- Grid samples come from the stacked powers expm(F j dt), j = 0..CHUNK.
+  A stretch without events is scanned in batches of up to BATCH chunks:
+  the chunk anchors, CHUNK steps apart, are chained through
+  expm(F CHUNK dt), and one matrix product of the anchors with the power
+  stack gives every row of the batch (Moler & Van Loan, SIAM Review 45,
+  2003, method 1).  A batch is cut at the first step whose end values show
+  a sign change of e_r, an extremum of e_r near zero (a sign change of e_r'
+  under equal signs of e_r, which may hide two crossings), or a state-norm
+  overflow.  Sign changes at the rounding level of the propagation from
+  the step's chunk anchor are not events.  After a cut the next batch holds
+  one chunk; each batch that runs uncut doubles the next, up to BATCH.
 - Inside a cut step the flow is the Taylor polynomial of expm(F u) z on
   cells short enough that it is exact to rounding.  e_r = g @ z is sampled
   at SCAN_MARKS marks per cell; in the first sub-interval with a sign change
@@ -49,13 +54,15 @@ OVERFLOW_NORM = 1e12
 CROSSING_REL_TOL = 1e-9     # |e_r| tolerance relative to its running peak
 JUMP_GUARD_REL = 1e-12      # (I - A_rho_bar) x threshold relative to |x|
 BISECT_REL = 1e-10          # crossing-time resolution relative to dt
-CHUNK = 128                 # grid steps propagated per matrix product
+CHUNK = 128                 # grid steps between chained anchors
+BATCH = 16                  # most chunks scanned by one matrix product
 TAYLOR_ORDER = 18           # on cells with |F h|_1 <= 1 the tail is < 1/19!
 MAX_EVENTS_PER_STEP = 8
 SCAN_MARKS = 8              # sub-intervals per cell scanned inside a flagged step
 SAMPLES_PER_PERIOD = 40     # default_dt resolution of oscillating inputs
 ROUNDING_REL = 1e-12        # e_r (e_r') below this share of |g|_1 |z|
                             # (|g F|_1 |z|) is rounding of the propagation
+INPUT_KINDS = ("step", "sinusoid", "exppoly", "zero")
 
 
 @dataclass(frozen=True)
@@ -193,6 +200,17 @@ class SimTrace:
     suppressed_tolerance: int = 0
     min_reset_gap: float = math.inf
 
+    def counters(self) -> dict:
+        """The event counters as JSON values; ``min_reset_gap`` is None while
+        fewer than two resets have fired."""
+        return {"steps": self.steps, "crossings": self.crossings,
+                "resets_fired": self.resets_fired, "suppressed_dwell": self.suppressed_dwell,
+                "suppressed_guard": self.suppressed_guard,
+                "suppressed_tolerance": self.suppressed_tolerance,
+                "min_reset_gap": (self.min_reset_gap if math.isfinite(self.min_reset_gap)
+                                  else None),
+                "diverged": bool(self.diverged)}
+
     def save_csv(self, path):
         n = self.states.shape[1]
         header = "t," + ",".join(f"x_{i + 1}" for i in range(n)) + ",y,e_r,reset_flag"
@@ -317,8 +335,8 @@ def _bracketed_root(p, dp, lo, hi, f_lo, f_hi, tol):
 
 class _Flow:
     """The loop augmented with its input generators, in balanced coordinates
-    z_b = z / d: chunk powers of Phi = expm(F dt) and the Taylor vectors
-    (F h)^j / j! of the cell length h = dt / cells."""
+    z_b = z / d: the powers 0..CHUNK of Phi = expm(F dt) and the Taylor
+    vectors (F h)^j / j! of the cell length h = dt / cells."""
 
     def __init__(self, config: SimConfig):
         sys_ = config.system
@@ -337,7 +355,8 @@ class _Flow:
         self.n, self.nx, self.dx = n, nx, d[:nx]
         self.g = g * d                              # e_r = g @ z_b
         self.g_dot = self.g @ f                     # e_r' = g_dot @ z_b
-        self.g_and_dot = np.column_stack([self.g, self.g_dot])
+        self.unbalance = np.eye(n, nx) * d[:nx]     # x = z_b @ unbalance
+        self.norm_weights = np.column_stack([np.ones(n), np.eye(n, nx) @ d[:nx] ** 2])
         # rounding of the propagated state is about eps |z| per entry
         self.e_floor = ROUNDING_REL * float(np.abs(self.g).sum())
         self.de_floor = ROUNDING_REL * float(np.abs(self.g_dot).sum())
@@ -355,24 +374,40 @@ class _Flow:
             terms.append(terms[-1] @ f * (self.cell / j))
         self.taylor = np.concatenate(terms)
         self.orders = np.arange(TAYLOR_ORDER + 1)
-        self.marks = np.arange(1, SCAN_MARKS + 1) / SCAN_MARKS
-        self.mark_powers = self.marks[:, None] ** self.orders
+        # scan edges 0, 1/SCAN_MARKS, ..., 1 of a cell and their powers
+        self.edges = [j / SCAN_MARKS for j in range(SCAN_MARKS + 1)]
+        self.edge_powers = self.powers_at(self.edges)
         # stacked coefficients of a polynomial and of its derivative
         self.value_and_slope = np.vstack([np.eye(TAYLOR_ORDER + 1),
                                           np.diag(self.orders[1:], 1)])
         # each power straight from the exponential, so a chunk's error does
-        # not grow with its length
-        steps = dt * np.arange(CHUNK + 1)
-        self.powers = expm(f * steps[:, None, None]).reshape((CHUNK + 1) * n, n)
+        # not grow with its length: z @ stack holds the states after
+        # 0..CHUNK steps from z, one block of n entries each
+        powers = expm(f * (dt * np.arange(CHUNK + 1))[:, None, None])
+        self.stack = powers.transpose(2, 0, 1).reshape(n, (CHUNK + 1) * n)
+        self.leap = powers[CHUNK].T                 # z @ leap: CHUNK steps on
 
-    def chunk(self, z, m):
-        """Balanced states after 0..m grid steps from z, one row each."""
-        return (self.powers[:(m + 1) * self.n] @ z).reshape(m + 1, self.n)
+    def rows(self, z, chunks):
+        """Balanced states after 0..CHUNK grid steps from each of ``chunks``
+        anchors, shape (chunks, CHUNK + 1, n).  The first anchor is z and
+        each next one is the last row of the chunk before it, chained through
+        the CHUNK-th power; one product with the power stack gives the rest."""
+        anchors = np.empty((chunks, self.n))
+        anchors[0] = z
+        for j in range(1, chunks):
+            anchors[j] = anchors[j - 1] @ self.leap
+        zs = (anchors @ self.stack).reshape(chunks, CHUNK + 1, self.n)
+        zs[:-1, CHUNK] = anchors[1:]
+        return zs
 
     def slope(self, z) -> float:
         """e_r' at z, or 0 where it is below its rounding level."""
         de = float(self.g_dot @ z)
         return de if abs(de) > self.de_floor * math.sqrt(z @ z) else 0.0
+
+    def powers_at(self, points):
+        """Powers 0..TAYLOR_ORDER of the given points, one row each."""
+        return np.array(points)[:, None] ** self.orders
 
     def taylor_vectors(self, z):
         """v with z(t + s h) = sum_j s^j v[j] for s in [0, 1]."""
@@ -407,16 +442,10 @@ class _Run:
         for cell in range(flow.cells):
             t_cell = t0 + cell * flow.cell
             start = 0.0                             # cell units
+            edges, powers = flow.edges, flow.edge_powers
             while True:
                 v = flow.taylor_vectors(z)
-                if start == 0.0:
-                    marks, powers = flow.marks, flow.mark_powers
-                else:
-                    marks = flow.marks[flow.marks > start] - start
-                    if marks.size == 0:
-                        marks = np.array([max(0.0, 1.0 - start)])
-                    powers = marks[:, None] ** flow.orders
-                hit, e_end = self._locate(v @ flow.g, marks, powers, e_a, z)
+                hit, e_end = self._locate(v @ flow.g, edges, powers, e_a, z)
                 if hit is None or events == MAX_EVENTS_PER_STEP:
                     z, e_a = powers[-1] @ v, e_end
                     break
@@ -425,26 +454,27 @@ class _Run:
                 z = s ** flow.orders @ v
                 start += s
                 jumped |= self._crossing(t_cell + start * flow.cell, z, e_a)
+                edges = [0.0] + ([m - start for m in flow.edges if m > start]
+                                 or [max(0.0, 1.0 - start)])
+                powers = flow.powers_at(edges)
         return z, jumped, e_a
 
-    def _locate(self, p, marks, powers, e_a, z):
+    def _locate(self, p, edges, powers, e_a, z):
         """First crossing of e_r(s) = sum_j p[j] s^j (Taylor coefficients
-        from z, s in cell units) on [0, marks[-1]].
+        from z, s in cell units) on [0, edges[-1]].
 
-        The polynomial is sampled at the scan marks (``powers`` holds their
+        The polynomial is sampled at the scan edges (``powers`` holds their
         powers 0..TAYLOR_ORDER); the first sub-interval with a sign change of
         e_r, or with an extremum between equal signs (a sign change of e_r')
         that passes zero, holds the crossing.  Sign changes within the
         rounding level of e_r or e_r' are not crossings.  Returns ((s, e_r(s))
-        just past the crossing, or None) and e_r at marks[-1].
+        just past the crossing, or None) and e_r at edges[-1].
         """
         flow = self.flow
         coefs = (flow.value_and_slope @ p).reshape(2, -1)   # e_r and e_r'
-        e_samples, de_samples = coefs @ powers.T
-        e = [e_a] + e_samples.tolist()
-        de = [float(coefs[1, 0])] + de_samples.tolist()
-        edges = [0.0] + marks.tolist()
-        self.e_peak = max(self.e_peak, max(map(abs, e)))
+        e, de = (coefs @ powers.T).tolist()
+        e[0] = e_a
+        self.e_peak = max(self.e_peak, max(e), -min(e))
         z_norm = math.sqrt(z @ z)
         e_floor = flow.e_floor * z_norm
         de_floor = flow.de_floor * flow.cell * z_norm
@@ -474,12 +504,12 @@ class _Run:
     def _crossing(self, t, z, e_r) -> bool:
         """Apply the jump rule at a located crossing; z is updated in place."""
         self.crossings += 1
-        x = z[:self.flow.nx] * self.flow.dx
         if t - self.last_reset < self.lam:
             self.dwell += 1
             return False
-        if not (np.linalg.norm(self.i_minus_rho @ x)
-                > JUMP_GUARD_REL * max(np.linalg.norm(x), 1.0)):
+        x = z[:self.flow.nx] * self.flow.dx
+        moved = self.i_minus_rho @ x
+        if not math.sqrt(moved @ moved) > JUMP_GUARD_REL * max(math.sqrt(x @ x), 1.0):
             self.guard += 1
             return False
         if abs(e_r) > max(CROSSING_REL_TOL * self.e_peak, 1e-300):
@@ -511,49 +541,56 @@ def _propagate(config: SimConfig, jumps: bool) -> SimTrace:
     max_norm = float(np.linalg.norm(config.x0))
     diverged = False
     k = 0
+    chunks = 1
     while k < n_steps:
-        m = min(CHUNK, n_steps - k)
-        zs = flow.chunk(z, m)                       # row 0 is z itself
-        xs = zs[1:, :nx] * dx
-        sq_norms = np.einsum("ij,ij->i", xs, xs)
-        ed = zs @ flow.g_and_dot
-        ed[0] = e_prev, de_prev
-        e, de = ed[:, 0], ed[:, 1]
+        m = min(chunks * CHUNK, n_steps - k)
+        zs = flow.rows(z, chunks)
+        # the samples in time order, one row each; the last row of a chunk
+        # and the first of the next are the same state, so transition t
+        # (rows t -> t + 1) is step t - t // (CHUNK + 1) from z, or no step
+        # at all and then no event
+        flat = zs.reshape(-1, flow.n)
+        e, de = flat @ flow.g, flat @ flow.g_dot
+        e[0], de[0] = e_prev, de_prev
+        z_sq, x_sq = ((flat * flat) @ flow.norm_weights).T
         cut = m
         if jumps:
             # sign changes within the rounding level of the propagation from
-            # z are no events
-            z_norm = math.sqrt(z @ z)
-            e_abs = np.abs(e)
-            e_ok = e_abs > flow.e_floor * z_norm
-            de = np.where(np.abs(de) > flow.de_floor * z_norm, de, 0.0)
+            # the chunk's anchor are no events
+            scale = np.sqrt(z_sq[::CHUNK + 1]).repeat(CHUNK + 1)[:-1]
+            e_abs, de_abs = np.abs(e), np.abs(de)
             turn = e[:-1] * e[1:]
+            crossing = (turn < 0.0) & (np.maximum(e_abs[:-1], e_abs[1:]) > flow.e_floor * scale)
             # an extremum inside a step lies within dip * |z| of the nearer
             # end value, so only a small e_r there can hide two crossings
-            near_zero = (np.minimum(e_abs[:-1], e_abs[1:])
-                         <= flow.dip * np.sqrt(np.einsum("ij,ij->i", zs[:-1], zs[:-1])))
-            stop = np.flatnonzero(((turn < 0.0) & (e_ok[:-1] | e_ok[1:]))
-                                  | ((turn > 0.0) & (de[:-1] * de[1:] < 0.0) & near_zero)
-                                  | ~(sq_norms <= OVERFLOW_NORM**2))
-            cut = int(stop[0]) if stop.size else m
-            if cut:
-                run.e_peak = max(run.e_peak, float(np.max(e_abs[1:cut + 1])))
+            extremum = ((turn > 0.0) & (de[:-1] * de[1:] < 0.0)
+                        & (np.minimum(de_abs[:-1], de_abs[1:]) > flow.de_floor * scale)
+                        & (np.minimum(e_abs[:-1], e_abs[1:]) <= flow.dip * np.sqrt(z_sq[:-1])))
+            stop = (crossing | extremum | ~(x_sq[1:] <= OVERFLOW_NORM**2)).nonzero()[0]
+            if stop.size:
+                cut = min(int(stop[0]) - int(stop[0]) // (CHUNK + 1), m)
         if cut:
-            e_prev, de_prev = float(e[cut]), float(de[cut])
-            states[k + 1:k + 1 + cut] = xs[:cut]
-            e_sig[k + 1:k + 1 + cut] = e[1:cut + 1]
-            max_norm = max(max_norm, math.sqrt(np.max(sq_norms[:cut])))
-            z = zs[cut]
+            last = cut + (cut - 1) // CHUNK         # the row after step cut
+            run.e_peak = max(run.e_peak, float(np.abs(e[1:last + 1]).max()))
+            max_norm = max(max_norm, math.sqrt(x_sq[1:last + 1].max()))
+            # x = z[:nx] * dx as one product: dx holds powers of two, so it is exact
+            np.matmul(zs[:, 1:].reshape(-1, flow.n)[:cut], flow.unbalance,
+                      out=states[k + 1:k + 1 + cut])
+            e_sig[k + 1:k + 1 + cut] = e.reshape(chunks, -1)[:, 1:].ravel()[:cut]
+            z, e_prev, de_prev = flat[last], float(e[last]), float(de[last])
             k += cut
         if cut == m:
+            # no cut: the next batch is twice as long; after a cut, one chunk
+            chunks = min(2 * chunks, BATCH)
             continue
+        chunks = 1
         # the step k -> k + 1 holds a crossing candidate or overflows
         z, jumped, e_prev = run.step(z, times[k], e_prev)
         k += 1
         x = z[:nx] * dx
         states[k], e_sig[k] = x, e_prev
         flags[k] = 1.0 if jumped else 0.0
-        norm = float(np.linalg.norm(x))
+        norm = math.sqrt(x @ x)
         max_norm = max(max_norm, norm)
         if not norm <= OVERFLOW_NORM:
             diverged = True

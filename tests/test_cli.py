@@ -221,6 +221,31 @@ class TestSimulate:
         for g in ("-0.5", "0", "0.5"):
             assert (tmp_path / f"trace_gamma{g}.csv").exists()
 
+    def test_summary_counters_per_run(self, tmp_path):
+        cfg = write_config(tmp_path, {
+            "element": {"kind": "CI", "gamma": 0.0},
+            "blocks": {"plant": {"num": [0.0], "den": [1.0]}},
+            "simulation": {"dt": 1e-3, "t_end": 6 * np.pi, "gamma_sweep": [0.0, 1.0],
+                           "input": {"kind": "sinusoid", "amplitude": 1.0, "freq": 1.0}},
+        })
+        paths = [tmp_path / "a.json", tmp_path / "b.json"]
+        for path in paths:
+            assert run(["simulate", "--config", cfg, "--out", str(tmp_path / "trace.csv"),
+                        "--summary", str(path)]) == 0
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+        summary = json.loads(paths[0].read_text())
+        assert sorted(summary) == ["_gamma0", "_gamma1"]
+        # crossings at k pi: gamma = 0 resets at each, the identity reset is
+        # suppressed by the guard at each
+        assert summary["_gamma0"] == {
+            "steps": 18849, "crossings": 5, "resets_fired": 5, "suppressed_dwell": 0,
+            "suppressed_guard": 0, "suppressed_tolerance": 0,
+            "min_reset_gap": summary["_gamma0"]["min_reset_gap"], "diverged": False}
+        assert abs(summary["_gamma0"]["min_reset_gap"] - np.pi) <= 1e-9
+        assert summary["_gamma1"]["suppressed_guard"] == 5
+        assert summary["_gamma1"]["resets_fired"] == 0
+        assert summary["_gamma1"]["min_reset_gap"] is None
+
     def test_nsv_out_monotone(self, tmp_path):
         cfg = write_config(tmp_path, {
             "element": {"kind": "SOSRE", "omega_r": 2.0, "xi": 1.0, "gamma": 0.5},
@@ -303,8 +328,25 @@ class TestMalformedLoopInput:
          "simulation.input.terms[0][1]"),
         ("classify", lead_shaped(c_l1={"template": "cglp_pid", "params": [1]}),
          "template params"),
+        ("simulate", lead_shaped(top={"simulation": {"dt": 0.01, "t_end": 1.0,
+                                                     "input": {"kind": "foo"}}}),
+         "simulation.input.kind"),
+        ("simulate", lead_shaped(top={"simulation": {"dt": -0.01, "t_end": 1.0}}),
+         "simulation.dt"),
+        ("simulate", lead_shaped(top={"simulation": {"dt": 0.01, "t_end": 0.01}}),
+         "simulation.t_end"),
+        ("simulate", lead_shaped(top={"simulation": {"dt": 0.01, "t_end": 1.0,
+                                                     "lambda": -1.0}}), "simulation.lambda"),
+        ("simulate", lead_shaped(top={"simulation": {"dt": 0.01, "t_end": 1.0, "input": {
+            "kind": "exppoly", "terms": [[1, 0.5, 0, 0, 0]]}}}),
+         "simulation.input.terms[0][1]"),
+        ("simulate", lead_shaped(top={"simulation": {"dt": 0.01, "t_end": 1.0, "input": {
+            "kind": "exppoly", "terms": [[1, 0, 0, 0, 0], [1, 0]]}}}),
+         "simulation.input.terms[1]"),
     ], ids=["text-x0", "number-candidate", "text-optimizer", "number-input",
-            "number-gamma-sweep", "text-term", "list-template-params"])
+            "number-gamma-sweep", "text-term", "list-template-params", "unknown-input-kind",
+            "negative-dt", "t-end-not-above-dt", "negative-lambda", "fractional-power",
+            "short-term"])
     def test_malformed_section_names_the_field(self, tmp_path, capsys, command, cfg, field):
         path = write_config(tmp_path, cfg)
         assert run([command, "--config", path, "--out", str(tmp_path / "out"),

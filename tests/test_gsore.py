@@ -384,10 +384,12 @@ def notched_demo_problem(zeta, omega_z, ratio, points=2000):
 class TestExchange:
     SETTINGS = OptimizerSettings(population=80, generations=150, restarts=2, seed=0)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_exchange_round_fires(self):
         # the 121-sample working set misses the notch: the first candidate's
         # sup ratio is unbounded next to it on the full grid, so the restart
-        # reruns on all of it
+        # reruns on all of it; the unbounded ratio ends the off-grid
+        # refinement before it reaches the optimizer's arithmetic
         prob = notched_demo_problem(1e-3, 25.0, 0.98, points=600)
         n = prob.samples.omega.size
         res = certify(prob, self.SETTINGS)

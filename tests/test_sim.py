@@ -4,6 +4,8 @@ import pytest
 from resetcert.elements import clegg, gfore, gsore, realization
 from resetcert.lti import assemble_closed_loop, tf
 from resetcert.sim import (
+    BATCH,
+    CHUNK,
     InputSignal,
     SimConfig,
     default_dt,
@@ -70,6 +72,48 @@ class TestClosedFormOracle:
         assert len(tr.reset_instants) == 5
         for i, t in enumerate(tr.reset_instants, start=1):
             assert abs(t - i * np.pi) <= 1e-9
+
+
+class TestBatchedScan:
+    def test_crossing_late_in_the_largest_batch(self):
+        # after each crossing the scan runs batches of 1, 2, 4, ..., BATCH chunks
+        # (2 BATCH - 1 chunks in all); with crossings every 2 BATCH - 2.5
+        # chunks each falls 1.5 chunks before the end of a full-size batch
+        dt = np.pi / (CHUNK * (2 * BATCH - 2.5))
+        cl = open_loop_ci(0.0)
+        tr = simulate(SimConfig(cl, dt=dt, t_end=5.5 * np.pi, input=sinusoid_input(1.0, 1.0)))
+        k = np.floor(tr.times / np.pi + 1e-12)
+        exact = (-1.0) ** k - np.cos(tr.times)
+        assert np.max(np.abs(tr.states[:, 0] - exact)) <= 1e-12
+        assert len(tr.reset_instants) == 5
+        for i, t in enumerate(tr.reset_instants, start=1):
+            assert abs(t - i * np.pi) <= 1e-9
+
+    def test_reset_free_run_ends_inside_a_batch(self):
+        # e_r = r = 1 + sin(t)/2 > 0 never crosses, so x = t + (1 - cos t)/2
+        # comes from the batched scan alone; the run ends inside a batch and
+        # inside a chunk
+        cl = open_loop_ci(0.0)
+        signal = InputSignal("exppoly", terms=((1.0, 0, 0.0, 0.0, 0.0),
+                                               (0.5, 0, 0.0, 1.0, -np.pi / 2)))
+        n_steps = 3 * BATCH * CHUNK + CHUNK // 2 + 17
+        tr = simulate(SimConfig(cl, dt=0.01, t_end=n_steps * 0.01, input=signal))
+        assert tr.steps == n_steps and tr.crossings == 0
+        exact = tr.times + 0.5 * (1.0 - np.cos(tr.times))
+        assert np.max(np.abs(tr.states[:, 0] - exact)) <= 1e-12 * np.max(exact)
+
+    def test_sim_ubibs_reset_counts(self, workloads, tmp_path):
+        # resets per sim_ubibs operation at seed 1 (step, sinusoid)
+        expected = {"GFORE0": (0, 64), "GFORE1": (0, 63), "GFORE4": (0, 63),
+                    "PCI22": (552, 448), "PCI41": (592, 321), "PCI43": (520, 383),
+                    "GSORE": (2, 65)}
+        resets = {}
+        for op in workloads.setup_sim_ubibs(1, str(tmp_path)).ops:
+            out = op.run()
+            assert out["failure"] is None and not out["diverged"]
+            resets[out["id"]] = out["resets"]
+        assert resets == {f"sim-{name}-{kind}": count for name, counts in expected.items()
+                          for kind, count in zip(("step", "sinusoid"), counts)}
 
 
 class TestGenerators:

@@ -17,7 +17,12 @@ Groups, all built from the benchmark's inputs in ``bench/workloads.py``:
   certified, oracle, rank), so a search change that moves m and q but no
   verdict reads as equal;
 - ``cli``: exit code and the ``--out``/``--nsv-out`` bytes of every
-  ``cli_inputs`` command for seeds 1-3, run in-process.
+  ``cli_inputs`` command for seeds 1-3, run in-process;
+- ``sim``: the integer event counters (steps, crossings, resets fired, the
+  three suppression counts) and the diverged flag of every
+  ``setup_sim_ubibs`` operation for seeds 1-3.  States and instants are
+  left out, so a change of rounding leaves the line alone while any
+  changed reset decision moves it.
 
 Run it on two checkouts and compare the lines.
 """
@@ -32,6 +37,7 @@ import json
 import os
 import sys
 import tempfile
+from unittest import mock
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "bench")]
@@ -39,11 +45,12 @@ sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "bench")]
 import numpy as np  # noqa: E402
 
 import workloads as wl  # noqa: E402
-from resetcert import cli, gsore, nsv  # noqa: E402
+from resetcert import cli, gsore, nsv, sim  # noqa: E402
 
 FO_SEEDS = (1, 7)
 GSORE_SCALES = (0.3, 1.0, 4.0)
 CLI_SEEDS = (1, 2, 3)
+SIM_SEEDS = (1, 2, 3)
 
 
 def _hex(x):
@@ -122,9 +129,32 @@ def cli_digest() -> str:
     return h.hexdigest()
 
 
+def sim_digest() -> str:
+    h = hashlib.sha1()
+    traces = []
+    simulate = sim.simulate
+
+    def recorded(config):
+        traces.append(simulate(config))
+        return traces[-1]
+
+    with mock.patch.object(sim, "simulate", recorded), tempfile.TemporaryDirectory() as work:
+        for seed in SIM_SEEDS:
+            for op in wl.setup_sim_ubibs(seed, work).ops:
+                traces.clear()
+                out = op.run()              # a failure is part of the verdict
+                head = [seed, out["id"], out["failure"]]
+                head += [[tr.steps, tr.crossings, tr.resets_fired, tr.suppressed_dwell,
+                          tr.suppressed_guard, tr.suppressed_tolerance, bool(tr.diverged)]
+                         for tr in traces]
+                h.update(json.dumps(head).encode())
+    return h.hexdigest()
+
+
 def main() -> int:
     for name, fn in (("fo", fo_digest), ("gsore", gsore_digest),
-                     ("gsore-verdicts", gsore_verdicts_digest), ("cli", cli_digest)):
+                     ("gsore-verdicts", gsore_verdicts_digest), ("cli", cli_digest),
+                     ("sim", sim_digest)):
         print(f"{name} {fn()}", flush=True)
     return 0
 
