@@ -2,7 +2,7 @@
 
 Configurations are JSON files; all angles are radians in JSON output and
 degrees in plot-ready CSV output.  Exit codes: 0 certified/pass, 2 not
-certified or inconclusive, 1 error.
+certified or inconclusive, 1 error (a usage error included).
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import numpy as np
 from . import elements
 from .elements import ResetElement
 from .errors import ConfigError, ResetCertError
-from .frf import Loop, load_frf, save_frf
+from .frf import GRID_POINTS, Loop, load_frf, save_frf
 from .hbeta import HbetaCandidate, search_candidate_scalar, spr_check_scalar
 from .lti import RationalTF, tf
 from .nsv import certify_first_order, nsv_grid_samples
@@ -399,40 +399,48 @@ def cmd_frf_convert(args) -> int:
     return 0
 
 
+FLAGS = {
+    "--config": dict(help="JSON run configuration"),
+    "--frf": dict(help="measured plant FRF file (CSV)"),
+    "--frf-format": dict(choices=["complex", "magphase"], default="complex"),
+    "--seed": dict(type=int, default=0),
+    "--grid-points": dict(type=int, default=GRID_POINTS),
+    "--asymptote": dict(help="declared low,high loop slopes for FRF plants"),
+    "--out": dict(help="output path (JSON or CSV per command)"),
+    "--nsv-out": dict(help="write (omega, angle) CSV in degrees"),
+    "--summary": dict(help="write the event counters of each run as JSON"),
+    "--to": dict(choices=["complex", "magphase"], default="complex"),
+}
+LOOP_FLAGS = ("--config", "--frf", "--frf-format", "--grid-points", "--out")
+COMMANDS = {        # each command takes only the flags it reads
+    "classify": (cmd_classify, LOOP_FLAGS + ("--asymptote", "--nsv-out")),
+    "gsore-check": (cmd_gsore, LOOP_FLAGS + ("--seed",)),
+    "hbeta": (cmd_hbeta, LOOP_FLAGS),
+    "simulate": (cmd_simulate, LOOP_FLAGS + ("--nsv-out", "--summary")),
+    "frf-convert": (cmd_frf_convert, ("--frf", "--frf-format", "--to", "--out")),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="resetcert",
                                 description="Stability certification for reset control loops")
     sub = p.add_subparsers(dest="command", required=True)
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="JSON run configuration")
-    common.add_argument("--frf", help="measured plant FRF file (CSV)")
-    common.add_argument("--frf-format", choices=["complex", "magphase"], default="complex")
-    common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--grid-points", type=int, default=2000)
-    common.add_argument("--asymptote", help="declared low,high loop slopes for FRF plants")
-    common.add_argument("--out", help="output path (JSON or CSV per command)")
-    common.add_argument("--nsv-out", help="write (omega, angle) CSV in degrees")
-
-    sub.add_parser("classify", parents=[common]).set_defaults(fn=cmd_classify)
-    sub.add_parser("gsore-check", parents=[common]).set_defaults(fn=cmd_gsore)
-    sub.add_parser("hbeta", parents=[common]).set_defaults(fn=cmd_hbeta)
-    simulate = sub.add_parser("simulate", parents=[common])
-    simulate.add_argument("--summary", help="write the event counters of each run as JSON")
-    simulate.set_defaults(fn=cmd_simulate)
-    conv = sub.add_parser("frf-convert", parents=[common])
-    conv.add_argument("--to", choices=["complex", "magphase"], default="complex")
-    conv.set_defaults(fn=cmd_frf_convert)
+    for name, (fn, flags) in COMMANDS.items():
+        cmd = sub.add_parser(name)
+        for flag in flags:
+            cmd.add_argument(flag, **FLAGS[flag])
+        cmd.set_defaults(fn=fn)
     return p
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:       # from argparse: 0 after --help, else a usage error
+        return 1 if exc.code else 0
     try:
         return args.fn(args)
-    except ResetCertError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
+    except (ResetCertError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -13,12 +13,15 @@ from functools import cached_property
 import numpy as np
 
 from .elements import ResetElement, base_tf, realization
-from .errors import ConfigError, EmptyTable, NonMonotoneFrequency, OutOfBand, ParseError
+from .errors import (ConfigError, EmptyTable, GridTooSparse, NonMonotoneFrequency, OutOfBand,
+                     ParseError)
 from .lti import (ClosedLoop, RationalTF, assemble_closed_loop, end_term, evaluate,
                   leading_coefficients, relative_degree, series, tf)
 
 TWO_PI = 2.0 * np.pi
 MIN_GRID_POINTS = 32    # fewest base grid points a certifier reads a loop from
+GRID_POINTS = 2000      # base grid points of a verdict unless the caller asks otherwise
+GRID_PAD_DECADES = 2.0  # a rational loop's grid reaches this far past its features
 
 
 @dataclass(frozen=True)
@@ -242,6 +245,27 @@ class Loop:
             return None
         num = end_term(self.p_lin.num, "lo")
         return max(0, end_term(self.p_lin.den, "lo")[0] - num[0]) if num else 0
+
+    def grid(self, points: int = GRID_POINTS) -> np.ndarray:
+        """The log-spaced base grid every verdict reads this loop on.
+
+        A measured table's grid spans its band.  A rational loop's grid spans
+        the pole and zero magnitudes of G, C_L1, C_L2, C_s and C_R and the
+        corner omega_r (1 for CI), padded by GRID_PAD_DECADES on each side;
+        roots at the origin have no magnitude and are left out.
+        """
+        if points < MIN_GRID_POINTS:
+            raise GridTooSparse(f"{points} grid points; a verdict needs at least "
+                                f"{MIN_GRID_POINTS}")
+        if not self.rational:
+            lo, hi = self.plant.band
+            return np.logspace(np.log10(lo), np.log10(hi), points)
+        feats = [self.element.omega_r if self.element.kind != "CI" else 1.0]
+        for block in (self.plant, self.c_l1, self.c_l2, self.c_s, self.c_r):
+            roots = np.concatenate([block.poles(), block.zeros()])
+            feats += [m for m in map(abs, roots) if m > 1e-9]
+        return np.logspace(np.log10(min(feats)) - GRID_PAD_DECADES,
+                           np.log10(max(feats)) + GRID_PAD_DECADES, points)
 
     def samples(self, grid) -> LoopSamples:
         """L, Cs and C_R on ``grid``; Cs enters L under the modified architecture."""

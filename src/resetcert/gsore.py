@@ -22,11 +22,10 @@ import numpy as np
 from scipy.optimize import differential_evolution, minimize_scalar
 
 from .elements import ResetElement, reset_matrix_condition
-from .errors import DomainError, GridTooSparse, NotPositiveDefinite
-from .frf import MIN_GRID_POINTS, Loop, LoopSamples
+from .errors import DomainError, NotPositiveDefinite
+from .frf import GRID_POINTS, Loop, LoopSamples
 from .hbeta import HbetaCandidate, limit_matrix_infinity, limit_matrix_zero, spr_check_matrix
 from .lti import RationalTF, controllability_observability
-from .nsv import feature_band
 
 M_BOUND = 4.0
 M_SLACK = 1e-6          # M < 4 is tested as m <= 4 - M_SLACK
@@ -165,10 +164,6 @@ class GsoreProblem:
             raise DomainError(f"reset factors ({g1}, {g2}) outside (-1, 1)")
         if self.element.omega_r <= 0 or self.element.xi <= 0:
             raise DomainError("omega_r and xi must be positive")
-        if self.samples.omega.size < MIN_GRID_POINTS:
-            raise GridTooSparse("certification needs a denser frequency grid")
-        if self.origin_pole and self.samples.omega[0] <= 0.0:
-            raise DomainError("origin-pole certification uses an open grid (w > 0)")
 
     @property
     def element(self) -> ResetElement:
@@ -187,31 +182,26 @@ class GsoreProblem:
 
 
 def gsore_problem(element: ResetElement, c_l1: RationalTF, c_l2: RationalTF,
-                  plant, c_s: RationalTF | None = None, points: int = 2000,
+                  plant, c_s: RationalTF | None = None, points: int = GRID_POINTS,
                   origin_pole: bool | None = None, k_n: float | None = None,
                   n_minus_m: int | None = None) -> GsoreProblem:
     """Assemble a certification problem from loop blocks.
 
-    k_s0 = Cs(0) always comes from the loop.  A rational plant gives
-    origin_pole, k_n and n_minus_m too, and passing any of them raises
-    DomainError; a measured plant needs origin_pole and n_minus_m, and its
-    k_n defaults to 0.
+    The grid is ``Loop.grid(points)``, with w = 0 prepended for a rational
+    loop without an origin pole.  k_s0 = Cs(0) always comes from the loop.
+    A rational plant gives origin_pole, k_n and n_minus_m too, and passing
+    any of them raises DomainError; a measured plant needs origin_pole and
+    n_minus_m, and its k_n defaults to 0.
     """
     loop = Loop(element, c_l1, c_l2, plant, c_s)
-    wr = element.omega_r
     if loop.rational:
         if any(v is not None for v in (origin_pole, k_n, n_minus_m)):
             raise DomainError("rational plant: the blocks give origin_pole, k_n and n_minus_m")
         origin_pole, k_n, n_minus_m = loop.origin_poles > 0, loop.k_n, loop.n_minus_m
-        lo_f, hi_f = feature_band(plant, c_l1, c_l2, loop.c_s, loop.c_r, extra=(wr,))
-        lo = 1e-4 * wr if origin_pole else min(lo_f * 1e-2, 1e-4 * wr)
-        hi = max(hi_f, wr) * 1e2
-    else:
-        if origin_pole is None or n_minus_m is None:
-            raise DomainError("measured plant: origin_pole and n_minus_m are required")
-        lo, hi = plant.band
-        k_n = 0.0 if k_n is None else k_n
-    grid = np.logspace(np.log10(lo), np.log10(hi), points)
+    elif origin_pole is None or n_minus_m is None:
+        raise DomainError("measured plant: origin_pole and n_minus_m are required")
+    k_n = 0.0 if k_n is None else k_n
+    grid = loop.grid(points)
     if loop.rational and not origin_pole:
         grid = np.concatenate([[0.0], grid])    # closed interval at w = 0
     return GsoreProblem(loop, loop.samples(grid), float(loop.k_s0), float(k_n),

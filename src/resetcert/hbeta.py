@@ -22,7 +22,7 @@ import numpy as np
 from .elements import ResetElement, base_tf, reset_matrix_condition
 from .errors import GridTooSparse, NotPositiveDefinite
 from .frf import Loop, LoopSamples
-from .lti import RationalTF, dc_limit, high_frequency_re_limit, polyadd, polymul, tf
+from .lti import RationalTF, dc_limit, high_frequency_re_limit, polymul, polysum, tf
 
 MARGIN = 1e-9   # strictness margin, relative to the local response scale
 
@@ -71,18 +71,15 @@ def build_h_scalar(p_lin: RationalTF, element: ResetElement, c_s: RationalTF,
     ns, ds = c_s.num, c_s.den
     if variant == "modified":
         # loop is L' = C_R * P * Cs; H = N_R (b' Nt + r' Dt) Ds / (Dr Dt Ds + Nr Nt Ns)
-        num = polymul(nr, polymul(ds, polyadd(beta_prime * np.asarray(nt),
-                                              rho_prime * np.asarray(dt))))
-        den = polyadd(polymul(polymul(dr, dt), ds), polymul(polymul(nr, nt), ns))
+        num = polymul(nr, polymul(ds, polysum((nt, [beta_prime]), (dt, [rho_prime]))))
+        den = polysum((polymul(dr, dt), ds), (polymul(nr, nt), ns))
         return RationalTF(num, den)
+    rho_tap = polymul(dt, ds)
     if element.kind == "SOSRE":
         # only the first state resets: the rho tap rides on s * C_R
-        rho_term = rho_prime * np.asarray(polymul([0.0, 1.0], polymul(dt, ds)))
-    else:
-        rho_term = rho_prime * np.asarray(polymul(dt, ds))
-    beta_term = beta_prime * np.asarray(polymul(nt, ns))
-    num = polymul(nr, polyadd(beta_term, rho_term))
-    den = polymul(ds, polyadd(polymul(dr, dt), polymul(nr, nt)))
+        rho_tap = polymul([0.0, 1.0], rho_tap)
+    num = polymul(nr, polysum((polymul(nt, ns), [beta_prime]), (rho_tap, [rho_prime])))
+    den = polymul(ds, polysum((dr, dt), (nr, nt)))
     return RationalTF(num, den)
 
 

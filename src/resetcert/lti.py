@@ -2,7 +2,8 @@
 
 Polynomials are real coefficient arrays in ascending powers of s, e.g.
 ``[1.0, 2.0, 1.0]`` is ``1 + 2s + s^2``.  Trailing (high-order) zeros are
-stripped on construction so degrees are canonical.
+stripped on construction, and sums strip the rounding noise of their
+leading terms (``polysum``), so degrees are canonical.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from .errors import (
     NormalizationError,
 )
 
-CANONICAL_RTOL = 1e-12      # trailing-zero strip threshold, relative to max |coeff|
+CANONICAL_RTOL = 1e-12      # rounding-noise threshold of a sum, relative to its terms
 ROOT_MATCH_RTOL = 1e-6      # pole/zero cancellation matching tolerance
 RANK_RTOL = 1e-9            # singular-value threshold for rank tests
 
@@ -29,30 +30,24 @@ RANK_RTOL = 1e-9            # singular-value threshold for rank tests
 # polynomial helpers (ascending coefficients)
 # ---------------------------------------------------------------------------
 
-def canonical(coeffs) -> np.ndarray:
-    """Strip trailing zero and cancellation-noise coefficients.
+def canonical(coeffs, terms=None) -> np.ndarray:
+    """Strip trailing zeros and trailing rounding noise.
 
-    A trailing coefficient is treated as noise only when it is negligible
-    both against the largest coefficient and against its neighbours: wide
-    pole spreads legitimately produce leading coefficients many orders below
-    the peak (they scale like the root-spread to the degree), and stripping
-    those would silently change the relative degree.
+    ``terms`` bounds, per coefficient (or as one scalar), the sum of the
+    magnitudes of the terms whose sum made it; a trailing coefficient at
+    most CANONICAL_RTOL times that is rounding noise of its sum.  A product
+    of canonical polynomials has a single leading term, so however far its
+    leading coefficient sits below the others (wide pole spreads put it many
+    decades down) it is never noise.  ``terms=0`` strips exact zeros only;
+    without ``terms`` the origin is unknown and each coefficient is judged
+    against the largest one.
     """
     c = np.atleast_1d(np.asarray(coeffs, dtype=float))
-    if c.size == 0:
-        return np.zeros(1)
-    while c.size > 1 and c[-1] == 0.0:
-        c = c[:-1]
-    scale = np.abs(c).max()
-    if scale == 0.0:
-        return np.zeros(1)
-    while c.size > 1:
-        neighbor = np.abs(c[max(0, c.size - 3):-1]).max()
-        if abs(c[-1]) <= CANONICAL_RTOL * scale and abs(c[-1]) <= 1e-9 * neighbor:
-            c = c[:-1]
-        else:
-            break
-    return c.copy()
+    mag = np.abs(c)
+    if terms is None:
+        terms = mag.max(initial=0.0)
+    kept = (mag > CANONICAL_RTOL * np.asarray(terms)).nonzero()[0]
+    return c[:kept[-1] + 1].copy() if kept.size else np.zeros(1)
 
 
 def polymul(a, b) -> np.ndarray:
@@ -68,6 +63,18 @@ def polyadd(a, b) -> np.ndarray:
     return out
 
 
+def polysum(*products) -> np.ndarray:
+    """The sum of the polynomial products a*b over the pairs ``products``,
+    with its trailing rounding noise stripped against its terms."""
+    size = max(len(a) + len(b) - 1 for a, b in products)
+    total, bound = np.zeros(size), np.zeros(size)
+    for a, b in products:
+        term = np.convolve(a, b)
+        total[:term.size] += term
+        bound[:term.size] += np.convolve(np.abs(a), np.abs(b))
+    return canonical(total, bound)
+
+
 def polyval_jw(coeffs, omega):
     """Evaluate p(j*omega) by Horner's scheme; omega may be an array."""
     s = 1j * np.asarray(omega, dtype=float)
@@ -75,11 +82,6 @@ def polyval_jw(coeffs, omega):
     for c in np.asarray(coeffs, float)[::-1]:
         acc = acc * s + c
     return acc
-
-
-def is_zero_poly(coeffs) -> bool:
-    c = canonical(coeffs)
-    return c.size == 1 and c[0] == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -94,8 +96,8 @@ class RationalTF:
     den: np.ndarray
 
     def __post_init__(self):
-        num = canonical(self.num)
-        den = canonical(self.den)
+        num = canonical(self.num, 0.0)      # the coefficients are taken as exact
+        den = canonical(self.den, 0.0)
         if den.size == 1 and den[0] == 0.0:
             raise ZeroDivisionError("transfer function denominator is zero")
         object.__setattr__(self, "num", num)
@@ -120,7 +122,7 @@ class RationalTF:
         return self.den.size - 1
 
     def is_zero(self) -> bool:
-        return is_zero_poly(self.num)
+        return self.num.size == 1 and self.num[0] == 0.0
 
     def is_proper(self) -> bool:
         return self.is_zero() or self.degree_num <= self.degree_den
@@ -144,7 +146,7 @@ class RationalTF:
     def __add__(self, other) -> "RationalTF":
         if not isinstance(other, RationalTF):
             other = RationalTF.constant(float(other))
-        num = polyadd(polymul(self.num, other.den), polymul(other.num, self.den))
+        num = polysum((self.num, other.den), (other.num, self.den))
         return RationalTF(num, polymul(self.den, other.den))
 
     def __repr__(self):
@@ -156,8 +158,8 @@ def tf(num, den=(1.0,)) -> RationalTF:
 
 
 def poly_roots(coeffs) -> np.ndarray:
-    """Roots via companion-matrix eigenvalues (numpy.roots on canonical poly)."""
-    c = canonical(coeffs)
+    """Roots via companion-matrix eigenvalues (numpy.roots, trailing zeros stripped)."""
+    c = canonical(coeffs, 0.0)
     if c.size <= 1:
         return np.array([])
     return np.roots(c[::-1])
@@ -290,7 +292,7 @@ def to_transfer_function(ss: StateSpace) -> RationalTF:
         den[n - k] = c
         M = AM + c * np.eye(n)
     num = polyadd(num, float(D[0, 0]) * den)
-    return RationalTF(num, den)
+    return RationalTF(canonical(num), den)     # the recursion leaves noise above deg num
 
 
 # ---------------------------------------------------------------------------
@@ -438,7 +440,7 @@ class StabilityReport:
 
 def base_linear_stability(loop: RationalTF) -> StabilityReport:
     """Closed-loop stability of the unity-feedback loop 1 + L(s) = 0."""
-    char = polyadd(loop.den, loop.num)
+    char = polysum((loop.den, [1.0]), (loop.num, [1.0]))
     roots = poly_roots(char)
     stable = bool(np.all(roots.real < 0.0)) if roots.size else True
     return StabilityReport(stable=stable, poles=roots)
@@ -486,6 +488,33 @@ def minimality_check(loop: RationalTF):
     return hits
 
 
+def balance(a: np.ndarray):
+    """(D^-1 a D, d) with D = diag(d) a power-of-two scaling that brings the
+    off-diagonal row and column 1-norms of each index within a factor of 2
+    (Parlett & Reinsch).  The scaling is exact in floating point."""
+    a = a.copy()
+    d = np.ones(a.shape[0])
+    done = False
+    while not done:
+        done = True
+        for i in range(a.shape[0]):
+            col = float(np.abs(a[:, i]).sum() - abs(a[i, i]))
+            row = float(np.abs(a[i, :]).sum() - abs(a[i, i]))
+            if col == 0.0 or row == 0.0:
+                continue
+            total, f = col + row, 1.0
+            while col < row / 2.0:
+                col, row, f = 2.0 * col, row / 2.0, 2.0 * f
+            while col >= 2.0 * row:
+                col, row, f = col / 2.0, 2.0 * row, f / 2.0
+            if col + row < 0.95 * total:
+                done = False
+                d[i] *= f
+                a[:, i] *= f
+                a[i, :] /= f
+    return a, d
+
+
 def controllability_observability(a, b=None, c=None, rtol: float = RANK_RTOL):
     """Rank tests for controllability of (A, B) and observability of (A, C).
 
@@ -495,19 +524,12 @@ def controllability_observability(a, b=None, c=None, rtol: float = RANK_RTOL):
     the plain Krylov stack loses rank information in double precision once
     the eigenvalue spread exceeds a few decades.
     """
-    from scipy.linalg import matrix_balance  # the rest of lti needs no scipy
-
     a = np.atleast_2d(np.asarray(a, float))
     n = a.shape[0]
-    if n:
-        # diagonal similarity scaling: rank properties are invariant and the
-        # pencil conditioning improves by orders of magnitude
-        a_bal, t = matrix_balance(a)
-        t_inv = np.diag(1.0 / np.diag(t))
-    else:
-        a_bal, t, t_inv = a, np.eye(0), np.eye(0)
-    scale = max(np.linalg.norm(a_bal, 2), 1.0) if n else 1.0
-    a = a_bal
+    # diagonal similarity scaling D^-1 A D: rank properties are invariant and
+    # the pencil conditioning improves by orders of magnitude
+    a, d = balance(a)
+    scale = max(np.linalg.norm(a, 2), 1.0) if n else 1.0
 
     def pencil_full_rank(side, stack_below):
         if n == 0:
@@ -527,13 +549,13 @@ def controllability_observability(a, b=None, c=None, rtol: float = RANK_RTOL):
         b = np.atleast_2d(np.asarray(b, float))
         if b.shape[0] != n:
             raise DimensionMismatch(f"B rows {b.shape[0]} != {n}")
-        b = t_inv @ b
+        b = b / d[:, None]
         ctrb = pencil_full_rank(b / max(np.linalg.norm(b), 1e-300) * scale, False)
     if c is not None:
         c = np.atleast_2d(np.asarray(c, float))
         if c.shape[1] != n:
             raise DimensionMismatch(f"C cols {c.shape[1]} != {n}")
-        c = c @ t
+        c = c * d
         obsv = pencil_full_rank(c / max(np.linalg.norm(c), 1e-300) * scale, True)
     return ctrb, obsv
 
@@ -563,9 +585,7 @@ def real_part_rational(tfn: RationalTF):
     """Even polynomials (P, Q) in w with Re tfn(jw) = P(w)/Q(w), Q > 0."""
     nr, ni = jw_split(tfn.num)
     dr, di = jw_split(tfn.den)
-    p = polyadd(polymul(nr, dr), polymul(ni, di))
-    q = polyadd(polymul(dr, dr), polymul(di, di))
-    return canonical(p), canonical(q)
+    return polysum((nr, dr), (ni, di)), polysum((dr, dr), (di, di))
 
 
 def mirror(tfn: RationalTF) -> RationalTF:
@@ -616,11 +636,3 @@ def high_frequency_re_limit(tfn: RationalTF):
     # excluded, the even-degree bound forces deg p == dq, i.e. a nonzero
     # limit of Re itself; report it unscaled.
     return ("value" if top[0] > dq - 2 else "scaled"), top[1] / cq
-
-
-def log_grid(omega_min: float, omega_max: float, points: int = 2000,
-             pad_decades: float = 2.0) -> np.ndarray:
-    """Log-spaced grid padded beyond the band of interest."""
-    lo = np.log10(omega_min) - pad_decades
-    hi = np.log10(omega_max) + pad_decades
-    return np.logspace(lo, hi, points)

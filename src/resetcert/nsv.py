@@ -13,13 +13,12 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .elements import ResetElement
-from .errors import GridTooSparse, SparseGrid, ZeroShapingFilter
-from .frf import MIN_GRID_POINTS, FrfTable, Loop, LoopSamples
+from .errors import SparseGrid, ZeroShapingFilter
+from .frf import GRID_POINTS, Loop, LoopSamples
 from .lti import (
     RationalTF,
     base_linear_stability,
     end_term,
-    log_grid,
     minimality_check,
     mirror,
     nyquist_stability_from_samples,
@@ -165,8 +164,8 @@ def _condition_list_type2(n_chi, n_ups, theta, eps=SIGN_EPS):
 
 
 def classify(nsv: Nsv, origin_pole: bool = False, k_s0: float = 1.0,
-             element_kind: str = "GFORE", n_minus_m: int | None = None,
-             extra_thetas=(), check_density: bool = True) -> TypeVerdict:
+             element_kind: str = "GFORE", extra_thetas=(),
+             check_density: bool = True) -> TypeVerdict:
     """Type I / Type II verdict from the NSV arrays plus side conditions.
 
     ``extra_thetas`` carries asymptotic angle limits so the min/max covers
@@ -287,23 +286,10 @@ def asymptotic_angles(loop_tf: RationalTF, c_s: RationalTF, c_r: RationalTF,
 # sample generation with refinement near component sign changes
 # ---------------------------------------------------------------------------
 
-def feature_band(*tfs, extra=()):
-    """Frequency band spanned by pole/zero magnitudes of the given blocks."""
-    feats = [abs(x) for x in extra if x]
-    for t in tfs:
-        for r in np.concatenate([t.poles(), t.zeros()]) if not t.is_zero() else []:
-            m = abs(r)
-            if m > 1e-9:
-                feats.append(m)
-    if not feats:
-        feats = [1.0]
-    return min(feats), max(feats)
-
-
 def nsv_grid_samples(plant, c_l1: RationalTF, c_l2: RationalTF, c_s: RationalTF,
                      element: ResetElement, variant: str = "standard",
-                     points: int = 2000, refine: int = REFINE_LEVELS):
-    """Loop samples + NSV arrays on a padded log grid, refined near zero crossings.
+                     points: int = GRID_POINTS, refine: int = REFINE_LEVELS):
+    """Loop samples + NSV arrays on ``Loop.grid``, refined near zero crossings.
 
     Each of at most ``refine`` rounds inserts the geometric midpoint of every
     interval where a component changes sign or the angle jumps by pi/7 or
@@ -311,21 +297,11 @@ def nsv_grid_samples(plant, c_l1: RationalTF, c_l2: RationalTF, c_s: RationalTF,
     round only the two halves of each split interval are tested again.  Only
     the new midpoints are evaluated and the pieces are merged once at the end:
     a sample does not depend on its neighbours, so the result equals a fresh
-    evaluation on the final grid.  Fewer than MIN_GRID_POINTS base points
-    raise GridTooSparse.
+    evaluation on the final grid.
     """
-    if points < MIN_GRID_POINTS:
-        raise GridTooSparse(f"{points} grid points; the NSV needs at least {MIN_GRID_POINTS}")
     in_loop = variant == "modified"     # the modified variant puts Cs in the loop
     loop = Loop(element, c_l1, c_l2, plant, c_s, "modified" if in_loop else "standard")
-    if isinstance(plant, FrfTable):
-        lo, hi = plant.band
-        grid = np.logspace(np.log10(lo), np.log10(hi), points)
-    else:
-        lo, hi = feature_band(plant, c_l1, c_l2, c_s, loop.c_r,
-                              extra=(element.omega_r if element.kind != "CI" else 1.0,))
-        grid = log_grid(lo, hi, points)
-    samples = loop.samples(grid)
+    samples = loop.samples(loop.grid(points))
     nsv = compute_nsv(samples, variant)
     pieces = [(samples, nsv)]
     keys = _split_keys(nsv)
@@ -388,7 +364,7 @@ class CertifiedVerdict:
 
 def certify_first_order(element: ResetElement, c_l1: RationalTF, c_l2: RationalTF,
                         plant, c_s: RationalTF | None = None,
-                        architecture: str = "standard", points: int = 2000,
+                        architecture: str = "standard", points: int = GRID_POINTS,
                         plant_rhp_poles: int = 0, plant_origin_poles: int = 0,
                         asymptote=None) -> CertifiedVerdict:
     """Full stability verdict for CI / PCI / GFORE / SOSRE reset loops.
@@ -439,8 +415,7 @@ def certify_first_order(element: ResetElement, c_l1: RationalTF, c_l2: RationalT
                         f"n-m = {n_minus_m}"))
 
     verdict = classify(nsv, origin_pole=origin > 0, k_s0=k_s0,
-                       element_kind=element.kind,
-                       n_minus_m=n_minus_m, extra_thetas=extra)
+                       element_kind=element.kind, extra_thetas=extra)
     bullets.append(("type-membership", "pass" if (verdict.is_type1 or verdict.is_type2) else "fail",
                     f"type1={verdict.is_type1} type2={verdict.is_type2}"))
 

@@ -48,7 +48,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lti import ClosedLoop
+from .lti import ClosedLoop, balance
 
 OVERFLOW_NORM = 1e12
 CROSSING_REL_TOL = 1e-9     # |e_r| tolerance relative to its running peak
@@ -267,33 +267,6 @@ def expm(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def _balance(a: np.ndarray):
-    """(D^-1 a D, d) with D = diag(d) a power-of-two scaling that brings the
-    off-diagonal row and column 1-norms of each index within a factor of 2
-    (Parlett & Reinsch).  The scaling is exact in floating point."""
-    a = a.copy()
-    d = np.ones(a.shape[0])
-    done = False
-    while not done:
-        done = True
-        for i in range(a.shape[0]):
-            col = float(np.abs(a[:, i]).sum() - abs(a[i, i]))
-            row = float(np.abs(a[i, :]).sum() - abs(a[i, i]))
-            if col == 0.0 or row == 0.0:
-                continue
-            total, f = col + row, 1.0
-            while col < row / 2.0:
-                col, row, f = 2.0 * col, row / 2.0, 2.0 * f
-            while col >= 2.0 * row:
-                col, row, f = col / 2.0, 2.0 * row, f / 2.0
-            if col + row < 0.95 * total:
-                done = False
-                d[i] *= f
-                a[:, i] *= f
-                a[i, :] /= f
-    return a, d
-
-
 def _horner(coefs, x: float) -> float:
     out = 0.0
     for c in reversed(coefs):
@@ -351,7 +324,7 @@ class _Flow:
         f[nx:nx + nr, nx:nx + nr] = s_r
         f[nx + nr:, nx + nr:] = s_d
         g = np.concatenate([sys_.c_e_bar.ravel(), sys_.d_e * c_r, np.zeros(w_d.size)])
-        f, d = _balance(f)
+        f, d = balance(f)
         self.n, self.nx, self.dx = n, nx, d[:nx]
         self.g = g * d                              # e_r = g @ z_b
         self.g_dot = self.g @ f                     # e_r' = g_dot @ z_b

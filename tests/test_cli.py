@@ -177,6 +177,22 @@ class TestGsoreCheck:
         assert err.startswith("error:") and "Traceback" not in err
 
 
+    def test_first_order_shaping_filter_rank_check(self, tmp_path):
+        # a first-order C_s leaves a column LAPACK's balancing permutes; the
+        # rank test used to end this run in a LinAlgError traceback
+        cfg = write_config(tmp_path, {
+            "element": {"kind": "GSORE", "omega_r": 2.0, "xi": 1.0,
+                        "gamma1": 0.4, "gamma2": 0.4},
+            "blocks": {"plant": {"num": [0.8], "den": [1.0, 1.0]},
+                       "c_s": {"num": [1.0, 1.0], "den": [1.0, 0.1]}},
+            "optimizer": {"population": 60, "generations": 100, "restarts": 1}})
+        out = tmp_path / "cert.json"
+        assert run(["gsore-check", "--config", cfg, "--grid-points", "400",
+                    "--out", str(out)]) == 0
+        data = json.loads(out.read_text())
+        assert data["certified"] and data["rank_check"] == "pass"
+
+
 class TestHbeta:
     def test_search_and_check(self, tmp_path):
         cfg = write_config(tmp_path, GFORE_DEMO)
@@ -421,3 +437,53 @@ class TestEntryPoint:
                               env=src_env, capture_output=True, text=True, timeout=120)
         assert proc.returncode == code, proc.stderr
         assert b.read_bytes() == a.read_bytes()
+
+
+class TestUsage:
+    """Usage errors exit 1 (2 means "not certified"), and each command takes
+    only the flags it reads."""
+
+    def test_unknown_flag_exits_1(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, GFORE_DEMO)
+        assert run(["classify", "--config", cfg, "--bogus"]) == 1
+        assert "unrecognized arguments: --bogus" in capsys.readouterr().err
+        assert run([]) == 1
+        assert run(["no-such-command"]) == 1
+        assert run(["classify", "--grid-points", "many"]) == 1
+
+    @pytest.mark.parametrize("command", ["gsore-check", "hbeta"])
+    def test_nsv_out_only_where_written(self, tmp_path, command):
+        cfg = write_config(tmp_path, small_gsore_config() if command == "gsore-check"
+                           else GFORE_DEMO)
+        nsv = tmp_path / "nsv.csv"
+        assert run([command, "--config", cfg, "--grid-points", "400",
+                    "--nsv-out", str(nsv)]) == 1
+        assert not nsv.exists()
+
+    @pytest.mark.parametrize("command, flag, value", [
+        ("classify", "--seed", "3"), ("hbeta", "--seed", "3"), ("simulate", "--seed", "3"),
+        ("gsore-check", "--asymptote", "0,-2"), ("hbeta", "--asymptote", "0,-2"),
+        ("simulate", "--asymptote", "0,-2"), ("classify", "--summary", "s.json"),
+        ("classify", "--to", "magphase")])
+    def test_flag_a_command_does_not_read(self, tmp_path, command, flag, value):
+        cfg = write_config(tmp_path, small_gsore_config() if command == "gsore-check"
+                           else GFORE_DEMO)
+        assert run([command, "--config", cfg, "--grid-points", "400", flag, value,
+                    "--out", str(tmp_path / "out")]) == 1
+        assert not (tmp_path / "out").exists()
+
+    def test_frf_convert_reads_no_loop_flags(self, tmp_path):
+        src = tmp_path / "in.csv"
+        src.write_text("1.0,1.0,0.0\n2.0,0.0,-0.5\n")
+        out = tmp_path / "out.csv"
+        for flag, value in (("--config", write_config(tmp_path, GFORE_DEMO)),
+                            ("--grid-points", "400"), ("--seed", "3")):
+            assert run(["frf-convert", "--frf", str(src), flag, value,
+                        "--out", str(out)]) == 1
+            assert not out.exists()
+
+    def test_benchmark_commands_use_only_flags_they_read(self, tmp_path, workloads):
+        from resetcert.cli import build_parser
+        for name, argv in workloads.cli_inputs(1, str(tmp_path)).items():
+            args = build_parser().parse_args(argv)
+            assert args.command == argv[0], name

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 
-from resetcert.errors import ConfigError, EmptyTable, NonMonotoneFrequency, OutOfBand, ParseError
+from resetcert.errors import (ConfigError, EmptyTable, GridTooSparse, NonMonotoneFrequency,
+                              OutOfBand, ParseError)
 from resetcert.frf import FrfTable, Loop, compose_loop, interpolate, load_frf, save_frf
+from resetcert.gsore import gsore_problem
 from resetcert.lti import assemble_closed_loop, evaluate, series, tf
-from resetcert.elements import base_tf, clegg, gfore, pci, realization, sosre
+from resetcert.elements import base_tf, clegg, gfore, gsore, pci, realization, sosre
+from resetcert.nsv import certify_first_order, nsv_grid_samples
 
 TWO_PI = 2.0 * np.pi
 
@@ -199,3 +202,58 @@ class TestLoop:
                                     self.LEAD)
         assert np.array_equal(cl.a_bar, want.a_bar)
         assert np.array_equal(loop.closed_loop().a_rho_bar[:1, :1], [[0.4]])
+
+
+class TestLoopGrid:
+    """``Loop.grid`` is the one band rule: both certifiers start from it."""
+
+    ONE = tf([1.0])
+
+    def test_rational_grid_pads_the_features(self):
+        # features: the plant poles 0.1 and 30, the GFORE corner and C_R pole 2
+        g = tf([1.0], np.convolve([1.0, 10.0], [1.0, 1.0 / 30.0]))
+        grid = Loop(gfore(2.0), self.ONE, self.ONE, g).grid(100)
+        assert grid.size == 100 and np.all(np.diff(np.log10(grid)) > 0.0)
+        assert grid[0] == pytest.approx(1e-3) and grid[-1] == pytest.approx(3e3)
+        # the CI corner is 1; the origin poles of C_R and G carry no magnitude
+        grid = Loop(clegg(), self.ONE, self.ONE, tf([1.0], [0.0, 1.0, 0.2])).grid(50)
+        assert grid[0] == pytest.approx(1e-2) and grid[-1] == pytest.approx(5e2)
+
+    def test_table_grid_spans_the_band(self):
+        band = np.logspace(-1.5, 2.5, 300)
+        table = FrfTable(band, evaluate(tf([1.0], [1.0, 1.0]), band))
+        grid = Loop(gfore(1e3), self.ONE, self.ONE, table).grid(80)
+        assert grid.size == 80
+        assert grid[0] == pytest.approx(band[0], rel=1e-12)
+        assert grid[-1] == pytest.approx(band[-1], rel=1e-12)
+
+    def test_certifiers_start_from_the_loop_grid(self):
+        elem = gsore(2.0, 1.0, 0.4, 0.4)
+        for g, origin in ((tf([0.8], [1.0, 1.0]), False),                # Type V
+                          (tf([1.0], np.convolve([1.0, 1.0], [1.0, 0.5])), False),
+                          (tf([1.0], [0.0, 1.0, 1.0]), True)):           # Type III
+            loop = Loop(elem, self.ONE, self.ONE, g)
+            grid = loop.grid(64)
+            prob = gsore_problem(elem, self.ONE, self.ONE, g, points=64)
+            assert prob.origin_pole is origin
+            want = grid if origin else np.concatenate([[0.0], grid])
+            assert np.array_equal(prob.samples.omega, want)
+            samples, _ = nsv_grid_samples(g, self.ONE, self.ONE, self.ONE, elem,
+                                          points=64, refine=0)
+            assert np.array_equal(samples.omega, grid)
+
+    def test_too_sparse_on_every_path(self):
+        band = np.logspace(-2, 2, 200)
+        g = tf([0.8], [1.0, 1.0])
+        table = FrfTable(band, evaluate(g, band))
+        elem = gsore(2.0, 1.0, 0.4, 0.4)
+        for plant, extra in ((g, {}), (table, {"origin_pole": False, "n_minus_m": 3})):
+            with pytest.raises(GridTooSparse):
+                Loop(elem, self.ONE, self.ONE, plant).grid(31)
+            with pytest.raises(GridTooSparse):
+                nsv_grid_samples(plant, self.ONE, self.ONE, self.ONE, gfore(1.0), points=31)
+            with pytest.raises(GridTooSparse):
+                certify_first_order(gfore(1.0), self.ONE, self.ONE, plant, points=31)
+            with pytest.raises(GridTooSparse):
+                gsore_problem(elem, self.ONE, self.ONE, plant, points=31, **extra)
+            assert Loop(elem, self.ONE, self.ONE, plant).grid(32).size == 32

@@ -351,6 +351,18 @@ def scaled_acceptance_problem(scale, points=500):
 
 
 class TestScaleFreeMargins:
+    def test_wide_spread_blocks_keep_their_degree(self):
+        # at scale 300 the CgLp+PID denominator's s^4 coefficient (1.1e-3)
+        # sits 13 decades below its s coefficient; it is a product, not the
+        # rounding noise of a sum, so c_l2 stays proper
+        prob = scaled_acceptance_problem(300.0)
+        assert prob.loop.c_l2.degree_den == prob.loop.c_l2.degree_num == 4
+        res = certify(prob, FAST)
+        assert res.certified
+        assert res.oracle_cross_check == "pass" and res.rank_check == "pass"
+        assert res.m_value == pytest.approx(certify(scaled_acceptance_problem(1.0),
+                                                    FAST).m_value, rel=1e-6)
+
     def test_certified_at_scale_100(self):
         # d1 and d2 carry different units: a margin relative to |d1| + |d2|
         # refused this loop at scale 100 (min d1/(|d1| + |d2|) = 5.8e-10
@@ -508,6 +520,14 @@ class TestRankCondition:
         lead = tf([1.0], [1.0, 1.0])
         prob = gsore_problem(elem, lead, ONE, g, points=200)
         assert rank_condition(prob, (0.5, 0.2, 1.5, 0.3, 2.0)) == "fail"
+
+    def test_first_order_shaping_filter(self):
+        # a first-order C_s under the standard architecture leaves a state
+        # that feeds nothing back, a column LAPACK's balancing permutes
+        elem = gsore(2.0, 1.0, 0.4, 0.4)
+        prob = gsore_problem(elem, ONE, ONE, tf([0.8], [1.0, 1.0]),
+                             c_s=tf([1.0, 1.0], [1.0, 0.1]), points=200)
+        assert rank_condition(prob, (0.5, 0.2, 1.5, 0.3, 2.0)) == "pass"
 
     def test_frf_plant_is_conditional(self):
         freqs = np.logspace(-1, 2, 400)

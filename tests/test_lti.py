@@ -12,7 +12,6 @@ from resetcert.lti import (
     evaluate,
     high_frequency_re_limit,
     leading_coefficients,
-    log_grid,
     minimality_check,
     mirror,
     nyquist_stability_from_samples,
@@ -300,6 +299,17 @@ class TestRank:
                                               c=np.array([[1.0, 0.0]]))
         assert not ob
 
+    def test_permutable_matrix(self):
+        # a state no other state feeds makes a column LAPACK's balancing
+        # permutes; the rank test must still read the pencil of A itself
+        a = np.array([[-1.0, 0.0, 0.0], [2.0, -3.0, 1.0], [1.0, -1.0, -2.0]])
+        ct, ob = controllability_observability(a, b=np.array([[1.0], [0.0], [0.0]]),
+                                               c=np.array([[0.0, 1.0, 0.0]]))
+        assert ct and ob
+        ct, ob = controllability_observability(a, b=np.array([[0.0], [1.0], [0.0]]),
+                                               c=np.array([[1.0, 0.0, 0.0]]))
+        assert not ct and not ob
+
     def test_assembled_loop_rank(self):
         g = tf([1.0], [1.0, 2.0, 1.0])
         one = tf([1.0])
@@ -358,6 +368,16 @@ class TestLimits:
         assert relative_degree(g) == 4
         assert canonical([1.0, 2.0, 1e-16]).size == 2       # noise still stripped
 
-    def test_log_grid_covers_band(self):
-        g = log_grid(1.0, 10.0, points=100)
-        assert g[0] == pytest.approx(1e-2) and g[-1] == pytest.approx(1e3)
+    def test_noise_is_judged_against_the_terms_of_its_sum(self):
+        from resetcert.lti import canonical
+        # a product's leading coefficient is one term, never noise, however
+        # far it sits below the others (1.1e-13 against 9e9 here)
+        assert series(tf([1.0], [9.0e9, 1.0]), tf([1.0], [1.0, 1.1e-13])).degree_den == 2
+        assert canonical([0.0, 9.0e9, 1.6e6, 76.7, 1.1e-3],
+                         terms=[0.0, 9.0e9, 1.6e6, 76.7, 1.1e-3]).size == 5
+        # (0.1 + 0.2) - 0.3 leaves 5.6e-17 from terms of size 0.6: noise
+        assert canonical([1.0, 5.6e-17], terms=[1.0, 0.6]).size == 1
+        total = tf([0.0, 0.1]) + tf([0.0, 0.2]) + tf([1.0, -0.3])
+        assert total.degree_num == 0
+        # a tiny coefficient no cancellation made stays
+        assert (tf([1.0, 1e-13]) + tf([2.0])).degree_num == 1

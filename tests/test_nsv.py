@@ -6,7 +6,7 @@ import pytest
 from resetcert.elements import base_tf, clegg, gfore, pci, sosre
 from resetcert.errors import GridTooSparse, SparseGrid, ZeroShapingFilter
 from resetcert.frf import FrfTable, Loop, LoopSamples, compose_loop
-from resetcert.lti import evaluate, log_grid, series, tf
+from resetcert.lti import evaluate, series, tf
 from resetcert.nsv import (
     REFINE_LEVELS,
     Nsv,
@@ -14,7 +14,6 @@ from resetcert.nsv import (
     certify_first_order,
     classify,
     compute_nsv,
-    feature_band,
     map_angle,
     nsv_grid_samples,
     sufficient_phase_conditions,
@@ -272,8 +271,9 @@ class TestAsymptoticAngles:
             c_s = tf([1.0, 1.0 / z], [1.0, 0.1 / z]) if architecture == "modified" else ONE
             loop = Loop(elem, ONE, ONE, g, c_s, architecture)
             out = asymptotic_angles(loop.loop_tf, c_s, loop.c_r, loop.variant)
-            lo, hi = feature_band(g, c_s, loop.c_r, extra=(wr,))
-            far = _nsv_arrays(loop.samples([1e-6 * lo, 1e6 * hi]), loop.variant).theta
+            grid = loop.grid()
+            far = _nsv_arrays(loop.samples([1e-4 * grid[0], 1e4 * grid[-1]]),
+                              loop.variant).theta
             assert len(out) == 2
             miss = np.angle(np.exp(1j * (np.asarray(out) - far)))
             assert np.all(np.abs(miss) < 1e-3), (out, far)
@@ -342,8 +342,7 @@ class TestGridRefinement:
     def test_refine_zero_is_the_base_grid(self):
         elem = gfore(1.0, 0.2)
         samples, nsv = nsv_grid_samples(self.G, ONE, ONE, ONE, elem, points=40, refine=0)
-        lo, hi = feature_band(self.G, ONE, ONE, ONE, base_tf(elem), extra=(1.0,))
-        assert np.array_equal(samples.omega, log_grid(lo, hi, 40))
+        assert np.array_equal(samples.omega, Loop(elem, ONE, ONE, self.G).grid(40))
         assert np.array_equal(nsv.omega, samples.omega)
         band = np.logspace(-2, 2, 300)
         table = FrfTable(band, evaluate(self.G, band))
