@@ -151,16 +151,17 @@ def _load_config(args):
 
 
 def _loop_from(args, cfg) -> Loop:
-    """The element, blocks and architecture of a config; ``--frf`` replaces
-    blocks.plant with a measured table."""
+    """The element, blocks and architecture of a config; ``--frf``, where a
+    command takes it, replaces blocks.plant with a measured table."""
     element = _element_from_cfg(_section(cfg, "element"))
     blocks = _section(cfg, "blocks")
-    if args.frf:
+    takes_frf = "frf" in args
+    if takes_frf and args.frf:
         if not os.path.exists(args.frf):
             raise ConfigError(f"FRF file not found: {args.frf}")
         plant = load_frf(args.frf, args.frf_format)
     elif "plant" not in blocks:
-        raise ConfigError("config needs blocks.plant or an --frf file")
+        raise ConfigError("config needs blocks.plant" + (" or an --frf file" if takes_frf else ""))
     else:
         plant = _block_from_cfg(blocks["plant"])
     return Loop(element, _block_from_cfg(blocks.get("c_l1")),
@@ -266,8 +267,6 @@ def cmd_gsore(args) -> int:
 def cmd_hbeta(args) -> int:
     cfg = _load_config(args)
     loop = _loop_from(args, cfg)
-    if not loop.rational:
-        raise ConfigError("hbeta needs rational blocks for the limit checks")
     element, c_s, p_lin, variant = loop.element, loop.c_s, loop.p_lin, loop.variant
     samples, _ = nsv_grid_samples(loop.plant, loop.c_l1, loop.c_l2, c_s, element,
                                   variant=variant, points=args.grid_points)
@@ -330,8 +329,6 @@ def cmd_simulate(args) -> int:
 
     cfg = _load_config(args)
     loop = _loop_from(args, cfg)
-    if not loop.rational:
-        raise ConfigError("simulation needs a rational plant model")
     element = loop.element
     sim_cfg = _section(cfg, "simulation")
     inp = _input_from_cfg(_section(sim_cfg, "input", "simulation.input"))
@@ -411,13 +408,14 @@ FLAGS = {
     "--summary": dict(help="write the event counters of each run as JSON"),
     "--to": dict(choices=["complex", "magphase"], default="complex"),
 }
-LOOP_FLAGS = ("--config", "--frf", "--frf-format", "--grid-points", "--out")
+LOOP_FLAGS = ("--config", "--grid-points", "--out")
+TABLE_FLAGS = ("--frf", "--frf-format")     # hbeta and simulate need a rational plant
 COMMANDS = {        # each command takes only the flags it reads
-    "classify": (cmd_classify, LOOP_FLAGS + ("--asymptote", "--nsv-out")),
-    "gsore-check": (cmd_gsore, LOOP_FLAGS + ("--seed",)),
+    "classify": (cmd_classify, LOOP_FLAGS + TABLE_FLAGS + ("--asymptote", "--nsv-out")),
+    "gsore-check": (cmd_gsore, LOOP_FLAGS + TABLE_FLAGS + ("--seed",)),
     "hbeta": (cmd_hbeta, LOOP_FLAGS),
     "simulate": (cmd_simulate, LOOP_FLAGS + ("--nsv-out", "--summary")),
-    "frf-convert": (cmd_frf_convert, ("--frf", "--frf-format", "--to", "--out")),
+    "frf-convert": (cmd_frf_convert, TABLE_FLAGS + ("--to", "--out")),
 }
 
 

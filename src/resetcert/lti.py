@@ -30,7 +30,7 @@ RANK_RTOL = 1e-9            # singular-value threshold for rank tests
 # polynomial helpers (ascending coefficients)
 # ---------------------------------------------------------------------------
 
-def canonical(coeffs, terms=None) -> np.ndarray:
+def canonical(coeffs, terms) -> np.ndarray:
     """Strip trailing zeros and trailing rounding noise.
 
     ``terms`` bounds, per coefficient (or as one scalar), the sum of the
@@ -38,15 +38,10 @@ def canonical(coeffs, terms=None) -> np.ndarray:
     most CANONICAL_RTOL times that is rounding noise of its sum.  A product
     of canonical polynomials has a single leading term, so however far its
     leading coefficient sits below the others (wide pole spreads put it many
-    decades down) it is never noise.  ``terms=0`` strips exact zeros only;
-    without ``terms`` the origin is unknown and each coefficient is judged
-    against the largest one.
+    decades down) it is never noise.  ``terms=0`` strips exact zeros only.
     """
     c = np.atleast_1d(np.asarray(coeffs, dtype=float))
-    mag = np.abs(c)
-    if terms is None:
-        terms = mag.max(initial=0.0)
-    kept = (mag > CANONICAL_RTOL * np.asarray(terms)).nonzero()[0]
+    kept = (np.abs(c) > CANONICAL_RTOL * np.asarray(terms)).nonzero()[0]
     return c[:kept[-1] + 1].copy() if kept.size else np.zeros(1)
 
 
@@ -292,7 +287,9 @@ def to_transfer_function(ss: StateSpace) -> RationalTF:
         den[n - k] = c
         M = AM + c * np.eye(n)
     num = polyadd(num, float(D[0, 0]) * den)
-    return RationalTF(canonical(num), den)     # the recursion leaves noise above deg num
+    # the recursion leaves noise above deg num; its terms are not tracked,
+    # so each coefficient is judged against the largest one
+    return RationalTF(canonical(num, np.abs(num).max()), den)
 
 
 # ---------------------------------------------------------------------------
@@ -595,10 +592,12 @@ def mirror(tfn: RationalTF) -> RationalTF:
 
 
 def end_term(coeffs, end: str):
-    """(power, coefficient) of the term of a polynomial that dominates as
-    w -> 0 (``end="lo"``) or w -> inf (``end="hi"``); None for the zero
-    polynomial."""
-    c = canonical(coeffs)
+    """(power, coefficient) of the term of a canonical polynomial that
+    dominates as w -> 0 (``end="lo"``) or w -> inf (``end="hi"``); None for
+    the zero polynomial.  The coefficients are taken as exact: sums strip
+    their own noise (``polysum``), and a product's leading term is real
+    however small it is."""
+    c = np.asarray(coeffs, float)
     powers = np.flatnonzero(c)
     if powers.size == 0:
         return None

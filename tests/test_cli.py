@@ -464,7 +464,9 @@ class TestUsage:
         ("classify", "--seed", "3"), ("hbeta", "--seed", "3"), ("simulate", "--seed", "3"),
         ("gsore-check", "--asymptote", "0,-2"), ("hbeta", "--asymptote", "0,-2"),
         ("simulate", "--asymptote", "0,-2"), ("classify", "--summary", "s.json"),
-        ("classify", "--to", "magphase")])
+        ("classify", "--to", "magphase"), ("hbeta", "--frf", "p.csv"),
+        ("simulate", "--frf", "p.csv"), ("hbeta", "--frf-format", "complex"),
+        ("simulate", "--frf-format", "magphase")])
     def test_flag_a_command_does_not_read(self, tmp_path, command, flag, value):
         cfg = write_config(tmp_path, small_gsore_config() if command == "gsore-check"
                            else GFORE_DEMO)

@@ -15,6 +15,8 @@ from resetcert.lti import (
     minimality_check,
     mirror,
     nyquist_stability_from_samples,
+    polysum,
+    real_part_rational,
     relative_degree,
     series,
     tf,
@@ -344,8 +346,13 @@ class TestLimits:
         assert end_term(p, "hi") == (3, -2.0)
         assert end_term([5.0], "lo") == end_term([5.0], "hi") == (0, 5.0)
         assert end_term([0.0, 0.0], "lo") is None and end_term([0.0], "hi") is None
-        # cancellation noise above the top coefficient is not the w -> inf term
-        assert end_term([1.0, 2.0, 1e-16], "hi") == (1, 2.0)
+        # cancellation noise above the top coefficient is stripped by the sum
+        # that made it, so it is not the w -> inf term
+        noisy = polysum(([0.0, 0.0, 0.1], [1.0]), ([0.0, 0.0, 0.2], [1.0]),
+                        ([1.0, 2.0, -0.3], [1.0]))
+        assert end_term(noisy, "hi") == (1, 2.0)
+        # a product's small leading coefficient is its w -> inf term
+        assert end_term(np.convolve([1.0, 1e-9], [1.0, 1e-9]), "hi") == (2, 1e-18)
 
     def test_mirror_conjugates_on_the_jw_axis(self):
         g = tf([2.0, -1.0, 0.5], [0.0, 1.0, 3.0, 1.0])
@@ -366,7 +373,12 @@ class TestLimits:
         g = tf([1.0], den)
         assert g.degree_den == 4
         assert relative_degree(g) == 4
-        assert canonical([1.0, 2.0, 1e-16]).size == 2       # noise still stripped
+        assert canonical([1.0, 2.0, 1e-16], 2.0).size == 2  # noise still stripped
+        # Re g(jw) decays like 1/w^4: the w^8 term of |den(jw)|^2 (4e-17
+        # against 1 at w^4) is real, so the scaled limit is 0
+        p, q = real_part_rational(g)
+        assert end_term(q, "hi")[0] == 8
+        assert high_frequency_re_limit(g) == ("scaled", 0.0)
 
     def test_noise_is_judged_against_the_terms_of_its_sum(self):
         from resetcert.lti import canonical

@@ -232,6 +232,29 @@ class TestRedistributionInvariance:
             assert v.theta2 == v0.theta2
 
 
+def _check_limits_against_far_samples(kind, architecture, scale, local):
+    """A random loop whose features sit around ``scale`` rad/s: its exact
+    NSV angle limits match the sampled angles far outside its grid."""
+    wr = scale * 10.0 ** local.uniform(-0.5, 0.5)
+    gamma = float(local.uniform(-0.5, 0.5))
+    elem = (sosre(wr, float(local.uniform(0.5, 1.0)), gamma) if kind == "SOSRE"
+            else pci(wr, gamma) if kind == "PCI" else gfore(wr, gamma))
+    den = [0.0, 1.0] if local.uniform() < 0.3 else [1.0]
+    for p in scale * 10.0 ** local.uniform(-1, 1, int(local.integers(1, 4))):
+        den = np.convolve(den, [1.0, 1.0 / p])
+    g = tf([10.0 ** local.uniform(-0.5, 0.5)], den)
+    z = scale * 10.0 ** local.uniform(-1, 1)
+    c_s = tf([1.0, 1.0 / z], [1.0, 0.1 / z]) if architecture == "modified" else ONE
+    loop = Loop(elem, ONE, ONE, g, c_s, architecture)
+    out = asymptotic_angles(loop.loop_tf, c_s, loop.c_r, loop.variant)
+    grid = loop.grid()
+    far = _nsv_arrays(loop.samples([1e-4 * grid[0], 1e4 * grid[-1]]),
+                      loop.variant).theta
+    assert len(out) == 2
+    miss = np.angle(np.exp(1j * (np.asarray(out) - far)))
+    assert np.all(np.abs(miss) < 1e-3), (out, far)
+
+
 class TestAsymptoticAngles:
     def test_double_lag_limits(self):
         elem = gfore(1.0)
@@ -259,24 +282,16 @@ class TestAsymptoticAngles:
         # each exact limit is the NSV angle far outside the loop's features
         local = np.random.default_rng(len(kind) + len(architecture))
         for _ in range(4):
-            wr = 10.0 ** local.uniform(-0.5, 0.5)
-            gamma = float(local.uniform(-0.5, 0.5))
-            elem = (sosre(wr, float(local.uniform(0.5, 1.0)), gamma) if kind == "SOSRE"
-                    else pci(wr, gamma) if kind == "PCI" else gfore(wr, gamma))
-            den = [0.0, 1.0] if local.uniform() < 0.3 else [1.0]
-            for p in 10.0 ** local.uniform(-1, 1, int(local.integers(1, 4))):
-                den = np.convolve(den, [1.0, 1.0 / p])
-            g = tf([10.0 ** local.uniform(-0.5, 0.5)], den)
-            z = 10.0 ** local.uniform(-1, 1)
-            c_s = tf([1.0, 1.0 / z], [1.0, 0.1 / z]) if architecture == "modified" else ONE
-            loop = Loop(elem, ONE, ONE, g, c_s, architecture)
-            out = asymptotic_angles(loop.loop_tf, c_s, loop.c_r, loop.variant)
-            grid = loop.grid()
-            far = _nsv_arrays(loop.samples([1e-4 * grid[0], 1e4 * grid[-1]]),
-                              loop.variant).theta
-            assert len(out) == 2
-            miss = np.angle(np.exp(1j * (np.asarray(out) - far)))
-            assert np.all(np.abs(miss) < 1e-3), (out, far)
+            _check_limits_against_far_samples(kind, architecture, 1.0, local)
+
+    @pytest.mark.parametrize("kind", ["GFORE", "PCI", "SOSRE"])
+    def test_limits_match_far_samples_at_scale(self, kind):
+        # poles and corners at 100-3000 rad/s spread the coefficients of the
+        # NSV numerators past 1e12; their small leading terms still set the
+        # w -> inf angle
+        local = np.random.default_rng(7 + len(kind))
+        for _ in range(4):
+            _check_limits_against_far_samples(kind, "standard", 300.0, local)
 
     def test_grid_density_doubling_keeps_verdict(self):
         g = tf([1.0], [1.0, 1.0])
