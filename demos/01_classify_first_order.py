@@ -13,15 +13,21 @@ from resetcert.hbeta import search_candidate_scalar, spr_check_scalar
 from resetcert.lti import series, tf
 from resetcert.nsv import certify_first_order, sufficient_phase_conditions
 
+def show(conditions):
+    """One line per condition record: id, status, margin, where, detail."""
+    for c in conditions:
+        margin = "" if c.margin is None else f"{c.margin:.4g}"
+        where = "" if c.omega is None else f"w = {c.omega:.4g}"
+        print(f"  {c.id:30s} {c.status:12s} {margin:>11s} {where:14s} {c.detail}")
+
+
 one = tf([1.0])
 plant = tf([1.0], [1.0, 1.0])
 element = gfore(1.0, gamma=0.0)
 
 verdict = certify_first_order(element, one, one, plant)
 print("certified:", verdict.certified)
-print("conditional on well-posed reset instants:", verdict.conditional_on_well_posedness)
-for name, status, detail in verdict.bullets:
-    print(f"  {name:28s} {status:12s} {detail}")
+show(verdict.conditions)
 tv = verdict.type_verdict
 print(f"angle range: [{np.degrees(tv.theta1):.1f}, {np.degrees(tv.theta2):.1f}] deg "
       f"-> type I: {tv.is_type1}, type II: {tv.is_type2}")
@@ -37,9 +43,7 @@ cand = search_candidate_scalar(samples, element, one, plant)
 rep = spr_check_scalar(cand, samples, element, one, plant)
 print(f"SPR candidate (beta', rho') = ({cand.beta_prime:.4f}, {cand.rho_prime:.4f}) "
       f"passes: {rep.passed}")
-print(f"  worst grid margin {rep.min_margin:.2e} at w = {rep.worst_omega:.3f} rad/s")
-print(f"  limit at w->0: {rep.limit_zero.value:.4f}, "
-      f"w^2-scaled limit at w->inf: {rep.limit_inf.value:.4f}")
+show(rep.conditions)
 
 rows = ["omega_rad_s,theta_deg"]
 rows += [f"{w:.9g},{t:.9g}" for w, t in zip(nsv.omega, np.degrees(nsv.theta))]

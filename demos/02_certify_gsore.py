@@ -15,6 +15,14 @@ from resetcert.elements import base_tf, gsore
 from resetcert.gsore import OptimizerSettings, certify, gsore_problem
 from resetcert.lti import base_linear_stability, evaluate, series, tf
 
+def show(conditions):
+    """One line per condition record: id, status, margin, where, detail."""
+    for c in conditions:
+        margin = "" if c.margin is None else f"{c.margin:.4g}"
+        where = "" if c.omega is None else f"w = {c.omega:.4g}"
+        print(f"  {c.id:30s} {c.status:12s} {margin:>11s} {where:14s} {c.detail}")
+
+
 one = tf([1.0])
 omega_c, omega_d, omega_r, parasitic = 10.0, 36.0, 40.0, 200.0
 plant = tf([1.0], np.convolve([0.0, 0.0, 1.0],
@@ -40,9 +48,6 @@ print("decision ratios Q1..Q4:", tuple(f"{q:.4g}" for q in result.q))
 b1, b2, r1, r2, r3 = result.reconstructed
 print(f"certificate: beta = ({b1:.4g}, {b2:.4g}), "
       f"rho = [[{r1:.4g}, {r2:.4g}], [{r2:.4g}, {r3:.4g}]]")
-print("independent SPR oracle:", result.oracle_cross_check,
-      "| rank conditions:", result.rank_check)
-for row in result.constraint_report:
-    print("  ", row)
+show(result.conditions)
 if result.ratio_windows:
     print("pre-reduced search windows:", result.ratio_windows)

@@ -15,6 +15,14 @@ from resetcert.frf import FrfTable, load_frf, save_frf
 from resetcert.lti import evaluate, tf
 from resetcert.nsv import certify_first_order
 
+def show(conditions):
+    """One line per condition record: id, status, margin, where, detail."""
+    for c in conditions:
+        margin = "" if c.margin is None else f"{c.margin:.4g}"
+        where = "" if c.omega is None else f"w = {c.omega:.4g}"
+        print(f"  {c.id:30s} {c.status:12s} {margin:>11s} {where:14s} {c.detail}")
+
+
 one = tf([1.0])
 plant = tf([1.0], [1.0, 1.0])
 element = gfore(1.0, gamma=0.2)
@@ -34,8 +42,7 @@ verdict_frf = certify_first_order(
 verdict_model = certify_first_order(element, one, one, plant)
 
 print("\nmeasured-data verdict:", verdict_frf.certified)
-for name, status, detail in verdict_frf.bullets:
-    print(f"  {name:28s} {status:12s} {detail}")
+show(verdict_frf.conditions)
 print("rational-model verdict:", verdict_model.certified)
 assert verdict_frf.certified == verdict_model.certified
 

@@ -10,7 +10,7 @@ with an SPR oracle and a hybrid time-domain simulator.
 import importlib
 
 from . import elements, errors, frf, hbeta, lti, nsv
-from .elements import ResetElement, base_tf, clegg, gfore, gsore as gsore_element, pci, realization, reset_matrix_condition, sosre
+from .elements import ResetElement, base_tf, clegg, gfore, gsore as gsore_element, jump_map_test, pci, realization, sosre
 from .frf import FrfTable, LoopSamples, compose_loop, interpolate, load_frf, save_frf
 from .hbeta import HbetaCandidate, search_candidate_scalar, spr_check_matrix, spr_check_scalar
 from .lti import ClosedLoop, RationalTF, StateSpace, assemble_closed_loop, base_linear_stability, evaluate, minimality_check, relative_degree, series, tf, to_state_space

@@ -12,13 +12,14 @@ import json
 import os
 import sys
 import tempfile
+from dataclasses import asdict
 
 import numpy as np
 
 from . import elements
 from .elements import ResetElement
 from .errors import ConfigError, ResetCertError
-from .frf import GRID_POINTS, Loop, load_frf, save_frf
+from .frf import GRID_POINTS, Condition, Loop, load_frf, no_failure, save_frf
 from .hbeta import HbetaCandidate, search_candidate_scalar, spr_check_scalar
 from .lti import RationalTF, tf
 from .nsv import certify_first_order, nsv_grid_samples
@@ -43,6 +44,15 @@ def _emit_json(obj, out_path=None):
         _atomic_write(out_path, text)
     else:
         sys.stdout.write(text)
+
+
+def _emit_verdict(conditions, payload: dict, out_path) -> int:
+    """Write ``{"certified", "conditions"}`` plus the command's ``payload``;
+    the exit code is 0 when no condition failed, else 2."""
+    certified = no_failure(conditions)
+    _emit_json({"certified": certified, "conditions": [asdict(c) for c in conditions],
+                **payload}, out_path)
+    return 0 if certified else 2
 
 
 def cglp_pid_blocks(k_p: float, omega_c: float, omega_d: float, xi_d: float) -> RationalTF:
@@ -189,35 +199,24 @@ def _write_nsv_csv(nsv, path):
 def cmd_classify(args) -> int:
     cfg = _load_config(args)
     loop = _loop_from(args, cfg)
+    declared = {key: _number(cfg[key], key, int)
+                for key in ("plant_rhp_poles", "plant_origin_poles") if cfg.get(key) is not None}
     verdict = certify_first_order(
         loop.element, loop.c_l1, loop.c_l2, loop.plant, c_s=loop.c_s,
         architecture=loop.architecture,
         points=args.grid_points,
-        plant_rhp_poles=_number(cfg.get("plant_rhp_poles", 0), "plant_rhp_poles", int),
-        plant_origin_poles=_number(cfg.get("plant_origin_poles", 0), "plant_origin_poles",
-                                   int),
         asymptote=_parse_asymptote(args.asymptote),
+        **declared,
     )
     tv = verdict.type_verdict
-    out = {
-        "certified": verdict.certified,
-        "conditional_on_well_posedness": verdict.conditional_on_well_posedness,
-        "is_type1": tv.is_type1,
-        "is_type2": tv.is_type2,
-        "theta1": tv.theta1,
-        "theta2": tv.theta2,
-        "theta1_omega": tv.theta1_omega,
-        "theta2_omega": tv.theta2_omega,
-        "grid_points": int(verdict.samples.omega.size),
-        "k_s0": verdict.k_s0,
-        "k_n": verdict.k_n,
-        "bullets": [{"name": n, "status": s, "detail": d} for n, s, d in verdict.bullets],
-        "diagnostics": [{"condition": c, "outcome": o} for c, o in tv.diagnostics],
-    }
-    _emit_json(out, args.out)
+    code = _emit_verdict(verdict.conditions, {
+        "theta1": tv.theta1, "theta2": tv.theta2,
+        "theta1_omega": tv.theta1_omega, "theta2_omega": tv.theta2_omega,
+        "grid_points": int(verdict.samples.omega.size), "k_s0": verdict.k_s0,
+        "k_n": verdict.k_n}, args.out)
     if args.nsv_out:
         _write_nsv_csv(verdict.nsv, args.nsv_out)
-    return 0 if verdict.certified else 2
+    return code
 
 
 def cmd_gsore(args) -> int:
@@ -246,22 +245,16 @@ def cmd_gsore(args) -> int:
         seed=args.seed,
     )
     result = certify(problem, settings)
-    out = {
-        "certified": result.certified,
+    return _emit_verdict(result.conditions, {
         "problem_type": result.problem_type,
         "q": list(result.q),
         "m_value": result.m_value,
-        "reconstructed": {k: v for k, v in zip(
-            ("beta1", "beta2", "rho1", "rho2", "rho3"), result.reconstructed)},
-        "constraint_report": result.constraint_report,
-        "oracle_cross_check": result.oracle_cross_check,
-        "rank_check": result.rank_check,
+        "reconstructed": dict(zip(("beta1", "beta2", "rho1", "rho2", "rho3"),
+                                  result.reconstructed)),
         "seed": result.seed,
         "ratio_windows": {k: list(v) for k, v in result.ratio_windows.items() if v},
         "search": result.search,
-    }
-    _emit_json(out, args.out)
-    return 0 if result.certified else 2
+    }, args.out)
 
 
 def cmd_hbeta(args) -> int:
@@ -277,26 +270,12 @@ def cmd_hbeta(args) -> int:
     else:
         cand = search_candidate_scalar(samples, element, c_s, p_lin, variant)
         if cand is None:
-            _emit_json({"passed": False, "candidate": None,
-                        "note": "no direction passes the sweep"}, args.out)
-            return 2
+            return _emit_verdict([Condition("candidate-search", "fail",
+                                            detail="no (beta', rho') direction passes the sweep")],
+                                 {"candidate": None}, args.out)
     rep = spr_check_scalar(cand, samples, element, c_s, p_lin, variant)
-    out = {
-        "passed": rep.passed,
-        "candidate": {"beta_prime": float(np.asarray(cand.beta_prime).reshape(())),
-                      "rho_prime": float(np.asarray(cand.rho_prime).reshape(()))},
-        "rho_positive": rep.rho_positive,
-        "min_margin": rep.min_margin,
-        "worst_omega": rep.worst_omega,
-        "limit_zero": None if rep.limit_zero is None else
-            {"kind": rep.limit_zero.kind, "value": rep.limit_zero.value,
-             "passed": rep.limit_zero.passed},
-        "limit_inf": None if rep.limit_inf is None else
-            {"kind": rep.limit_inf.kind, "value": rep.limit_inf.value,
-             "passed": rep.limit_inf.passed},
-    }
-    _emit_json(out, args.out)
-    return 0 if rep.passed else 2
+    return _emit_verdict(rep.conditions, {"candidate": {
+        "beta_prime": cand.beta_prime, "rho_prime": cand.rho_prime}}, args.out)
 
 
 def _input_from_cfg(inp_cfg: dict):

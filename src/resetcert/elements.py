@@ -128,12 +128,14 @@ def realization(elem: ResetElement) -> StateSpace:
     return StateSpace(A, B, C, [[0.0]])
 
 
-def reset_matrix_condition(a_rho, rho, strict: bool = True) -> bool:
-    """Jump-map energy test: eigenvalues of A' rho A - rho.
+def jump_map_test(a_rho, rho, strict: bool = True):
+    """Jump-map energy test on the eigenvalues of A' rho A - rho: (holds, margin).
 
     ``strict=True`` demands every eigenvalue below -EIG_MARGIN*||rho||;
     ``strict=False`` allows eigenvalues at zero (partial-reset elements whose
-    non-resetting state keeps its energy).
+    non-resetting state keeps its energy).  ``margin`` is minus the largest
+    eigenvalue over ||rho||, the number the strict test compares with
+    EIG_MARGIN.
     """
     a = np.atleast_2d(np.asarray(a_rho, float))
     r = np.atleast_2d(np.asarray(rho, float))
@@ -144,7 +146,7 @@ def reset_matrix_condition(a_rho, rho, strict: bool = True) -> bool:
     if np.any(np.linalg.eigvalsh(r) <= 0.0):
         raise NotPositiveDefinite("rho must be positive definite")
     eig = np.linalg.eigvalsh(a.T @ r @ a - r)
-    bound = EIG_MARGIN * np.linalg.norm(r, 2)
-    if strict:
-        return bool(np.all(eig < -bound))
-    return bool(np.all(eig <= bound))
+    scale = np.linalg.norm(r, 2)
+    bound = EIG_MARGIN * scale
+    holds = bool(np.all(eig < -bound)) if strict else bool(np.all(eig <= bound))
+    return holds, float(-eig[-1] / scale)

@@ -22,6 +22,34 @@ TWO_PI = 2.0 * np.pi
 MIN_GRID_POINTS = 32    # fewest base grid points a certifier reads a loop from
 GRID_POINTS = 2000      # base grid points of a verdict unless the caller asks otherwise
 GRID_PAD_DECADES = 2.0  # a rational loop's grid reaches this far past its features
+STATUSES = ("pass", "fail", "conditional", "assumed", "skipped")
+
+
+@dataclass(frozen=True)
+class Condition:
+    """One checked condition of a verdict: which, how it came out, by how much, where.
+
+    ``margin`` is the number the check compares with its threshold, None for
+    a structural check; ``omega`` is the frequency that number was read at,
+    None at a limit or where the check reads no frequency.  README,
+    "Condition records", lists every id with its unit and threshold.
+    """
+
+    id: str
+    status: str
+    margin: float | None = None
+    omega: float | None = None
+    detail: str = ""
+
+
+def pass_fail(ok) -> str:
+    return "pass" if ok else "fail"
+
+
+def no_failure(conditions) -> bool:
+    """The one verdict rule: a verdict holds when none of its conditions
+    failed.  A status outside STATUSES fails too, so a misspelt one fails closed."""
+    return all(c.status in STATUSES and c.status != "fail" for c in conditions)
 
 
 @dataclass(frozen=True)

@@ -16,14 +16,15 @@ variables are reported as the scale-free ratios Q1..Q4.
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.optimize import differential_evolution, minimize_scalar
 
-from .elements import ResetElement, reset_matrix_condition
+from .elements import ResetElement, jump_map_test
 from .errors import DomainError, NotPositiveDefinite
-from .frf import GRID_POINTS, Loop, LoopSamples
+from .frf import GRID_POINTS, Condition, Loop, LoopSamples, no_failure, pass_fail
 from .hbeta import HbetaCandidate, limit_matrix_infinity, limit_matrix_zero, spr_check_matrix
 from .lti import RationalTF, controllability_observability
 
@@ -386,18 +387,24 @@ class OptimizerSettings:
 class CertificateResult:
     q: tuple
     m_value: float
-    certified: bool
-    constraint_report: list
+    conditions: list
     reconstructed: tuple        # (beta1, beta2, rho1, rho2, rho3)
     problem_type: str
-    oracle_cross_check: str     # "pass" | "fail" | "skipped"
-    rank_check: str             # "pass" | "fail" | "conditional"
     seed: int
     ratio_windows: dict = field(default_factory=dict)
     # one entry per DE restart: seed, generations summed over its DE runs,
     # and the best objective, why it stopped ("stalled", "converged" or
     # "maxiter") and the grid-sample count ("points") of its last run
     search: list = field(default_factory=list)
+
+    @property
+    def certified(self) -> bool:
+        return no_failure(self.conditions)
+
+    @property
+    def oracle_cross_check(self) -> str:
+        """The oracle-cross-check record's status: pass, fail or skipped."""
+        return next(c.status for c in self.conditions if c.id == "oracle-cross-check")
 
 
 def _search_set(n: int) -> np.ndarray:
@@ -502,19 +509,21 @@ def _de_run(fun, bounds, init, seed: int, generations: int):
 
 
 def _grid_check(problem: GsoreProblem, data: FreqData, params):
-    """The full-grid part of the certificate: (s1, s2, m), the S1/S2
-    margins per sample and the refined sup of c^2/(d1 d2), which is
-    inf unless both margins clear STRICT_MARGIN everywhere.  Each diagonal
-    entry is divided by the sum of its terms' magnitudes, the rounding bound
-    of that sum, so no frequency scaling of the loop moves the verdict."""
+    """The full-grid part of the certificate: (s1, s2, m, w), the S1/S2
+    margins per sample and the refined sup m of c^2/(d1 d2) at frequency w;
+    m is inf and w None unless both margins clear STRICT_MARGIN everywhere.
+    Each diagonal entry is divided by the sum of its terms' magnitudes, the
+    rounding bound of that sum, so no frequency scaling of the loop moves
+    the verdict."""
     b1, b2, r1, r2, r3 = params
     s1 = data.d1(r1, r2, b1) / (np.abs(r1 * data.t1) + np.abs(r2 * data.t2)
                                 + np.abs(b1 * data.t3) + 1e-300)
     s2 = data.d2(r3, r2, b2) / (np.abs(r3 * data.u1) + np.abs(r2 * data.u2)
                                 + np.abs(b2 * data.u3) + 1e-300)
     strict = s1.min() > STRICT_MARGIN and s2.min() > STRICT_MARGIN
-    return s1, s2, (_refined_sup(problem, _ratio(data, params), params) if strict
-                    else float("inf"))
+    if not strict:
+        return s1, s2, float("inf"), None
+    return s1, s2, *_refined_sup(problem, _ratio(data, params), params)
 
 
 def _ratio(data: FreqData, params):
@@ -537,12 +546,13 @@ class _Unbounded(Exception):
     """The ratio is +inf off-grid: d1 or d2 is not positive there."""
 
 
-def _refined_sup(problem: GsoreProblem, ratio, params) -> float:
-    """Supremum of the per-sample ``ratio`` on the problem's grid, sharpened
-    around the argmax; +inf as soon as a probe finds the ratio unbounded."""
+def _refined_sup(problem: GsoreProblem, ratio, params):
+    """(sup, omega): the supremum of the per-sample ``ratio`` on the problem's
+    grid, sharpened around the argmax, and where it sits; the sup is +inf as
+    soon as a probe finds the ratio unbounded."""
     i = int(np.argmax(ratio))
-    m = float(ratio[i])
     w = problem.samples.omega
+    m, at = float(ratio[i]), float(w[i])
     if np.isfinite(m) and 0 < i < w.size - 1 and w[i - 1] > 0.0:
         def negative_ratio(t):
             r = float(_ratio_at(problem, params, np.exp(t))[0])
@@ -554,79 +564,68 @@ def _refined_sup(problem: GsoreProblem, ratio, params) -> float:
             res = minimize_scalar(negative_ratio, bounds=(np.log(w[i - 1]), np.log(w[i + 1])),
                                   method="bounded", options={"xatol": 1e-6})
         except _Unbounded:
-            return np.inf
-        m = max(m, float(-res.fun))
-    return m
+            return np.inf, at
+        if -res.fun > m:
+            m, at = float(-res.fun), float(np.exp(res.x))
+    return m, at
 
 
 def _verify_candidate(problem: GsoreProblem, params, windows, seed) -> CertificateResult:
     b1, b2, r1, r2, r3 = params
     elem = problem.element
     wr, xi = elem.omega_r, elem.xi
-    g1, g2 = problem.gammas
-    report = []
     data = FreqData.from_samples(problem.samples, wr, xi)
-    s1, s2, m_value = _grid_check(problem, data, params)
-    s1_ok = bool(s1.min() > STRICT_MARGIN)
-    s2_ok = bool(s2.min() > STRICT_MARGIN)
-    report.append({"id": "S1-diagonal-positivity", "satisfied": s1_ok,
-                   "worst_omega": float(data.omega[int(np.argmin(s1))])})
-    report.append({"id": "S2-diagonal-positivity", "satisfied": s2_ok,
-                   "worst_omega": float(data.omega[int(np.argmin(s2))])})
+    s1, s2, m_value, sup_omega = _grid_check(problem, data, params)
+    grid = [Condition(cid, pass_fail(s.min() > STRICT_MARGIN), float(s.min()),
+                      float(data.omega[int(np.argmin(s))]))
+            for cid, s in (("S1-diagonal-positivity", s1), ("S2-diagonal-positivity", s2))]
+    conditions = list(grid)
 
     cand = HbetaCandidate(np.array([b1, b2]), np.array([[r1, r2], [r2, r3]]))
-    m_inf = limit_matrix_infinity(cand, wr, xi, problem.n_minus_m,
-                                  problem.k_n if problem.n_minus_m == 3 else None)
-    inf_ok = bool(np.all(np.linalg.eigvalsh(m_inf) >
-                         STRICT_MARGIN * np.linalg.norm(m_inf, "fro")))
-    report.append({"id": "high-frequency-limit-matrix", "satisfied": inf_ok,
-                   "margin": float(np.min(np.linalg.eigvalsh(m_inf)))})
-    z_ok = True
+    limits = [("high-frequency-limit-matrix", limit_matrix_infinity(
+        cand, wr, xi, problem.n_minus_m, problem.k_n if problem.n_minus_m == 3 else None))]
     if problem.origin_pole:
-        m0 = limit_matrix_zero(cand, wr, xi, problem.k_s0)
-        z_ok = bool(np.all(np.linalg.eigvalsh(m0) >
-                           STRICT_MARGIN * np.linalg.norm(m0, "fro")))
-        report.append({"id": "zero-frequency-limit-matrix", "satisfied": z_ok,
-                       "margin": float(np.min(np.linalg.eigvalsh(m0)))})
+        limits.append(("zero-frequency-limit-matrix",
+                       limit_matrix_zero(cand, wr, xi, problem.k_s0)))
+    for cid, m in limits:
+        eig, scale = np.linalg.eigvalsh(m), np.linalg.norm(m, "fro")
+        conditions.append(Condition(cid, pass_fail(np.all(eig > STRICT_MARGIN * scale)),
+                                    float(eig[0] / scale) if scale else 0.0))
 
-    rho = np.array([[r1, r2], [r2, r3]])
     pd_ok = bool(r1 > 0 and r3 > 0 and r1 * r3 > r2**2)
-    try:
-        jump_ok = pd_ok and reset_matrix_condition(np.diag([g1, g2]), rho, strict=True)
-    except NotPositiveDefinite:
-        jump_ok = False
-    report.append({"id": "rho-positive-definite", "satisfied": pd_ok,
-                   "margin": float(r1 * r3 - r2**2)})
-    report.append({"id": "jump-map-strict-inequality", "satisfied": bool(jump_ok),
-                   "margin": float(r1 * r3 - gamma_factor(g1, g2) * r2**2)})
-
-    m_ok = bool(m_value <= M_BOUND - M_SLACK)
-    report.append({"id": "sup-ratio-below-four", "satisfied": m_ok,
-                   "margin": float(M_BOUND - m_value)})
-
+    conditions.append(Condition("rho-positive-definite", pass_fail(pd_ok),
+                                float(min(r1, r3, r1 * r3 - r2**2))))
+    jump_ok, jump_margin = False, None
+    if pd_ok:
+        with suppress(NotPositiveDefinite):
+            jump_ok, jump_margin = jump_map_test(np.diag(problem.gammas), cand.rho_prime)
+    conditions.append(Condition("jump-map-strict-inequality", pass_fail(jump_ok), jump_margin))
+    conditions.append(Condition("sup-ratio-below-four", pass_fail(m_value <= M_BOUND - M_SLACK),
+                                float(M_BOUND - m_value), sup_omega))
     rank = rank_condition(problem, params)
-    report.append({"id": "rank-conditions", "satisfied": rank != "fail", "detail": rank})
+    conditions.append(Condition("rank-conditions", rank, detail="measured plant: needs a model"
+                                if rank == "conditional" else ""))
 
     if problem.problem_type == "III":
         q = (r1 / b1, r2 / b1, r3 / b2, r2 / b2)
     else:
         q = (b1 / r1, r2 / r1, b2 / r3, r2 / r3)
 
-    oracle = "skipped"
-    if s1_ok and s2_ok and pd_ok:
+    oracle = Condition("oracle-cross-check", "skipped", detail="S1, S2 or rho failed")
+    if no_failure(grid) and pd_ok:
         pos = problem.samples.omega > 0.0
         sub = LoopSamples(problem.samples.omega[pos], problem.samples.loop[pos],
                           problem.samples.shaping[pos], problem.samples.reset_base[pos])
         rep = spr_check_matrix(cand, sub, elem, k_s0=problem.k_s0, k_n=problem.k_n,
                                origin_pole=problem.origin_pole,
                                n_minus_m=problem.n_minus_m)
-        oracle = "pass" if rep.passed else "fail"
-
-    certified = bool(s1_ok and s2_ok and inf_ok and z_ok and pd_ok and jump_ok
-                     and m_ok and rank != "fail" and oracle != "fail")
-    return CertificateResult(tuple(float(v) for v in q), float(m_value), certified,
-                             report, tuple(float(v) for v in params),
-                             problem.problem_type, oracle, rank, seed, windows)
+        failed = [c.id for c in rep.conditions if c.status == "fail"]
+        oracle = Condition(oracle.id, pass_fail(rep.passed),
+                           detail="failed: " + ", ".join(failed) if failed else "")
+    conditions.append(oracle)
+    return CertificateResult(tuple(float(v) for v in q), float(m_value), conditions,
+                             tuple(float(v) for v in params), problem.problem_type, seed,
+                             windows)
 
 
 def rank_condition(problem: GsoreProblem, params) -> str:

@@ -19,12 +19,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .elements import ResetElement, base_tf, reset_matrix_condition
+from .elements import ResetElement, base_tf, jump_map_test
 from .errors import GridTooSparse, NotPositiveDefinite
-from .frf import Loop, LoopSamples
+from .frf import Condition, Loop, LoopSamples, no_failure, pass_fail
 from .lti import RationalTF, dc_limit, high_frequency_re_limit, polymul, polysum, tf
 
 MARGIN = 1e-9   # strictness margin, relative to the local response scale
+SWEEP_DIRECTIONS = 720  # (beta', rho') directions search_candidate_scalar tries
 
 
 @dataclass(frozen=True)
@@ -41,20 +42,14 @@ class HbetaCandidate:
 
 
 @dataclass(frozen=True)
-class LimitCheck:
-    kind: str       # "value" (H(inf) or H(0)) or "scaled" (w^2-scaled)
-    value: float
-    passed: bool
+class SprReport:
+    """An oracle verdict: it passes when none of its conditions failed."""
 
+    conditions: list
 
-@dataclass(frozen=True)
-class ScalarSprReport:
-    passed: bool
-    rho_positive: bool
-    min_margin: float           # min of (beta',rho').N / (|N| * |xi|) over the grid
-    worst_omega: float
-    limit_zero: LimitCheck | None
-    limit_inf: LimitCheck | None
+    @property
+    def passed(self) -> bool:
+        return no_failure(self.conditions)
 
 
 def build_h_scalar(p_lin: RationalTF, element: ResetElement, c_s: RationalTF,
@@ -83,14 +78,6 @@ def build_h_scalar(p_lin: RationalTF, element: ResetElement, c_s: RationalTF,
     return RationalTF(num, den)
 
 
-def _limits_scalar(h: RationalTF):
-    zero = dc_limit(h)
-    lim0 = LimitCheck("value", zero, bool(np.isfinite(zero) and zero > 0.0))
-    kind, val = high_frequency_re_limit(h)
-    liminf = LimitCheck(kind, val, bool(val > 0.0))
-    return lim0, liminf
-
-
 def _scalar_nsv(samples: LoopSamples, element: ResetElement, variant: str):
     """(N_chi, N_upsilon) of the scalar checks, recomputed from raw loop samples."""
     L, cs, cr, w = samples.loop, samples.shaping, samples.reset_base, samples.omega
@@ -109,13 +96,14 @@ def _scalar_nsv(samples: LoopSamples, element: ResetElement, variant: str):
 def spr_check_scalar(candidate: HbetaCandidate, samples: LoopSamples,
                      element: ResetElement, c_s: RationalTF | None = None,
                      p_lin: RationalTF | None = None,
-                     variant: str = "standard") -> ScalarSprReport:
+                     variant: str = "standard") -> SprReport:
     """Grid positivity of Re H plus both limit conditions for one candidate.
 
     Grid test: (beta', rho') . N(w) > MARGIN * |N(w)| at every sample, with N
     recomputed here from the raw loop responses.  Limit tests need the
-    rational blocks; without them the report carries None limits and fails
-    closed only on the grid criterion.
+    rational blocks; without them the two limit records are skipped.  The
+    limits: H(0) finite and positive, and H(inf) (lim w^2 Re H(jw) when H
+    is strictly proper) positive.
     """
     bp = float(np.asarray(candidate.beta_prime).reshape(()))
     rp = float(np.asarray(candidate.rho_prime).reshape(()))
@@ -126,25 +114,27 @@ def spr_check_scalar(candidate: HbetaCandidate, samples: LoopSamples,
     norm = np.hypot(n_chi, n_ups) * np.hypot(bp, rp)
     margins = (bp * n_chi + rp * n_ups) / np.maximum(norm, 1e-300)
     i = int(np.argmin(margins))
-    min_margin, worst = float(margins[i]), float(samples.omega[i])
-    rho_ok = rp > 0.0
-    grid_ok = min_margin > MARGIN
-
-    lim0 = liminf = None
-    limits_ok = True
-    if p_lin is not None:
-        h = build_h_scalar(p_lin, element, c_s, bp, rp, variant)
-        lim0, liminf = _limits_scalar(h)
-        limits_ok = lim0.passed and liminf.passed
-    return ScalarSprReport(bool(rho_ok and grid_ok and limits_ok), rho_ok,
-                           min_margin, worst, lim0, liminf)
+    conditions = [Condition("rho-positive", pass_fail(rp > 0.0), rp),
+                  Condition("grid-positivity", pass_fail(margins[i] > MARGIN),
+                            float(margins[i]), float(samples.omega[i]))]
+    if p_lin is None:
+        return SprReport(conditions + [
+            Condition(cid, "skipped", detail="needs rational blocks")
+            for cid in ("zero-frequency-limit", "high-frequency-limit")])
+    h = build_h_scalar(p_lin, element, c_s, bp, rp, variant)
+    zero, (kind, val) = dc_limit(h), high_frequency_re_limit(h)
+    finite = bool(np.isfinite(zero))
+    return SprReport(conditions + [
+        Condition("zero-frequency-limit", pass_fail(finite and zero > 0.0),
+                  float(zero) if finite else None, detail="H(0)" if finite else f"H(0) = {zero}"),
+        Condition("high-frequency-limit", pass_fail(val > 0.0), float(val),
+                  detail="H(inf)" if kind == "value" else "lim w^2 Re H(jw)")])
 
 
 def search_candidate_scalar(samples: LoopSamples, element: ResetElement,
                             c_s: RationalTF | None = None,
                             p_lin: RationalTF | None = None,
-                            variant: str = "standard",
-                            steps: int = 720) -> HbetaCandidate | None:
+                            variant: str = "standard") -> HbetaCandidate | None:
     """Sweep the (beta', rho') direction over the unit circle.
 
     Positivity of Re H is scale-invariant in the candidate, so the unit norm
@@ -164,7 +154,7 @@ def search_candidate_scalar(samples: LoopSamples, element: ResetElement,
     if not (gaps[j] > np.pi and norm.min() > 0.0):
         return None     # no open half plane holds every N(w)
     ends = by_angle[[j, (j + 1) % by_angle.size]]   # the arc's two ends
-    phis = np.arange(steps) * (2.0 * np.pi / steps)
+    phis = np.arange(SWEEP_DIRECTIONS) * (2.0 * np.pi / SWEEP_DIRECTIONS)
     dirs = np.stack([np.cos(phis), np.sin(phis)], axis=1)
     margins = (dirs @ np.stack([n_chi[ends], n_ups[ends]])
                / np.maximum(norm[ends], 1e-300)).min(axis=1)
@@ -182,17 +172,6 @@ def search_candidate_scalar(samples: LoopSamples, element: ResetElement,
 # ---------------------------------------------------------------------------
 # matrix path (two-state reset element)
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class MatrixSprReport:
-    passed: bool
-    grid_ok: bool
-    worst_omega: float
-    min_det_margin: float
-    limit_inf: LimitCheck | None
-    limit_zero: LimitCheck | None
-    jump_map_ok: bool
-
 
 def _sym_matrix_entries(candidate, samples: LoopSamples, omega_r: float, xi: float):
     """Entries (d1, d2, c) of the real symmetric part of the 2x2 SPR response,
@@ -246,18 +225,19 @@ def limit_matrix_zero(candidate, omega_r: float, xi: float, k_s0: float) -> np.n
                      [off, 4.0 * k_s0 * b2 * xi * omega_r - 2.0 * r2]])
 
 
-def _pd_check(m: np.ndarray) -> bool:
+def _pd_condition(cid: str, m: np.ndarray) -> Condition:
+    """Positive definiteness of a limit matrix: every eigenvalue above
+    MARGIN * ||m||_F; the margin is the smallest eigenvalue over ||m||_F."""
     scale = np.linalg.norm(m, "fro")
-    if scale == 0.0:
-        return False
     eig = np.linalg.eigvalsh(m)
-    return bool(np.all(eig > MARGIN * scale))
+    ok = scale != 0.0 and bool(np.all(eig > MARGIN * scale))
+    return Condition(cid, pass_fail(ok), float(eig[0] / scale) if scale else 0.0)
 
 
 def spr_check_matrix(candidate: HbetaCandidate, samples: LoopSamples,
                      element: ResetElement, k_s0: float = 1.0,
                      k_n: float | None = None, origin_pole: bool = False,
-                     n_minus_m: int = 4) -> MatrixSprReport:
+                     n_minus_m: int = 4) -> SprReport:
     """SPR test for a (beta, rho) pair on a two-state reset element.
 
     Checks positive definiteness of the real symmetric part on the grid
@@ -277,23 +257,23 @@ def spr_check_matrix(candidate: HbetaCandidate, samples: LoopSamples,
     # loop moves the verdict
     det = d1 * d2 - c * c
     det_scale = np.maximum(np.abs(d1 * d2), 1e-300)
-    ok = (d1 > MARGIN * scale1) & (d2 > MARGIN * scale2) & (det > MARGIN * det_scale)
+    diag_ok = bool(np.all((d1 > MARGIN * scale1) & (d2 > MARGIN * scale2)))
+    diag = np.minimum(d1 / np.maximum(scale1, 1e-300), d2 / np.maximum(scale2, 1e-300))
     det_margin = det / det_scale
-    grid_ok = bool(np.all(ok))
-    worst = float(samples.omega[int(np.argmin(det_margin))])
-
-    m_inf = limit_matrix_infinity(candidate, wr, xi, n_minus_m, k_n)
-    lim_inf = LimitCheck("scaled", float(np.min(np.linalg.eigvalsh(m_inf))), _pd_check(m_inf))
-    lim_zero = None
+    i, j = int(np.argmin(diag)), int(np.argmin(det_margin))
+    w = samples.omega
+    conditions = [
+        Condition("grid-diagonal-positivity", pass_fail(diag_ok), float(diag[i]), float(w[i])),
+        Condition("grid-determinant-positivity", pass_fail(np.all(det > MARGIN * det_scale)),
+                  float(det_margin[j]), float(w[j])),
+        _pd_condition("high-frequency-limit-matrix",
+                      limit_matrix_infinity(candidate, wr, xi, n_minus_m, k_n))]
     if origin_pole:
-        m0 = limit_matrix_zero(candidate, wr, xi, k_s0)
-        lim_zero = LimitCheck("value", float(np.min(np.linalg.eigvalsh(m0))), _pd_check(m0))
-
-    jump_ok = reset_matrix_condition(element.a_rho, r, strict=True)
-    passed = bool(grid_ok and lim_inf.passed and (lim_zero is None or lim_zero.passed)
-                  and jump_ok)
-    return MatrixSprReport(passed, grid_ok, worst, float(np.min(det_margin)),
-                           lim_inf, lim_zero, jump_ok)
+        conditions.append(_pd_condition("zero-frequency-limit-matrix",
+                                        limit_matrix_zero(candidate, wr, xi, k_s0)))
+    jump_ok, jump_margin = jump_map_test(element.a_rho, r, strict=True)
+    conditions.append(Condition("jump-map-strict-inequality", pass_fail(jump_ok), jump_margin))
+    return SprReport(conditions)
 
 
 def loop_invariants(element: ResetElement, c_l1: RationalTF, c_l2: RationalTF,

@@ -8,13 +8,13 @@ the condition-list test is kept as diagnostics and must agree with it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from .elements import ResetElement
-from .errors import SparseGrid, ZeroShapingFilter
-from .frf import GRID_POINTS, Loop, LoopSamples
+from .errors import ConfigError, SparseGrid, ZeroShapingFilter
+from .frf import GRID_POINTS, Condition, Loop, LoopSamples, no_failure, pass_fail
 from .lti import (
     RationalTF,
     base_linear_stability,
@@ -30,6 +30,10 @@ from .lti import (
 SIGN_EPS = 1e-9          # slack on the pointwise strict sign conditions
 THETA_GAP_MAX = np.pi / 6
 REFINE_LEVELS = 8        # midpoint-insertion rounds in nsv_grid_samples
+# (lower, upper) bounds of theta1 and of theta2 in the angle windows of the two types
+TYPE1_BOUNDS = ((-np.pi / 2 - SIGN_EPS, np.pi + SIGN_EPS),
+                (-np.pi / 2 - SIGN_EPS, np.pi - SIGN_EPS))
+TYPE2_BOUNDS = ((SIGN_EPS, 3 * np.pi / 2 - SIGN_EPS),) * 2
 
 
 @dataclass(frozen=True)
@@ -51,11 +55,16 @@ class Nsv:
 
 @dataclass(frozen=True)
 class TypeVerdict:
+    """``conditions``: each type's side rules and angle window, which hold the
+    type when none failed, and the condition-list cross-check.  ``membership``
+    is the record a certified verdict reads: either type holds."""
+
     is_type1: bool
     is_type2: bool
     theta1: float
     theta2: float
-    diagnostics: list = field(default_factory=list)
+    conditions: list
+    membership: Condition
     theta1_omega: float | None = None   # grid omega of theta1; None at an asymptotic limit
     theta2_omega: float | None = None
 
@@ -112,16 +121,13 @@ def _nsv_arrays(samples: LoopSamples, variant: str) -> Nsv:
     return Nsv(np.asarray(w, float), n_chi, n_ups, theta)
 
 
-def _window_type1(theta1, theta2, eps=SIGN_EPS):
-    return (theta1 > -np.pi / 2 - eps and theta1 < np.pi + eps
-            and theta2 > -np.pi / 2 - eps and theta2 < np.pi - eps
-            and theta2 - theta1 < np.pi + eps)
-
-
-def _window_type2(theta1, theta2, eps=SIGN_EPS):
-    return (theta1 > eps and theta1 < 3 * np.pi / 2 - eps
-            and theta2 > eps and theta2 < 3 * np.pi / 2 - eps
-            and theta2 - theta1 < np.pi + eps)
+def _window_slack(theta1, theta2, bounds):
+    """(slack, k) of an angle window: the slack is the smallest of each
+    extreme's distances to its ``bounds`` and of (pi + eps) - (theta2 - theta1),
+    so the window holds exactly when it is positive; k is the extreme nearer
+    its own bounds (0 for theta1, 1 for theta2)."""
+    own = [min(t - lo, hi - t) for t, (lo, hi) in zip((theta1, theta2), bounds)]
+    return min(*own, np.pi + SIGN_EPS - (theta2 - theta1)), int(own[1] < own[0])
 
 
 def _condition_list_type1(n_chi, n_ups, theta, eps=SIGN_EPS):
@@ -170,7 +176,9 @@ def classify(nsv: Nsv, origin_pole: bool = False, k_s0: float = 1.0,
 
     ``extra_thetas`` carries asymptotic angle limits so the min/max covers
     the w -> 0 and w -> inf ends of the axis.  The angle-window test decides;
-    the condition-list transcription is evaluated alongside for diagnostics.
+    the condition-list transcription is evaluated alongside as a cross-check.
+    The membership record's margin is the slack of the better window among
+    the types whose side rules hold (None when neither's do).
     """
     if len(nsv) == 0:
         raise SparseGrid("no NSV samples")
@@ -183,40 +191,36 @@ def classify(nsv: Nsv, origin_pole: bool = False, k_s0: float = 1.0,
     all_theta = np.concatenate([theta, np.asarray(list(extra_thetas), float)])
     extremes = (int(np.argmin(all_theta)), int(np.argmax(all_theta)))
     theta1, theta2 = (float(all_theta[i]) for i in extremes)
-    theta1_omega, theta2_omega = (float(omega[i]) if i < omega.size else None
-                                  for i in extremes)
+    omegas = tuple(float(omega[i]) if i < omega.size else None for i in extremes)
 
-    diagnostics = []
     norms = np.hypot(n_chi, n_ups)
-    nz_ok = bool(np.all(norms > 1e-300))
-    diagnostics.append(("nonzero-nsv", "ok" if nz_ok else
-                        f"zero NSV at omega={omega[np.argmin(norms)]:g}"))
-
-    # side condition (1): sign of the shaping DC gain under an origin pole
-    c1_t1 = (k_s0 > 0.0) if origin_pole else True
-    c1_t2 = (k_s0 < 0.0) if origin_pole else True
-    # side condition (2): sign flip for the pure integrator element
-    c2_t1 = (k_s0 < 0.0) if element_kind == "CI" else True
-    c2_t2 = (k_s0 > 0.0) if element_kind == "CI" else True
-
-    w1 = _window_type1(theta1, theta2)
-    w2 = _window_type2(theta1, theta2)
-    is1 = bool(c1_t1 and c2_t1 and w1 and nz_ok)
-    is2 = bool(c1_t2 and c2_t2 and w2 and nz_ok)
-
-    diagnostics.append(("type1-ks0-origin", "ok" if c1_t1 else f"k_s0={k_s0:g} <= 0"))
-    diagnostics.append(("type1-ks0-ci", "ok" if c2_t1 else f"k_s0={k_s0:g} >= 0"))
-    diagnostics.append(("type1-window", "ok" if w1 else
-                        f"theta range [{theta1:.4f}, {theta2:.4f}]"))
-    diagnostics.append(("type2-ks0-origin", "ok" if c1_t2 else f"k_s0={k_s0:g} >= 0"))
-    diagnostics.append(("type2-ks0-ci", "ok" if c2_t2 else f"k_s0={k_s0:g} <= 0"))
-    diagnostics.append(("type2-window", "ok" if w2 else
-                        f"theta range [{theta1:.4f}, {theta2:.4f}]"))
-    diagnostics.append(("type1-condition-list",
-                        "ok" if _condition_list_type1(n_chi, n_ups, theta) else "violated"))
-    diagnostics.append(("type2-condition-list",
-                        "ok" if _condition_list_type2(n_chi, n_ups, theta) else "violated"))
-    return TypeVerdict(is1, is2, theta1, theta2, diagnostics, theta1_omega, theta2_omega)
+    k = int(np.argmin(norms))
+    nonzero = Condition("nonzero-nsv", pass_fail(norms[k] > 1e-300), float(norms[k]),
+                        float(omega[k]))
+    conditions, holds, eligible = [nonzero], [], []
+    ks0, spread = f"k_s0={k_s0:g}", f"theta range [{theta1:.4f}, {theta2:.4f}]"
+    # side rules: under an origin pole Type I needs k_s0 > 0 and Type II
+    # k_s0 < 0; the pure integrator element (CI) flips both signs
+    for t, bounds, sign in ((1, TYPE1_BOUNDS, 1.0), (2, TYPE2_BOUNDS, -1.0)):
+        rules = [Condition(f"type{t}-ks0-origin",
+                           pass_fail(sign * k_s0 > 0.0) if origin_pole else "skipped", detail=ks0),
+                 Condition(f"type{t}-ks0-ci",
+                           pass_fail(sign * k_s0 < 0.0) if element_kind == "CI" else "skipped",
+                           detail=ks0)]
+        slack, j = _window_slack(theta1, theta2, bounds)
+        window = Condition(f"type{t}-window", pass_fail(slack > 0.0), float(slack), omegas[j],
+                           spread)
+        conditions += rules + [window]
+        holds.append(no_failure([nonzero, *rules, window]))
+        if no_failure([nonzero, *rules]):
+            eligible.append(window)
+    conditions += [
+        Condition("type1-condition-list", pass_fail(_condition_list_type1(n_chi, n_ups, theta))),
+        Condition("type2-condition-list", pass_fail(_condition_list_type2(n_chi, n_ups, theta)))]
+    best = max(eligible, key=lambda c: c.margin, default=Condition("type-membership", "fail"))
+    membership = replace(best, id="type-membership", status=pass_fail(any(holds)),
+                         detail=f"type1={holds[0]} type2={holds[1]}")
+    return TypeVerdict(*holds, theta1, theta2, conditions, membership, *omegas)
 
 
 @dataclass(frozen=True)
@@ -352,53 +356,66 @@ def _merged(records, order):
 
 @dataclass(frozen=True)
 class CertifiedVerdict:
-    certified: bool
-    conditional_on_well_posedness: bool
-    bullets: list
-    type_verdict: TypeVerdict | None
+    conditions: list
+    type_verdict: TypeVerdict
     k_s0: float
     k_n: float | None
     samples: LoopSamples    # the final refined grid the verdict was read from
     nsv: Nsv
 
+    @property
+    def certified(self) -> bool:
+        return no_failure(self.conditions)
+
 
 def certify_first_order(element: ResetElement, c_l1: RationalTF, c_l2: RationalTF,
                         plant, c_s: RationalTF | None = None,
                         architecture: str = "standard", points: int = GRID_POINTS,
-                        plant_rhp_poles: int = 0, plant_origin_poles: int = 0,
+                        plant_rhp_poles: int | None = None,
+                        plant_origin_poles: int | None = None,
                         asymptote=None) -> CertifiedVerdict:
     """Full stability verdict for CI / PCI / GFORE / SOSRE reset loops.
 
     Aggregates base-linear stability, open-loop minimality, the CI side
     rules, Type I/II membership, the reset-scalar bound, and the shaping
     proviso.  With a measured plant the stability check falls back to the
-    winding count and minimality is assumed (reported as such).
+    winding count, with the declared ``plant_rhp_poles`` and
+    ``plant_origin_poles`` (default 0), and minimality is assumed (reported
+    as such).  A rational plant gives its poles and asymptotes itself, so
+    passing any of those two or ``asymptote`` with one raises ConfigError.
     """
     loop = Loop(element, c_l1, c_l2, plant, c_s, architecture)
+    if loop.rational and (plant_rhp_poles, plant_origin_poles, asymptote) != (None,) * 3:
+        raise ConfigError("plant_rhp_poles, plant_origin_poles and asymptote are for a "
+                          "measured plant; a rational plant gives them itself")
     c_s, c_r, variant = loop.c_s, loop.c_r, loop.variant
-    bullets = []
-
     samples, nsv = nsv_grid_samples(plant, c_l1, c_l2, c_s, element,
                                     variant=variant, points=points)
     k_s0, k_n, n_minus_m = loop.k_s0, loop.k_n, loop.n_minus_m
     if loop.rational:
         rep = base_linear_stability(loop.loop_tf)
-        bullets.append(("base-linear-stability", "pass" if rep.stable else "fail",
-                        f"{rep.poles.size} closed-loop poles"))
+        # the rightmost closed-loop pole binds: its distance from the axis
+        # and its damped frequency
+        p = rep.poles[np.argmax(rep.poles.real)] if rep.poles.size else None
+        conditions = [Condition("base-linear-stability", pass_fail(rep.stable),
+                                None if p is None else float(-p.real),
+                                None if p is None else float(abs(p.imag)),
+                                f"{rep.poles.size} closed-loop poles")]
         cancels = minimality_check(loop.loop_tf)
-        bullets.append(("open-loop-minimality", "pass" if not cancels else "fail",
-                        "no cancellations" if not cancels else f"cancellation at {cancels[0]:.4g}"))
+        conditions.append(Condition("open-loop-minimality", pass_fail(not cancels),
+                                    detail=f"cancellation at {cancels[0]:.4g}" if cancels
+                                    else "no cancellations"))
         origin = loop.origin_poles
         extra = asymptotic_angles(loop.loop_tf, c_s, c_r, variant=variant)
     else:
+        origin = plant_origin_poles or 0
         rep = nyquist_stability_from_samples(samples.omega, samples.loop,
-                                             rhp_poles=plant_rhp_poles,
-                                             origin_poles=plant_origin_poles)
-        bullets.append(("base-linear-stability", "pass" if rep.stable else "fail",
-                        f"net encirclements {rep.encirclements}"))
-        bullets.append(("open-loop-minimality", "assumed",
-                        "measured plant: cancellations not checkable"))
-        origin = plant_origin_poles
+                                             rhp_poles=plant_rhp_poles or 0,
+                                             origin_poles=origin)
+        conditions = [Condition("base-linear-stability", pass_fail(rep.stable),
+                                detail=f"net encirclements {rep.encirclements}"),
+                      Condition("open-loop-minimality", "assumed",
+                                detail="measured plant: cancellations not checkable")]
         extra = []
         if asymptote is not None:
             lo_slope, hi_slope = asymptote
@@ -407,37 +424,29 @@ def certify_first_order(element: ResetElement, c_l1: RationalTF, c_l2: RationalT
             n_minus_m = -int(hi_slope)
 
     if element.kind == "CI":
-        ok_origin = origin == 0
-        ok_slope = n_minus_m == 2 if n_minus_m is not None else False
-        bullets.append(("ci-origin-pole-rule", "pass" if ok_origin else "fail",
-                        f"{origin} origin poles in the linear part"))
-        bullets.append(("ci-relative-degree-rule", "pass" if ok_slope else "fail",
-                        f"n-m = {n_minus_m}"))
+        conditions.append(Condition("ci-origin-pole-rule", pass_fail(origin == 0),
+                                    detail=f"{origin} origin poles in the linear part"))
+        conditions.append(Condition("ci-relative-degree-rule", pass_fail(n_minus_m == 2),
+                                    detail=f"n-m = {n_minus_m}"))
 
     verdict = classify(nsv, origin_pole=origin > 0, k_s0=k_s0,
                        element_kind=element.kind, extra_thetas=extra)
-    bullets.append(("type-membership", "pass" if (verdict.is_type1 or verdict.is_type2) else "fail",
-                    f"type1={verdict.is_type1} type2={verdict.is_type2}"))
+    conditions.append(verdict.membership)
 
     gamma = float(element.a_rho[0, 0])
-    ok_gamma = -1.0 < gamma < 1.0
-    bullets.append(("reset-scalar-bound", "pass" if ok_gamma else "fail", f"gamma={gamma:g}"))
+    conditions.append(Condition("reset-scalar-bound", pass_fail(-1.0 < gamma < 1.0),
+                                1.0 - abs(gamma), detail=f"gamma={gamma:g}"))
 
     unit_shaping = (c_s.num.size == 1 and c_s.den.size == 1
                     and np.isclose(c_s.num[0] / c_s.den[0], 1.0))
-    conditional = (not unit_shaping) or element.kind == "SOSRE"
-    if not conditional:
-        detail = "unit shaping filter"
+    if unit_shaping and element.kind != "SOSRE":
+        status, detail = "pass", "unit shaping filter"
     elif element.kind == "SOSRE":
-        detail = "partial reset requires well-posed reset instants"
+        status, detail = "conditional", "partial reset requires well-posed reset instants"
     else:
-        detail = "shaping filter requires well-posed reset instants"
-    bullets.append(("well-posedness-proviso",
-                    "pass" if not conditional else "conditional", detail))
-
-    certified = all(status in ("pass", "conditional", "assumed") for _, status, _ in bullets)
-    return CertifiedVerdict(certified, conditional, bullets, verdict, k_s0, k_n,
-                            samples, nsv)
+        status, detail = "conditional", "shaping filter requires well-posed reset instants"
+    conditions.append(Condition("well-posedness-proviso", status, detail=detail))
+    return CertifiedVerdict(conditions, verdict, k_s0, k_n, samples, nsv)
 
 
 def _frf_asymptote_angles(samples: LoopSamples, c_s, c_r, variant,

@@ -13,6 +13,10 @@ def run(args):
     return main(args)
 
 
+def statuses(data):
+    return {c["id"]: c["status"] for c in data["conditions"]}
+
+
 def write_config(tmp_path, cfg, name="cfg.json"):
     p = tmp_path / name
     p.write_text(json.dumps(cfg))
@@ -39,7 +43,8 @@ class TestClassify:
         assert code == 0
         data = json.loads(out.read_text())
         assert data["certified"] is True
-        assert data["is_type1"] is True
+        (membership,) = [c for c in data["conditions"] if c["id"] == "type-membership"]
+        assert membership["status"] == "pass" and membership["detail"].startswith("type1=True")
 
     def test_nsv_out_is_the_refined_grid(self, tmp_path):
         from resetcert.elements import gfore
@@ -64,8 +69,7 @@ class TestClassify:
                     "--grid-points", "600"])
         assert code == 2
         data = json.loads(out.read_text())
-        failed = {b["name"] for b in data["bullets"] if b["status"] == "fail"}
-        assert "ci-origin-pole-rule" in failed
+        assert statuses(data)["ci-origin-pole-rule"] == "fail"
 
     def test_missing_frf_exit_1(self, tmp_path):
         cfg = write_config(tmp_path, GFORE_DEMO)
@@ -132,7 +136,7 @@ class TestGsoreCheck:
         assert a.read_bytes() == b.read_bytes()
         data = json.loads(a.read_text())
         assert data["certified"] is True
-        assert data["oracle_cross_check"] == "pass"
+        assert statuses(data)["oracle-cross-check"] == "pass"
         assert data["problem_type"] == "III"
         assert len(data["q"]) == 4
 
@@ -190,7 +194,7 @@ class TestGsoreCheck:
         assert run(["gsore-check", "--config", cfg, "--grid-points", "400",
                     "--out", str(out)]) == 0
         data = json.loads(out.read_text())
-        assert data["certified"] and data["rank_check"] == "pass"
+        assert data["certified"] and statuses(data)["rank-conditions"] == "pass"
 
 
 class TestHbeta:
@@ -201,8 +205,9 @@ class TestHbeta:
                     "--grid-points", "500"])
         assert code == 0
         data = json.loads(out.read_text())
-        assert data["passed"] is True
-        assert data["limit_zero"]["passed"] and data["limit_inf"]["passed"]
+        assert data["certified"] is True
+        assert statuses(data)["zero-frequency-limit"] == "pass"
+        assert statuses(data)["high-frequency-limit"] == "pass"
 
     def test_explicit_candidate(self, tmp_path):
         cfg_d = dict(GFORE_DEMO)
@@ -394,8 +399,7 @@ class TestClassifyFromFrf:
         assert code == 0
         data = json.loads(out.read_text())
         assert data["certified"] is True
-        statuses = {b["name"]: b["status"] for b in data["bullets"]}
-        assert statuses["open-loop-minimality"] == "assumed"
+        assert statuses(data)["open-loop-minimality"] == "assumed"
 
 
 class TestFrfConvert:
@@ -489,3 +493,65 @@ class TestUsage:
         for name, argv in workloads.cli_inputs(1, str(tmp_path)).items():
             args = build_parser().parse_args(argv)
             assert args.command == argv[0], name
+
+
+class TestVerdictShape:
+    """classify, hbeta and gsore-check write one shape: ``certified``, the
+    condition records, and only the command's own payload."""
+
+    RECORD_KEYS = {"id", "status", "margin", "omega", "detail"}
+    PAYLOAD = {
+        "classify": {"theta1", "theta2", "theta1_omega", "theta2_omega", "grid_points",
+                     "k_s0", "k_n"},
+        "hbeta": {"candidate"},
+        "gsore-check": {"problem_type", "q", "m_value", "reconstructed", "seed",
+                        "ratio_windows", "search"},
+    }
+    UNSTABLE = {"element": {"kind": "GFORE", "omega_r": 1.0},
+                "blocks": {"plant": {"num": [20.0], "den": [1.0, 2.0, 1.0]}}}
+
+    @pytest.mark.parametrize("command, cfg, code", [
+        ("classify", GFORE_DEMO, 0), ("classify", CI_ORIGIN, 2),
+        ("hbeta", GFORE_DEMO, 0),
+        ("hbeta", dict(GFORE_DEMO, candidate={"beta_prime": -1.0, "rho_prime": 0.001}), 2),
+        ("hbeta", UNSTABLE, 2), ("gsore-check", small_gsore_config(), 0)],
+        ids=["classify", "classify-refused", "hbeta", "hbeta-refused", "hbeta-no-candidate",
+             "gsore-check"])
+    def test_certified_and_records(self, tmp_path, command, cfg, code):
+        out = tmp_path / "out.json"
+        assert run([command, "--config", write_config(tmp_path, cfg), "--grid-points", "400",
+                    "--out", str(out)]) == code
+        data = json.loads(out.read_text())
+        assert set(data) == {"certified", "conditions"} | self.PAYLOAD[command]
+        assert data["certified"] is (code == 0)
+        assert data["certified"] == all(c["status"] != "fail" for c in data["conditions"])
+        for c in data["conditions"]:
+            assert set(c) == self.RECORD_KEYS
+            assert c["status"] in ("pass", "fail", "conditional", "assumed", "skipped")
+
+    def test_no_candidate_says_why(self, tmp_path):
+        out = tmp_path / "out.json"
+        assert run(["hbeta", "--config", write_config(tmp_path, self.UNSTABLE),
+                    "--grid-points", "400", "--out", str(out)]) == 2
+        data = json.loads(out.read_text())
+        assert data["candidate"] is None
+        assert statuses(data) == {"candidate-search": "fail"}
+
+
+class TestRationalPlantRefusesTableSettings:
+    """plant_rhp_poles, plant_origin_poles and --asymptote describe a measured
+    plant; with a rational plant classify refuses them instead of dropping
+    them."""
+
+    @pytest.mark.parametrize("top, extra", [
+        ({"plant_rhp_poles": 3}, []), ({"plant_origin_poles": 1}, []),
+        ({"plant_rhp_poles": 0}, []), ({}, ["--asymptote", "0,-2"])],
+        ids=["rhp-poles", "origin-poles", "rhp-poles-zero", "asymptote"])
+    def test_exit_1(self, tmp_path, capsys, top, extra):
+        cfg = write_config(tmp_path, dict(GFORE_DEMO, **top))
+        out = tmp_path / "out.json"
+        assert run(["classify", "--config", cfg, "--grid-points", "400", "--out", str(out)]
+                   + extra) == 1
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "measured plant" in err

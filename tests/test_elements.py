@@ -7,9 +7,9 @@ from resetcert.elements import (
     clegg,
     gfore,
     gsore,
+    jump_map_test,
     pci,
     realization,
-    reset_matrix_condition,
     sosre,
 )
 from resetcert.errors import DomainError, NotPositiveDefinite, RealizationUnavailable
@@ -106,20 +106,22 @@ class TestConstruction:
 
 class TestResetMatrixCondition:
     def test_half_identity(self):
-        assert reset_matrix_condition(0.5 * np.eye(2), np.eye(2))
+        # A' rho A - rho = -0.75 I: the margin is 0.75 of ||rho||
+        assert jump_map_test(0.5 * np.eye(2), np.eye(2)) == (True, 0.75)
 
     def test_identity_not_strict(self):
-        assert not reset_matrix_condition(np.eye(2), np.eye(2))
-        assert reset_matrix_condition(np.eye(2), np.eye(2), strict=False)
+        assert jump_map_test(np.eye(2), np.eye(2)) == (False, 0.0)
+        assert jump_map_test(np.eye(2), np.eye(2), strict=False)[0]
 
     def test_mixed_case_against_eig_oracle(self):
         a = np.diag([0.5, -0.5])
         rho = np.array([[2.0, 0.1], [0.1, 1.0]])
         expected = bool(np.all(np.linalg.eigvalsh(a.T @ rho @ a - rho) < 0))
-        assert reset_matrix_condition(a, rho) == expected
+        holds, margin = jump_map_test(a, rho)
+        assert holds == expected == (margin > 0.0)
 
     def test_rejects_indefinite_rho(self):
         with pytest.raises(NotPositiveDefinite):
-            reset_matrix_condition(np.eye(2), np.diag([1.0, -1.0]))
+            jump_map_test(np.eye(2), np.diag([1.0, -1.0]))
         with pytest.raises(NotPositiveDefinite):
-            reset_matrix_condition(np.eye(2), np.array([[1.0, 2.0], [0.0, 1.0]]))
+            jump_map_test(np.eye(2), np.array([[1.0, 2.0], [0.0, 1.0]]))

@@ -4,7 +4,7 @@ import pytest
 from resetcert.cli import cglp_pid_blocks
 from resetcert.elements import base_tf, gsore
 from resetcert.errors import DomainError
-from resetcert.frf import FrfTable, LoopSamples
+from resetcert.frf import Condition, FrfTable, LoopSamples
 from resetcert.gsore import (
     M_BOUND,
     SEARCH_POINTS,
@@ -25,6 +25,8 @@ from resetcert.gsore import (
 )
 from resetcert.lti import evaluate, series, tf
 from resetcert.nsv import certify_first_order
+
+from test_conditions import record
 
 rng = np.random.default_rng(5)
 ONE = tf([1.0])
@@ -147,7 +149,7 @@ class TestCertify:
         assert res.certified
         assert res.m_value < 4.0 - 1e-6
         assert res.oracle_cross_check == "pass"
-        assert res.rank_check == "pass"
+        assert record(res, "rank-conditions").status == "pass"
         b1, b2, r1, r2, r3 = res.reconstructed
         assert r1 > 0 and r3 > 0 and r1 * r3 > r2**2
 
@@ -179,14 +181,14 @@ class TestCertify:
     def test_oracle_rejection_refuses_certificate(self, monkeypatch):
         # a candidate the independent SPR oracle rejects is never certified
         import resetcert.gsore as gsore_module
-        from resetcert.hbeta import MatrixSprReport
+        from resetcert.hbeta import SprReport
 
         elem = gsore(2.0, 1.0, 0.4, 0.4)
         prob = gsore_problem(elem, ONE, ONE, tf([0.8], [1.0, 1.0]), points=400)
         assert certify(prob, FAST).certified
         monkeypatch.setattr(gsore_module, "spr_check_matrix",
-                            lambda *args, **kwargs: MatrixSprReport(
-                                False, False, 1.0, -1.0, None, None, True))
+                            lambda *args, **kwargs: SprReport(
+                                [Condition("grid-determinant-positivity", "fail", -1.0, 1.0)]))
         res = certify(prob, FAST)
         assert res.oracle_cross_check == "fail" and not res.certified
 
@@ -359,7 +361,8 @@ class TestScaleFreeMargins:
         assert prob.loop.c_l2.degree_den == prob.loop.c_l2.degree_num == 4
         res = certify(prob, FAST)
         assert res.certified
-        assert res.oracle_cross_check == "pass" and res.rank_check == "pass"
+        assert res.oracle_cross_check == "pass"
+        assert record(res, "rank-conditions").status == "pass"
         assert res.m_value == pytest.approx(certify(scaled_acceptance_problem(1.0),
                                                     FAST).m_value, rel=1e-6)
 
@@ -369,7 +372,8 @@ class TestScaleFreeMargins:
         # against 5.8e-6 at scale 1)
         res = certify(scaled_acceptance_problem(100.0), FAST)
         assert res.certified
-        assert res.oracle_cross_check == "pass" and res.rank_check == "pass"
+        assert res.oracle_cross_check == "pass"
+        assert record(res, "rank-conditions").status == "pass"
 
     def test_mapped_certificate_passes_at_every_scale(self):
         # a certificate of the scale-1 loop, mapped through the frequency
@@ -469,7 +473,7 @@ class TestCertifyFromMeasuredPlant:
         res_frf = certify(measured, FAST)
         assert res_frf.certified == res_rat.certified is True
         assert res_frf.oracle_cross_check == "pass"
-        assert res_frf.rank_check == "conditional"
+        assert record(res_frf, "rank-conditions").status == "conditional"
         # the measured problem takes k_s0 = Cs(0), as the rational one does
         assert measured.k_s0 == rational.k_s0 == 1.0
 
@@ -551,12 +555,11 @@ class TestDocumentedReferenceShape:
         res = CertificateResult(
             q=(13172.0, 12001144.0, 8113151.0, 1055.0),
             m_value=3.5,
-            certified=True,
-            constraint_report=[{"id": "S1-diagonal-positivity", "satisfied": True}],
+            conditions=[Condition("S1-diagonal-positivity", "pass", 0.2, 10.0),
+                        Condition("rank-conditions", "pass"),
+                        Condition("oracle-cross-check", "skipped")],
             reconstructed=(1.0, 11375.5, 13172.0, 12001144.0, 8113151.0),
             problem_type="III",
-            oracle_cross_check="skipped",
-            rank_check="pass",
             seed=0,
             ratio_windows={"q2_over_q1": (340.0, 5057.0), "q4_over_q3": (0.0, 1.0 / 1132.0)},
         )
@@ -564,3 +567,5 @@ class TestDocumentedReferenceShape:
         assert 340.0 < res.q[1] / res.q[0] < 5057.0
         assert res.q[2] / res.q[3] > 1132.0
         assert res.m_value < 4.0
+        assert res.certified and record(res, "rank-conditions").status == "pass"
+        assert res.oracle_cross_check == "skipped"

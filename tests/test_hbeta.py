@@ -20,6 +20,7 @@ from resetcert.hbeta import (
 from resetcert.lti import assemble_closed_loop, dc_limit, evaluate, high_frequency_re_limit, series, tf
 from resetcert.nsv import certify_first_order, nsv_grid_samples
 
+from test_conditions import record
 from test_lti import tf_close
 
 rng = np.random.default_rng(21)
@@ -88,33 +89,37 @@ class TestScalarCheck:
         samples, _ = nsv_grid_samples(ONE, ONE, ONE, ONE, self.elem, points=600)
         rep = spr_check_scalar(HbetaCandidate(1.0, 1.0), samples, self.elem,
                                ONE, ONE)
-        assert rep.passed and rep.limit_zero.passed and rep.limit_inf.passed
+        assert rep.passed and record(rep, "zero-frequency-limit").status == "pass"
+        assert record(rep, "high-frequency-limit").status == "pass"
 
     def test_boundary_candidate_fails_infinity_limit(self):
         # for L = 1/(s+1)^2 the direction (1, 1) lands exactly on the
         # high-frequency boundary rho'*wr^2 - beta'*K_n = 0
         rep = spr_check_scalar(HbetaCandidate(1.0, 1.0), self.samples, self.elem,
                                ONE, self.g)
-        assert rep.limit_inf.value == 0.0 and not rep.passed
+        limit = record(rep, "high-frequency-limit")
+        assert limit.margin == 0.0 and limit.status == "fail" and not rep.passed
 
     def test_interior_candidate_passes(self):
         rep = spr_check_scalar(HbetaCandidate(0.5, 1.0), self.samples, self.elem,
                                ONE, self.g)
-        assert rep.passed and rep.limit_zero.passed and rep.limit_inf.passed
+        assert rep.passed and record(rep, "zero-frequency-limit").status == "pass"
+        assert record(rep, "high-frequency-limit").status == "pass"
 
     def test_negative_rho_fails(self):
         rep = spr_check_scalar(HbetaCandidate(1.0, -1.0), self.samples, self.elem,
                                ONE, self.g)
-        assert not rep.passed and not rep.rho_positive
+        assert not rep.passed and record(rep, "rho-positive").status == "fail"
 
     def test_scale_invariance(self):
         for c in (0.01, 1.0, 250.0):
             rep = spr_check_scalar(HbetaCandidate(0.3 * c, 0.8 * c), self.samples,
                                    self.elem, ONE, self.g)
             assert rep.passed
-            assert rep.min_margin == pytest.approx(
-                spr_check_scalar(HbetaCandidate(0.3, 0.8), self.samples, self.elem,
-                                 ONE, self.g).min_margin, rel=1e-9)
+            unit = spr_check_scalar(HbetaCandidate(0.3, 0.8), self.samples, self.elem,
+                                    ONE, self.g)
+            assert record(rep, "grid-positivity").margin == pytest.approx(
+                record(unit, "grid-positivity").margin, rel=1e-9)
 
     def test_search_finds_candidate(self):
         cand = search_candidate_scalar(self.samples, self.elem, ONE, self.g)
@@ -218,13 +223,15 @@ class TestModifiedArchitecture:
         elem = gfore(1.0, 0.2)
         v = certify_first_order(elem, ONE, ONE, g, c_s=cs,
                                 architecture="modified", points=800)
-        assert v.certified and v.conditional_on_well_posedness
+        assert v.certified
+        assert record(v, "well-posedness-proviso").status == "conditional"
         samples, _ = nsv_grid_samples(g, ONE, ONE, cs, elem,
                                       variant="modified", points=800)
         cand = search_candidate_scalar(samples, elem, cs, g, variant="modified")
         assert cand is not None
         rep = spr_check_scalar(cand, samples, elem, cs, g, variant="modified")
-        assert rep.passed and rep.limit_zero.passed and rep.limit_inf.passed
+        assert rep.passed and record(rep, "zero-frequency-limit").status == "pass"
+        assert record(rep, "high-frequency-limit").status == "pass"
 
 
 class TestSoundnessCoupling:
@@ -248,7 +255,8 @@ class TestSoundnessCoupling:
             cand = search_candidate_scalar(samples, elem, ONE, g)
             assert cand is not None
             rep = spr_check_scalar(cand, samples, elem, ONE, g)
-            assert rep.passed and rep.limit_zero.passed and rep.limit_inf.passed
+            assert rep.passed and record(rep, "zero-frequency-limit").status == "pass"
+            assert record(rep, "high-frequency-limit").status == "pass"
         assert found == 10
 
 
@@ -344,7 +352,8 @@ class TestMatrixCheck:
         cand = HbetaCandidate(np.array([0.0, 0.0]), np.eye(2))
         rep = spr_check_matrix(cand, samples, elem, n_minus_m=4)
         assert not rep.passed
-        assert rep.worst_omega > 0.0
+        witness = record(rep, "grid-determinant-positivity")
+        assert witness.status == "fail" and witness.omega > 0.0
 
 
 class TestLoopInvariants:

@@ -22,6 +22,8 @@ from resetcert.nsv import (
     _nsv_arrays,
 )
 
+from test_conditions import record
+
 rng = np.random.default_rng(99)
 ONE = tf([1.0])
 
@@ -171,29 +173,30 @@ class TestPhaseShortcuts:
 class TestCertifyFirstOrder:
     def test_gfore_demo_certifies(self):
         v = certify_first_order(gfore(1.0), ONE, ONE, tf([1.0], [1.0, 1.0]), points=800)
-        assert v.certified and not v.conditional_on_well_posedness
+        assert v.certified
+        assert record(v, "well-posedness-proviso").status == "pass"
 
     def test_ci_origin_pole_rejected(self):
         v = certify_first_order(clegg(), ONE, ONE, tf([1.0], [0.0, 1.0, 1.0]), points=800)
         assert not v.certified
-        assert ("ci-origin-pole-rule", "fail") in [(n, s) for n, s, _ in v.bullets]
+        assert record(v, "ci-origin-pole-rule").status == "fail"
 
     def test_ci_relative_degree_rejected(self):
         g = tf([1.0], np.convolve([1.0, 1.0], [1.0, 0.5]))
         v = certify_first_order(clegg(), ONE, ONE, g, points=800)
         assert not v.certified
-        assert ("ci-relative-degree-rule", "fail") in [(n, s) for n, s, _ in v.bullets]
+        assert record(v, "ci-relative-degree-rule").status == "fail"
 
     def test_gamma_bound_rejected(self):
         v = certify_first_order(gfore(1.0, 1.0), ONE, ONE, tf([1.0], [1.0, 1.0]), points=800)
         assert not v.certified
-        assert ("reset-scalar-bound", "fail") in [(n, s) for n, s, _ in v.bullets]
+        assert record(v, "reset-scalar-bound").status == "fail"
 
     def test_shaping_filter_is_conditional(self):
         cs = tf([1.0, 0.5], [1.0, 1.0])
         v = certify_first_order(gfore(1.0), ONE, ONE, tf([1.0], [1.0, 1.0]),
                                 c_s=cs, points=800)
-        assert v.conditional_on_well_posedness
+        assert record(v, "well-posedness-proviso").status == "conditional"
 
     def test_pci_loop(self):
         v = certify_first_order(pci(1.0, 0.3), ONE, ONE, tf([1.0], [2.0, 1.0]), points=800)
@@ -203,7 +206,7 @@ class TestCertifyFirstOrder:
         # the PCI zero at -1 cancels the plant pole at -1
         v = certify_first_order(pci(1.0, 0.3), ONE, ONE, tf([2.0], [1.0, 1.0]), points=800)
         assert not v.certified
-        assert ("open-loop-minimality", "fail") in [(n, s) for n, s, _ in v.bullets]
+        assert record(v, "open-loop-minimality").status == "fail"
 
 
 class TestRedistributionInvariance:

@@ -8,28 +8,38 @@ Usage (from the repository root):
 Groups, all built from the benchmark's inputs in ``bench/workloads.py``:
 
 - ``fo``: ``certify_first_order`` on the ``fo_loops`` populations of seeds
-  1 and 7 (certified bit, theta1/theta2 as hex, bullets, diagnostics,
-  k_s0/k_n and the refined grid arrays);
+  1 and 7 (certified bit, theta1/theta2 as hex, the condition records of
+  the verdict and of its type verdict, k_s0/k_n and the refined grid
+  arrays);
+- ``fo-verdicts``: the same verdicts without their condition records, so
+  that a change of the record shape alone reads as equal;
 - ``gsore``: ``certify`` on each ``gsore_fixtures`` loop at frequency
   scales 0.3, 1 and 4 (q, m_value and the reconstructed parameters as hex,
-  the constraint report and the search record);
+  the condition records and the search record);
 - ``gsore-verdicts``: the same certificates reduced to (type, scale,
   certified, oracle, rank), so a search change that moves m and q but no
   verdict reads as equal;
 - ``cli``: exit code and the ``--out``/``--nsv-out`` bytes of every
   ``cli_inputs`` command for seeds 1-3, run in-process;
+- ``cli-verdicts``: the same runs reduced to the exit code, the
+  ``certified`` (or, in older outputs, ``passed``) bit of each JSON verdict
+  and the ``--nsv-out`` bytes;
 - ``sim``: the integer event counters (steps, crossings, resets fired, the
   three suppression counts) and the diverged flag of every
   ``setup_sim_ubibs`` operation for seeds 1-3.  States and instants are
   left out, so a change of rounding leaves the line alone while any
   changed reset decision moves it.
 
-Run it on two checkouts and compare the lines.
+Run it on two checkouts and compare the lines.  A group that reads a field
+the checkout's package does not have prints why instead of a digest, so the
+``fo-verdicts``, ``cli-verdicts`` and ``sim`` lines can be compared with a
+checkout that predates the condition records.
 """
 
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import functools
 import hashlib
 import io
@@ -62,7 +72,11 @@ def _arrays(record):
                     for name in record.__dataclass_fields__)
 
 
-def fo_digest() -> str:
+def _records(conditions):
+    return [dataclasses.astuple(c) for c in conditions]
+
+
+def _fo_digest(head_of) -> str:
     h = hashlib.sha1()
     for seed in FO_SEEDS:
         for loop in wl.fo_loops(seed):
@@ -75,11 +89,20 @@ def fo_digest() -> str:
                 continue
             tv = v.type_verdict
             head = [loop.id, v.certified, _hex(tv.theta1), _hex(tv.theta2),
-                    v.bullets, tv.diagnostics, _hex(v.k_s0), _hex(v.k_n)]
-            h.update(repr(head).encode())
+                    _hex(v.k_s0), _hex(v.k_n)]
+            h.update(repr(head_of(v, head)).encode())
             h.update(_arrays(v.samples))
             h.update(_arrays(v.nsv))
     return h.hexdigest()
+
+
+def fo_digest() -> str:
+    return _fo_digest(lambda v, head: head + [_records(v.conditions),
+                                              _records(v.type_verdict.conditions)])
+
+
+def fo_verdicts_digest() -> str:
+    return _fo_digest(lambda v, head: head)
 
 
 @functools.cache
@@ -97,7 +120,7 @@ def gsore_digest() -> str:
     h = hashlib.sha1()
     for ptype, scale, res in gsore_results():
         head = [ptype, scale, [_hex(q) for q in res.q], _hex(res.m_value),
-                [_hex(p) for p in res.reconstructed], res.constraint_report,
+                [_hex(p) for p in res.reconstructed], _records(res.conditions),
                 res.search]
         h.update(json.dumps(head, sort_keys=True).encode())
     return h.hexdigest()
@@ -106,26 +129,50 @@ def gsore_digest() -> str:
 def gsore_verdicts_digest() -> str:
     h = hashlib.sha1()
     for ptype, scale, res in gsore_results():
-        head = [ptype, scale, res.certified, res.oracle_cross_check, res.rank_check]
+        rank = next(c.status for c in res.conditions if c.id == "rank-conditions")
+        head = [ptype, scale, res.certified, res.oracle_cross_check, rank]
         h.update(json.dumps(head).encode())
     return h.hexdigest()
 
 
-def cli_digest() -> str:
-    h = hashlib.sha1()
+@functools.cache
+def cli_runs() -> list:
+    """(seed, name, exit code, {flag: output bytes}) of every cli_inputs run."""
+    runs = []
     for seed in CLI_SEEDS:
         with tempfile.TemporaryDirectory() as work:
             for name, argv in sorted(wl.cli_inputs(seed, work).items()):
                 with contextlib.redirect_stdout(io.StringIO()), \
                         contextlib.redirect_stderr(io.StringIO()):
                     code = cli.main(argv)
-                h.update(f"{seed} {name} exit {code}".encode())
+                outputs = {}
                 for flag in ("--out", "--nsv-out"):
                     if flag in argv:
                         path = argv[argv.index(flag) + 1]
                         if os.path.exists(path):
                             with open(path, "rb") as fh:
-                                h.update(fh.read())
+                                outputs[flag] = fh.read()
+                runs.append((seed, name, code, outputs))
+    return runs
+
+
+def cli_digest() -> str:
+    h = hashlib.sha1()
+    for seed, name, code, outputs in cli_runs():
+        h.update(f"{seed} {name} exit {code}".encode())
+        for flag in ("--out", "--nsv-out"):
+            h.update(outputs.get(flag, b""))
+    return h.hexdigest()
+
+
+def cli_verdicts_digest() -> str:
+    h = hashlib.sha1()
+    for seed, name, code, outputs in cli_runs():
+        h.update(f"{seed} {name} exit {code}".encode())
+        if name in wl.CLI_VERDICTS and "--out" in outputs:
+            data = json.loads(outputs["--out"])
+            h.update(repr(data.get("certified", data.get("passed"))).encode())
+        h.update(outputs.get("--nsv-out", b""))
     return h.hexdigest()
 
 
@@ -152,10 +199,14 @@ def sim_digest() -> str:
 
 
 def main() -> int:
-    for name, fn in (("fo", fo_digest), ("gsore", gsore_digest),
-                     ("gsore-verdicts", gsore_verdicts_digest), ("cli", cli_digest),
+    for name, fn in (("fo", fo_digest), ("fo-verdicts", fo_verdicts_digest),
+                     ("gsore", gsore_digest), ("gsore-verdicts", gsore_verdicts_digest),
+                     ("cli", cli_digest), ("cli-verdicts", cli_verdicts_digest),
                      ("sim", sim_digest)):
-        print(f"{name} {fn()}", flush=True)
+        try:
+            print(f"{name} {fn()}", flush=True)
+        except AttributeError as exc:     # a field this checkout's package lacks
+            print(f"{name} unavailable: {exc}", flush=True)
     return 0
 
 
