@@ -38,7 +38,7 @@ pc = sufficient_phase_conditions(samples)
 print("shortcut conditions: sin(loop phase) >= 0:", pc.cond_a,
       "| cos(loop - element phase) >= 0:", pc.cond_b)
 
-# an explicit SPR certificate, found by sweeping the candidate direction
+# an explicit SPR certificate: the bisector of the arc the N(w) angles span
 cand = search_candidate_scalar(samples, element, one, plant)
 rep = spr_check_scalar(cand, samples, element, one, plant)
 print(f"SPR candidate (beta', rho') = ({cand.beta_prime:.4f}, {cand.rho_prime:.4f}) "

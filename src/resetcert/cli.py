@@ -271,7 +271,8 @@ def cmd_hbeta(args) -> int:
         cand = search_candidate_scalar(samples, element, c_s, p_lin, variant)
         if cand is None:
             return _emit_verdict([Condition("candidate-search", "fail",
-                                            detail="no (beta', rho') direction passes the sweep")],
+                                            detail="N(w) spans pi or more, or the bisector "
+                                                   "of its arc fails the check")],
                                  {"candidate": None}, args.out)
     rep = spr_check_scalar(cand, samples, element, c_s, p_lin, variant)
     return _emit_verdict(rep.conditions, {"candidate": {

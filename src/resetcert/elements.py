@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, DomainError, NotPositiveDefinite, RealizationUnavailable
-from .lti import RationalTF, StateSpace, tf
+from .lti import RationalTF, StateSpace, tf, to_state_space
 
 FIRST_ORDER = ("CI", "PCI", "GFORE")
 SECOND_ORDER = ("GSORE", "SOSRE")
@@ -93,49 +93,33 @@ def base_tf(elem: ResetElement) -> RationalTF:
 def realization(elem: ResetElement) -> StateSpace:
     """Canonical state-space realization of the base filter.
 
-    Second-order elements support the controllable and observable companion
-    forms plus a two-first-stage cascade (``two_gfore``), which exists only
-    for xi >= 1; the cascade corners satisfy w1 + w2 = 2*xi*wr and
-    w1*w2 = wr^2, larger corner first.
+    First-order elements use the controllable companion form.  Second-order
+    elements support the controllable and observable companion forms of
+    ``lti.to_state_space`` plus a two-first-stage cascade (``two_gfore``),
+    which exists only for xi >= 1; the cascade corners satisfy
+    w1 + w2 = 2*xi*wr and w1*w2 = wr^2, larger corner first.
     """
-    wr, xi = elem.omega_r, elem.xi
-    if elem.kind == "CI":
-        return StateSpace([[0.0]], [[1.0]], [[1.0]], [[0.0]])
-    if elem.kind == "PCI":
-        return StateSpace([[0.0]], [[1.0]], [[wr]], [[1.0]])
-    if elem.kind == "GFORE":
-        return StateSpace([[-wr]], [[1.0]], [[wr]], [[0.0]])
-    form = elem.realization_form
-    if form == "controllable":
-        A = [[-2.0 * xi * wr, -wr**2], [1.0, 0.0]]
-        B = [[1.0], [0.0]]
-        C = [[0.0, 1.0]]
-    elif form == "observable":
-        A = [[0.0, -wr**2], [1.0, -2.0 * xi * wr]]
-        B = [[1.0], [0.0]]
-        C = [[0.0, 1.0]]
-    elif form == "two_gfore":
-        if xi < 1.0:
-            raise RealizationUnavailable("two_gfore cascade needs xi >= 1")
-        disc = np.sqrt(xi**2 - 1.0) * wr
-        w1 = xi * wr + disc
-        w2 = xi * wr - disc
-        A = [[-w1, 0.0], [1.0, -w2]]
-        B = [[1.0], [0.0]]
-        C = [[0.0, 1.0]]
-    else:
+    form = elem.realization_form if elem.kind in SECOND_ORDER else "controllable"
+    if form in ("controllable", "observable"):
+        return to_state_space(base_tf(elem), form)
+    if form != "two_gfore":
         raise RealizationUnavailable(f"unknown realization form {form!r}")
-    return StateSpace(A, B, C, [[0.0]])
+    wr, xi = elem.omega_r, elem.xi
+    if xi < 1.0:
+        raise RealizationUnavailable("two_gfore cascade needs xi >= 1")
+    disc = np.sqrt(xi**2 - 1.0) * wr
+    w1 = xi * wr + disc
+    w2 = xi * wr - disc
+    return StateSpace([[-w1, 0.0], [1.0, -w2]], [[1.0], [0.0]], [[0.0, 1.0]], [[0.0]])
 
 
-def jump_map_test(a_rho, rho, strict: bool = True):
-    """Jump-map energy test on the eigenvalues of A' rho A - rho: (holds, margin).
+def jump_map_test(a_rho, rho):
+    """Strict jump-map energy test on the eigenvalues of A' rho A - rho:
+    (holds, margin).
 
-    ``strict=True`` demands every eigenvalue below -EIG_MARGIN*||rho||;
-    ``strict=False`` allows eigenvalues at zero (partial-reset elements whose
-    non-resetting state keeps its energy).  ``margin`` is minus the largest
-    eigenvalue over ||rho||, the number the strict test compares with
-    EIG_MARGIN.
+    The test holds when every eigenvalue lies below -EIG_MARGIN*||rho||;
+    ``margin`` is minus the largest eigenvalue over ||rho||, the number it
+    compares with EIG_MARGIN.
     """
     a = np.atleast_2d(np.asarray(a_rho, float))
     r = np.atleast_2d(np.asarray(rho, float))
@@ -147,6 +131,4 @@ def jump_map_test(a_rho, rho, strict: bool = True):
         raise NotPositiveDefinite("rho must be positive definite")
     eig = np.linalg.eigvalsh(a.T @ r @ a - r)
     scale = np.linalg.norm(r, 2)
-    bound = EIG_MARGIN * scale
-    holds = bool(np.all(eig < -bound)) if strict else bool(np.all(eig <= bound))
-    return holds, float(-eig[-1] / scale)
+    return bool(eig[-1] < -EIG_MARGIN * scale), float(-eig[-1] / scale)

@@ -25,7 +25,8 @@ from scipy.optimize import differential_evolution, minimize_scalar
 from .elements import ResetElement, jump_map_test
 from .errors import DomainError, NotPositiveDefinite
 from .frf import GRID_POINTS, Condition, Loop, LoopSamples, no_failure, pass_fail
-from .hbeta import HbetaCandidate, limit_matrix_infinity, limit_matrix_zero, spr_check_matrix
+from .hbeta import (HbetaCandidate, limit_matrix_infinity, limit_matrix_zero, pd_condition,
+                    spr_check_matrix)
 from .lti import RationalTF, controllability_observability
 
 M_BOUND = 4.0
@@ -582,15 +583,17 @@ def _verify_candidate(problem: GsoreProblem, params, windows, seed) -> Certifica
     conditions = list(grid)
 
     cand = HbetaCandidate(np.array([b1, b2]), np.array([[r1, r2], [r2, r3]]))
-    limits = [("high-frequency-limit-matrix", limit_matrix_infinity(
-        cand, wr, xi, problem.n_minus_m, problem.k_n if problem.n_minus_m == 3 else None))]
+    limits = {"high-frequency-limit-matrix": limit_matrix_infinity(
+        cand, wr, xi, problem.n_minus_m, problem.k_n if problem.n_minus_m == 3 else None)}
     if problem.origin_pole:
-        limits.append(("zero-frequency-limit-matrix",
-                       limit_matrix_zero(cand, wr, xi, problem.k_s0)))
-    for cid, m in limits:
-        eig, scale = np.linalg.eigvalsh(m), np.linalg.norm(m, "fro")
-        conditions.append(Condition(cid, pass_fail(np.all(eig > STRICT_MARGIN * scale)),
-                                    float(eig[0] / scale) if scale else 0.0))
+        limits["zero-frequency-limit-matrix"] = limit_matrix_zero(cand, wr, xi, problem.k_s0)
+    conditions += [pd_condition(cid, m) for cid, m in limits.items()]
+    # the sup over the axis takes in the ratio's limits, which the grid only nears
+    for m in limits.values():
+        ratio = (4.0 * m[0, 1] ** 2 / (m[0, 0] * m[1, 1])
+                 if m[0, 0] > 0.0 and m[1, 1] > 0.0 else np.inf)
+        if ratio > m_value:
+            m_value, sup_omega = float(ratio), None
 
     pd_ok = bool(r1 > 0 and r3 > 0 and r1 * r3 > r2**2)
     conditions.append(Condition("rho-positive-definite", pass_fail(pd_ok),

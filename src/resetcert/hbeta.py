@@ -25,7 +25,6 @@ from .frf import Condition, Loop, LoopSamples, no_failure, pass_fail
 from .lti import RationalTF, dc_limit, high_frequency_re_limit, polymul, polysum, tf
 
 MARGIN = 1e-9   # strictness margin, relative to the local response scale
-SWEEP_DIRECTIONS = 720  # (beta', rho') directions search_candidate_scalar tries
 
 
 @dataclass(frozen=True)
@@ -135,38 +134,35 @@ def search_candidate_scalar(samples: LoopSamples, element: ResetElement,
                             c_s: RationalTF | None = None,
                             p_lin: RationalTF | None = None,
                             variant: str = "standard") -> HbetaCandidate | None:
-    """Sweep the (beta', rho') direction over the unit circle.
+    """A unit (beta', rho') candidate in closed form: the bisector of the N(w) arc.
 
     Positivity of Re H is scale-invariant in the candidate, so the unit norm
-    loses nothing.  A direction with a positive margin sees every unit N(w)
-    inside one arc narrower than pi, and its worst sample is one of the arc's
-    two ends, so only those two samples are swept.  Returns the passing
-    direction with the largest worst-case grid margin, or None when no
-    direction passes.
+    loses nothing.  When the unit N(w) fill an arc [a, b] narrower than pi,
+    exactly the directions phi in (b - pi/2, a + pi/2) see every sample with
+    a positive margin, and the bisector (a + b)/2 maximizes the worst one.
+    That interval is clipped to rho' = sin(phi) > 0 and its midpoint is
+    checked with the exact limits.  Returns the candidate if it passes
+    ``spr_check_scalar``, else None.
     """
     n_chi, n_ups = _scalar_nsv(samples, element, variant)
-    norm = np.hypot(n_chi, n_ups)
-    angle = np.arctan2(n_ups, n_chi)
-    by_angle = np.argsort(angle)
-    ordered = angle[by_angle]
-    gaps = np.diff(ordered, append=ordered[0] + 2.0 * np.pi)
+    angle = np.sort(np.arctan2(n_ups, n_chi))
+    gaps = np.diff(angle, append=angle[0] + 2.0 * np.pi)
     j = int(np.argmax(gaps))
-    if not (gaps[j] > np.pi and norm.min() > 0.0):
+    if not (gaps[j] > np.pi and np.hypot(n_chi, n_ups).min() > 0.0):
         return None     # no open half plane holds every N(w)
-    ends = by_angle[[j, (j + 1) % by_angle.size]]   # the arc's two ends
-    phis = np.arange(SWEEP_DIRECTIONS) * (2.0 * np.pi / SWEEP_DIRECTIONS)
-    dirs = np.stack([np.cos(phis), np.sin(phis)], axis=1)
-    margins = (dirs @ np.stack([n_chi[ends], n_ups[ends]])
-               / np.maximum(norm[ends], 1e-300)).min(axis=1)
-    order = np.argsort(-margins)
-    for k in order:
-        if margins[k] <= MARGIN or dirs[k, 1] <= 0.0:
-            continue
-        cand = HbetaCandidate(float(dirs[k, 0]), float(dirs[k, 1]))
-        rep = spr_check_scalar(cand, samples, element, c_s, p_lin, variant)
-        if rep.passed:
-            return cand
-    return None
+    a = angle[(j + 1) % angle.size]
+    b = angle[j] + (2.0 * np.pi if j + 1 < angle.size else 0.0)
+    # with the bisector in [-pi/2, 3pi/2), (0, pi) is the one period of
+    # sin(phi) > 0 that the interval, no wider than pi, can meet
+    mid = np.mod(0.5 * (a + b) + 0.5 * np.pi, 2.0 * np.pi) - 0.5 * np.pi
+    half = 0.5 * (np.pi - (b - a))
+    lo, hi = max(mid - half, 0.0), min(mid + half, np.pi)
+    if not lo < hi:
+        return None
+    phi = 0.5 * (lo + hi)
+    cand = HbetaCandidate(float(np.cos(phi)), float(np.sin(phi)))
+    rep = spr_check_scalar(cand, samples, element, c_s, p_lin, variant)
+    return cand if rep.passed else None
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +221,7 @@ def limit_matrix_zero(candidate, omega_r: float, xi: float, k_s0: float) -> np.n
                      [off, 4.0 * k_s0 * b2 * xi * omega_r - 2.0 * r2]])
 
 
-def _pd_condition(cid: str, m: np.ndarray) -> Condition:
+def pd_condition(cid: str, m: np.ndarray) -> Condition:
     """Positive definiteness of a limit matrix: every eigenvalue above
     MARGIN * ||m||_F; the margin is the smallest eigenvalue over ||m||_F."""
     scale = np.linalg.norm(m, "fro")
@@ -266,12 +262,12 @@ def spr_check_matrix(candidate: HbetaCandidate, samples: LoopSamples,
         Condition("grid-diagonal-positivity", pass_fail(diag_ok), float(diag[i]), float(w[i])),
         Condition("grid-determinant-positivity", pass_fail(np.all(det > MARGIN * det_scale)),
                   float(det_margin[j]), float(w[j])),
-        _pd_condition("high-frequency-limit-matrix",
-                      limit_matrix_infinity(candidate, wr, xi, n_minus_m, k_n))]
+        pd_condition("high-frequency-limit-matrix",
+                     limit_matrix_infinity(candidate, wr, xi, n_minus_m, k_n))]
     if origin_pole:
-        conditions.append(_pd_condition("zero-frequency-limit-matrix",
-                                        limit_matrix_zero(candidate, wr, xi, k_s0)))
-    jump_ok, jump_margin = jump_map_test(element.a_rho, r, strict=True)
+        conditions.append(pd_condition("zero-frequency-limit-matrix",
+                                       limit_matrix_zero(candidate, wr, xi, k_s0)))
+    jump_ok, jump_margin = jump_map_test(element.a_rho, r)
     conditions.append(Condition("jump-map-strict-inequality", pass_fail(jump_ok), jump_margin))
     return SprReport(conditions)
 

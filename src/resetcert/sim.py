@@ -59,6 +59,7 @@ BATCH = 16                  # most chunks scanned by one matrix product
 TAYLOR_ORDER = 18           # on cells with |F h|_1 <= 1 the tail is < 1/19!
 MAX_EVENTS_PER_STEP = 8
 SCAN_MARKS = 8              # sub-intervals per cell scanned inside a flagged step
+SAMPLES_PER_TAU = 200       # default_dt resolution of the slowest time constant
 SAMPLES_PER_PERIOD = 40     # default_dt resolution of oscillating inputs
 ROUNDING_REL = 1e-12        # e_r (e_r') below this share of |g|_1 |z|
                             # (|g F|_1 |z|) is rounding of the propagation
@@ -219,10 +220,10 @@ class SimTrace:
         np.savetxt(path, data, delimiter=",", header=header, comments="")
 
 
-def default_dt(system: ClosedLoop, samples_per_tau: int = 200,
-               input: InputSignal | None = None,
+def default_dt(system: ClosedLoop, input: InputSignal | None = None,
                disturbance: InputSignal | None = None) -> float:
-    """Sample step from the dominant (slowest) time constant of the flow matrix.
+    """Sample step: the dominant (slowest) time constant of the flow matrix
+    over SAMPLES_PER_TAU.
 
     Capped by the fastest eigenvalue, so the grid resolves the fastest mode
     and the crossings it drives, and by SAMPLES_PER_PERIOD samples per period
@@ -233,7 +234,7 @@ def default_dt(system: ClosedLoop, samples_per_tau: int = 200,
     rates = rates[rates > 1e-9]
     tau = 1.0 / rates.min() if rates.size else 1.0
     fast = np.max(np.abs(eig)) if eig.size else 1.0
-    dt = min(tau / samples_per_tau, 1.0 / max(fast, 1e-9))
+    dt = min(tau / SAMPLES_PER_TAU, 1.0 / max(fast, 1e-9))
     for signal in (input, disturbance):
         for omega in (signal.frequencies() if signal is not None else ()):
             dt = min(dt, 2.0 * np.pi / (SAMPLES_PER_PERIOD * omega))

@@ -73,6 +73,22 @@ class TestRealizations:
         with pytest.raises(RealizationUnavailable):
             realization(gsore(1.0, 0.8, realization_form="two_gfore"))
 
+    def test_unknown_form_is_unavailable(self):
+        with pytest.raises(RealizationUnavailable):
+            realization(gsore(1.0, 1.0, realization_form="diagonal"))
+
+    def test_second_order_companion_forms(self):
+        wr, xi = 1.3, 0.6
+        want = {"controllable": [[-2.0 * xi * wr, -wr**2], [1.0, 0.0]],
+                "observable": [[0.0, -wr**2], [1.0, -2.0 * xi * wr]]}
+        for kind in (gsore, sosre):
+            for form, a in want.items():
+                r = realization(kind(wr, xi, realization_form=form))
+                np.testing.assert_allclose(r.A, a, rtol=1e-15)
+                np.testing.assert_array_equal(r.B, [[1.0], [0.0]])
+                np.testing.assert_array_equal(r.C, [[0.0, 1.0]])
+                assert r.D[0, 0] == 0.0
+
     def test_all_realizations_share_base_tf(self):
         for _ in range(100):
             wr = 10.0 ** rng.uniform(-1, 1)
@@ -111,7 +127,6 @@ class TestResetMatrixCondition:
 
     def test_identity_not_strict(self):
         assert jump_map_test(np.eye(2), np.eye(2)) == (False, 0.0)
-        assert jump_map_test(np.eye(2), np.eye(2), strict=False)[0]
 
     def test_mixed_case_against_eig_oracle(self):
         a = np.diag([0.5, -0.5])

@@ -12,6 +12,7 @@ from resetcert.gsore import (
     STALL_GENERATIONS,
     CertificateResult,
     OptimizerSettings,
+    _ratio_at,
     _search_set,
     _stalled,
     _verify_candidate,
@@ -23,6 +24,7 @@ from resetcert.gsore import (
     prop1_bounds,
     rank_condition,
 )
+from resetcert.hbeta import HbetaCandidate, limit_matrix_infinity
 from resetcert.lti import evaluate, series, tf
 from resetcert.nsv import certify_first_order
 
@@ -350,6 +352,26 @@ def scaled_acceptance_problem(scale, points=500):
     probe = series(base_tf(elem), series(cglp_pid_blocks(1.0, wc, wd, 1.0), g))
     k_p = 1.0 / abs(evaluate(probe, wc))
     return gsore_problem(elem, ONE, cglp_pid_blocks(k_p, wc, wd, 1.0), g, points=points)
+
+
+class TestSupIncludesLimits:
+    def test_high_frequency_limit_bounds_the_sup(self):
+        # Type V fixture: the ratio still rises past the grid's last sample
+        # towards the w -> infinity limit of 4 M12^2 / (M11 M22)
+        elem = gsore(2.0, 1.0, 0.4, 0.4)
+        prob = gsore_problem(elem, ONE, ONE, tf([0.8], [1.0, 1.0]), points=400)
+        params = (0.5, 0.2, 1.5, 0.3, 2.0)
+        b1, b2, r1, r2, r3 = params
+        m_inf = limit_matrix_infinity(
+            HbetaCandidate(np.array([b1, b2]), np.array([[r1, r2], [r2, r3]])),
+            elem.omega_r, elem.xi, prob.n_minus_m, prob.k_n)
+        limit = 4.0 * m_inf[0, 1] ** 2 / (m_inf[0, 0] * m_inf[1, 1])
+        assert limit == pytest.approx(3.88664, abs=1e-5)
+        res = _verify_candidate(prob, params, {}, 0)
+        assert res.m_value == limit
+        sup = record(res, "sup-ratio-below-four")
+        assert sup.margin == M_BOUND - limit and sup.omega is None
+        assert res.m_value >= _ratio_at(prob, params, [1e3, 1e4, 1e6]).max()
 
 
 class TestScaleFreeMargins:
