@@ -13,7 +13,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .elements import ResetElement
-from .errors import ConfigError, SparseGrid, ZeroShapingFilter
+from .errors import ConfigError, EvaluationAtPole, SparseGrid, ZeroShapingFilter
 from .frf import GRID_POINTS, Condition, Loop, LoopSamples, no_failure, pass_fail
 from .lti import (
     RationalTF,
@@ -29,7 +29,7 @@ from .lti import (
 
 SIGN_EPS = 1e-9          # slack on the pointwise strict sign conditions
 THETA_GAP_MAX = np.pi / 6
-REFINE_LEVELS = 8        # midpoint-insertion rounds in nsv_grid_samples
+REFINE_LEVELS = 8        # bisection levels of nsv_grid_samples, run in staged trees
 # (lower, upper) bounds of theta1 and of theta2 in the angle windows of the two types
 TYPE1_BOUNDS = ((-np.pi / 2 - SIGN_EPS, np.pi + SIGN_EPS),
                 (-np.pi / 2 - SIGN_EPS, np.pi - SIGN_EPS))
@@ -295,13 +295,18 @@ def nsv_grid_samples(plant, c_l1: RationalTF, c_l2: RationalTF, c_s: RationalTF,
                      points: int = GRID_POINTS, refine: int = REFINE_LEVELS):
     """Loop samples + NSV arrays on ``Loop.grid``, refined near zero crossings.
 
-    Each of at most ``refine`` rounds inserts the geometric midpoint of every
-    interval where a component changes sign or the angle jumps by pi/7 or
-    more.  An interval that is not split keeps its ends, so after the first
-    round only the two halves of each split interval are tested again.  Only
-    the new midpoints are evaluated and the pieces are merged once at the end:
-    a sample does not depend on its neighbours, so the result equals a fresh
-    evaluation on the final grid.
+    Refinement bisects, for at most ``refine`` levels, every interval where a
+    component changes sign or the angle turns by pi/7 or more, at its
+    geometric midpoint; after the base grid only the two halves of an
+    interval split on the level before are tested again.  The levels run in
+    stages.  A stage takes the F intervals split on its first level and
+    evaluates, in one call, the whole midpoint tree of each, min(levels left,
+    max(1, floor(log2(N/F + 1)))) levels deep for N base points, so while
+    F <= N a stage evaluates at most N new points.  It then keeps the nodes
+    whose interval and every ancestor interval pass the split test: the
+    points that bisecting level by level inserts.  A sample does not depend
+    on its neighbours, so the result also equals a fresh evaluation on the
+    final grid.
     """
     in_loop = variant == "modified"     # the modified variant puts Cs in the loop
     loop = Loop(element, c_l1, c_l2, plant, c_s, "modified" if in_loop else "standard")
@@ -310,18 +315,24 @@ def nsv_grid_samples(plant, c_l1: RationalTF, c_l2: RationalTF, c_s: RationalTF,
     pieces = [(samples, nsv)]
     keys = _split_keys(nsv)
     left, right = keys[:, :-1], keys[:, 1:]     # the ends of every base interval
-    for _ in range(refine):
-        mids = np.sqrt(left[0] * right[0])
-        # a midpoint that rounds onto an end adds no point
-        split = _flagged(left, right) & (left[0] < mids) & (mids < right[0])
+    levels, cap = refine, len(nsv)              # cap: most new points per stage
+    while levels > 0:
+        split = _flagged(left, right)
         if not split.any():
             break
         left, right = left[:, split], right[:, split]
-        fresh = loop.samples(mids[split])
-        fresh_nsv = _nsv_arrays(fresh, variant)
-        pieces.append((fresh, fresh_nsv))
-        centre = _split_keys(fresh_nsv)
-        left, right = np.hstack([left, centre]), np.hstack([centre, right])
+        depth = min(levels, max(1, (cap // left.shape[1] + 1).bit_length() - 1))
+        try:
+            *piece, left, right = _refine_stage(loop, variant, left, right, depth)
+        except EvaluationAtPole:
+            if depth == 1:
+                raise
+            # a node that no level inserts may sit on a pole: go on one
+            # level per stage, where every evaluated node is inserted
+            cap = 0
+            continue
+        pieces.append(piece)
+        levels -= depth
     if len(pieces) > 1:
         order = np.argsort(np.concatenate([s.omega for s, _ in pieces]))
         samples, nsv = (_merged(records, order) for records in zip(*pieces))
@@ -331,6 +342,42 @@ def nsv_grid_samples(plant, c_l1: RationalTF, c_l2: RationalTF, c_s: RationalTF,
     return samples, nsv
 
 
+def _refine_stage(loop: Loop, variant: str, left: np.ndarray, right: np.ndarray, depth: int):
+    """Evaluate the ``depth``-level midpoint trees of the split intervals
+    (``left``, ``right``) in one call.
+
+    Each tree is laid out in grid order, from its interval's ends at 0 and
+    2**depth; the level-l node at an odd multiple p of s = 2**(depth - l)
+    bisects the interval (p - s, p + s).  Returns the samples and NSV of the
+    nodes that bisecting level by level inserts, and the ends of the halves
+    of the intervals split on the last level.
+    """
+    width = 2 ** depth
+    steps = width >> np.arange(1, depth + 1)
+    omega = np.empty((left.shape[1], width + 1))
+    omega[:, 0], omega[:, -1] = left[0], right[0]
+    for s in steps:
+        omega[:, s::2 * s] = np.sqrt(omega[:, :-1:2 * s] * omega[:, 2 * s::2 * s])
+    fresh = loop.samples(omega[:, 1:-1].ravel())
+    fresh_nsv = _nsv_arrays(fresh, variant)
+    keys = np.empty((4, *omega.shape))
+    keys[..., 0], keys[..., -1] = left, right
+    keys[..., 1:-1] = _split_keys(fresh_nsv).reshape(4, -1, width - 1)
+    # every node, level by level: node i's parent is node (i - 1) // 2
+    node = np.concatenate([np.arange(s, width, 2 * s) for s in steps])
+    half = np.repeat(steps, width // (2 * steps))
+    split = _flagged(keys[..., node - half], keys[..., node + half])
+    for first in 2 ** np.arange(1, depth) - 1:   # a node counts when its parent did
+        split[:, first:2 * first + 1] &= np.repeat(split[:, first // 2:first], 2, axis=1)
+    keep = np.zeros(omega.shape, bool)
+    keep[:, node] = split
+    last = keep[:, 1::2]
+    ends, mids = keys[..., ::2], keys[..., 1::2][:, last]
+    inserted = keep[:, 1:-1].ravel()
+    return (*(_merged([r], inserted) for r in (fresh, fresh_nsv)),
+            np.hstack([ends[..., :-1][:, last], mids]), np.hstack([mids, ends[..., 1:][:, last]]))
+
+
 def _split_keys(nsv: Nsv) -> np.ndarray:
     """Rows omega, N_chi, N_upsilon and atan2 angle: what the split test reads."""
     return np.stack([nsv.omega, nsv.n_chi, nsv.n_upsilon,
@@ -338,15 +385,19 @@ def _split_keys(nsv: Nsv) -> np.ndarray:
 
 
 def _flagged(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """Intervals where a component changes sign or the angle turns by pi/7 or more."""
+    """Intervals that a level bisects: a component changes sign or the angle
+    turns by pi/7 or more, and the geometric midpoint does not round onto an
+    end (such a midpoint adds no point)."""
     turn = np.abs(np.mod(right[3] - left[3] + np.pi, 2.0 * np.pi) - np.pi)
-    return ((np.sign(left[1]) != np.sign(right[1])) | (np.sign(left[2]) != np.sign(right[2]))
-            | (turn >= np.pi / 7.0))
+    mids = np.sqrt(left[0] * right[0])
+    return (((np.sign(left[1]) != np.sign(right[1])) | (np.sign(left[2]) != np.sign(right[2]))
+             | (turn >= np.pi / 7.0)) & (left[0] < mids) & (mids < right[0]))
 
 
-def _merged(records, order):
-    """Join per-frequency array records of one type, in grid order."""
-    return type(records[0])(*(np.concatenate([getattr(r, f.name) for r in records])[order]
+def _merged(records, rows):
+    """Join per-frequency array records of one type and take ``rows`` (an
+    index order or a mask) of them."""
+    return type(records[0])(*(np.concatenate([getattr(r, f.name) for r in records])[rows]
                               for f in fields(records[0])))
 
 

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from resetcert.elements import base_tf, clegg, gfore, pci, sosre
-from resetcert.errors import GridTooSparse, SparseGrid, ZeroShapingFilter
+from resetcert import frf
+from resetcert.errors import EvaluationAtPole, GridTooSparse, SparseGrid, ZeroShapingFilter
 from resetcert.frf import FrfTable, Loop, LoopSamples, compose_loop
 from resetcert.lti import evaluate, series, tf
 from resetcert.nsv import (
@@ -342,6 +343,13 @@ def full_rescan(plant, c_s, elem, variant, points, refine):
     return samples, nsv
 
 
+def assert_identical(got, ref):
+    """Every array of every record of ``got`` equals ``ref``'s bit for bit."""
+    for a, b in zip(got, ref):
+        for f in fields(a):
+            assert np.array_equal(getattr(a, f.name), getattr(b, f.name)), f.name
+
+
 class TestGridRefinement:
     G = tf([1.0], [1.0, 1.0])
     LEAD = tf([1.0, 0.5], [1.0, 5.0])
@@ -405,11 +413,83 @@ class TestGridRefinement:
                 got = nsv_grid_samples(plant, ONE, ONE, c_s, elem, variant=variant,
                                        points=points, refine=refine)
                 ref = full_rescan(plant, c_s, elem, variant, points, refine)
-                for a, b in zip(got, ref):
-                    for f in fields(a):
-                        assert np.array_equal(getattr(a, f.name), getattr(b, f.name)), f.name
+                assert_identical(got, ref)
             grown += len(got[1]) > points
         assert grown >= 20
+
+    def stress_loops(self):
+        """A measured table with seeded phase noise, which flags dozens of base
+        intervals, and ROADMAP item 1's notched GFORE loop, which flags one."""
+        band = np.logspace(-2, 2, 1200)
+        noise = np.random.default_rng(5).normal(0.0, 0.3, band.size)
+        noisy = FrfTable(band, evaluate(tf([2.0], [1.0, 1.0, 1.0]), band) * np.exp(1j * noise))
+        zeta, wz, wp = 1e-4, 1.7, 1.7 * (1 - 3e-4)
+        notch = tf([1.0, 2 * zeta / wz, 1 / wz**2], [1.0, 2 * zeta / wp, 1 / wp**2])
+        return {"noisy": (noisy, gfore(1.0)),
+                "notched": (series(tf([2.0], [1.0, 2.0, 1.0]), notch), gfore(1.0, 0.0))}
+
+    @staticmethod
+    def evaluations(monkeypatch, plant, elem, points, refine, allowed=None):
+        """Grid sizes of the loop evaluations of one nsv_grid_samples call; with
+        ``allowed``, an evaluation at any other frequency raises EvaluationAtPole."""
+        sizes = []
+
+        def compose(*args, **kwargs):
+            sizes.append(np.size(args[5]))
+            if allowed is not None and not np.isin(args[5], allowed).all():
+                raise EvaluationAtPole("node outside the allowed grid")
+            return compose_loop(*args, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(frf, "compose_loop", compose)
+            got = nsv_grid_samples(plant, ONE, ONE, ONE, elem, points=points, refine=refine)
+        return sizes, got
+
+    @pytest.mark.parametrize("case", ["noisy", "notched"])
+    def test_stages_equal_full_rescans(self, case, monkeypatch):
+        plant, elem = self.stress_loops()[case]
+        # on 40 base points some tree intervals of the noisy table are flagged
+        # although the interval they halve is not split: no level reaches them
+        for points in (40, 2000, 8000):
+            for refine in (1, 3, 8):
+                got = nsv_grid_samples(plant, ONE, ONE, ONE, elem, points=points, refine=refine)
+                ref = full_rescan(plant, ONE, elem, "standard", points, refine)
+                assert_identical(got, ref)
+        for points in (2000, 8000):
+            flagged = self.evaluations(monkeypatch, plant, elem, points, 1)[0][1]
+            stages = len(self.evaluations(monkeypatch, plant, elem, points, 8)[0]) - 1
+            if case == "noisy":
+                assert flagged >= 24 and stages >= 2
+            else:
+                assert flagged <= 3 and stages == 1
+
+    def test_stage_costs(self, monkeypatch):
+        loops = self.stress_loops()
+        # one flagged base interval: the base grid, then one stage of every level
+        plant, elem = loops["notched"]
+        assert self.evaluations(monkeypatch, plant, elem, 2000, 1)[0] == [2000, 1]
+        sizes = self.evaluations(monkeypatch, plant, elem, 2000, REFINE_LEVELS)[0]
+        assert sizes == [2000, 2 ** REFINE_LEVELS - 1]
+        # many flagged intervals: no stage evaluates more points than the base grid
+        plant, elem = loops["noisy"]
+        for points in (2000, 8000):
+            sizes = self.evaluations(monkeypatch, plant, elem, points, REFINE_LEVELS)[0]
+            assert sizes[0] == points and max(sizes[1:]) <= points
+            assert len(sizes) <= 1 + REFINE_LEVELS
+
+    def test_pole_off_the_refined_grid_is_not_raised(self, monkeypatch):
+        # a stage also evaluates nodes that no level inserts; a pole at one of
+        # them must not refuse a loop that level-by-level bisection accepts
+        plant, elem = self.stress_loops()["notched"]
+        ref = full_rescan(plant, ONE, elem, "standard", 2000, REFINE_LEVELS)
+        sizes, got = self.evaluations(monkeypatch, plant, elem, 2000, REFINE_LEVELS,
+                                      allowed=ref[0].omega)
+        assert sizes == [2000, 2 ** REFINE_LEVELS - 1] + [1] * REFINE_LEVELS
+        assert_identical(got, ref)
+        # a pole at a node that bisection inserts is still raised
+        base = Loop(elem, ONE, ONE, plant).grid(2000)
+        with pytest.raises(EvaluationAtPole):
+            self.evaluations(monkeypatch, plant, elem, 2000, REFINE_LEVELS, allowed=base)
 
     def test_too_sparse_base_grid_refused(self):
         # 2, 3 and 5 base points certified this loop although its angle range
