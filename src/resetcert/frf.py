@@ -82,6 +82,12 @@ class FrfTable:
     def band(self):
         return float(self.freqs[0]), float(self.freqs[-1])
 
+    @cached_property
+    def _log_nodes(self):
+        """(log omega, log |value|, unwrapped phase): the nodes `interpolate` reads."""
+        return (np.log(self.freqs), np.log(np.maximum(np.abs(self.values), 1e-300)),
+                np.unwrap(np.angle(self.values)))
+
 
 def _rows(path):
     with open(path, encoding="utf-8") as fh:
@@ -140,10 +146,7 @@ def interpolate(table: FrfTable, omega) -> complex:
     lo, hi = table.band
     if np.any(w < lo) or np.any(w > hi):
         raise OutOfBand(f"omega outside measured band [{lo:g}, {hi:g}] rad/s")
-    logf = np.log(table.freqs)
-    mag = np.abs(table.values)
-    logmag = np.log(np.maximum(mag, 1e-300))
-    phase = np.unwrap(np.angle(table.values))
+    logf, logmag, phase = table._log_nodes
     lm = np.interp(np.log(w), logf, logmag)
     ph = np.interp(np.log(w), logf, phase)
     out = np.exp(lm) * np.exp(1j * ph)

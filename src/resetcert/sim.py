@@ -17,11 +17,13 @@ autonomous system z' = F z, so between resets z(t + h) = expm(F h) z
   expm(F CHUNK dt), and one matrix product of the anchors with the power
   stack gives every row of the batch (Moler & Van Loan, SIAM Review 45,
   2003, method 1).  A batch is cut at the first step whose end values show
-  a sign change of e_r, an extremum of e_r near zero (a sign change of e_r'
-  under equal signs of e_r, which may hide two crossings), or a state-norm
-  overflow.  Sign changes at the rounding level of the propagation from
-  the step's chunk anchor are not events.  After a cut the next batch holds
-  one chunk; each batch that runs uncut doubles the next, up to BATCH.
+  a sign change of e_r or a state-norm overflow (sign changes at the
+  rounding level of the propagation from the chunk anchor are not events),
+  or at an extremum that may hide two crossings: a sign change of e_r'
+  between equal signs of e_r, unless on every cell the Bernstein
+  coefficients of e_r's Taylor polynomial (Farouki & Rajan, CAGD 4, 1987)
+  keep its sign by more than its rounding level.  After a cut the next
+  batch holds one chunk; each batch that runs uncut doubles the next.
 - Inside a cut step the flow is the Taylor polynomial of expm(F u) z on
   cells short enough that it is exact to rounding.  e_r = g @ z is sampled
   at SCAN_MARKS marks per cell; in the first sub-interval with a sign change
@@ -64,6 +66,9 @@ SAMPLES_PER_PERIOD = 40     # default_dt resolution of oscillating inputs
 ROUNDING_REL = 1e-12        # e_r (e_r') below this share of |g|_1 |z|
                             # (|g F|_1 |z|) is rounding of the propagation
 INPUT_KINDS = ("step", "sinusoid", "exppoly", "zero")
+# _BERNSTEIN @ a: Bernstein coefficients on [0, 1] of sum_j a_j s^j, j <= TAYLOR_ORDER
+_BERNSTEIN = np.array([[math.comb(k, j) / math.comb(TAYLOR_ORDER, j)
+                        for j in range(TAYLOR_ORDER + 1)] for k in range(TAYLOR_ORDER + 1)])
 
 
 @dataclass(frozen=True)
@@ -336,17 +341,15 @@ class _Flow:
         self.de_floor = ROUNDING_REL * float(np.abs(self.g_dot).sum())
         self.z0 = np.concatenate([config.x0, w_r, w_d]) / d
         dt = config.dt
-        # at an extremum u* of e_r, e_r(end) = e_r(u*) + e_r''(xi) (end - u*)^2 / 2,
-        # and |e_r''| <= |g F^2|_1 e^(|F|_inf dt) |z|_2 over a step from z,
-        # so e_r(u*) is within dt^2/8 of that bound of the nearer end value
-        curvature = float(np.abs(self.g_dot @ f).sum()) * math.exp(np.linalg.norm(f, np.inf) * dt)
-        self.dip = curvature * dt**2 / 8.0
         self.cells = 2 ** max(0, math.ceil(math.log2(max(np.linalg.norm(f, 1) * dt, 1.0))))
         self.cell = dt / self.cells
         terms = [np.eye(n)]
         for j in range(1, TAYLOR_ORDER + 1):
             terms.append(terms[-1] @ f * (self.cell / j))
         self.taylor = np.concatenate(terms)
+        # z @ bernstein: e_r on a cell from z in Bernstein form; z @ carry: z at its end
+        self.bernstein = (_BERNSTEIN @ (self.g @ np.array(terms))).T
+        self.carry = sum(terms).T
         self.orders = np.arange(TAYLOR_ORDER + 1)
         # scan edges 0, 1/SCAN_MARKS, ..., 1 of a cell and their powers
         self.edges = [j / SCAN_MARKS for j in range(SCAN_MARKS + 1)]
@@ -373,6 +376,16 @@ class _Flow:
         zs = (anchors @ self.stack).reshape(chunks, CHUNK + 1, self.n)
         zs[:-1, CHUNK] = anchors[1:]
         return zs
+
+    def clears(self, zs, e, z_sq):
+        """Where the step from each row of zs (e_r = e, |z|^2 = z_sq there) holds no
+        zero: on every cell e_r's Bernstein coefficients keep its sign past rounding."""
+        zs = zs * np.sign(e)[:, None]               # e_r > 0 at the start
+        low = (zs @ self.bernstein).min(axis=1)
+        for _ in range(1, self.cells):
+            zs = zs @ self.carry
+            low = np.minimum(low, (zs @ self.bernstein).min(axis=1))
+        return low > self.e_floor * np.sqrt(z_sq)
 
     def slope(self, z) -> float:
         """e_r' at z, or 0 where it is below its rounding level."""
@@ -404,8 +417,9 @@ class _Run:
         self.crossings = self.dwell = self.guard = self.tolerance = 0
 
     def step(self, z, t0, e_a):
-        """One grid step from balanced state z at t0, where e_r = e_a, locating
-        every crossing in time order and applying the jumps it allows.
+        """One grid step from balanced state z at t0, where e_r = e_a, that may
+        hold a crossing or overflows, locating every crossing in time order
+        and applying the jumps it allows.
 
         Returns (z at t0 + dt, jumped, e_r there).  The value of e_r is carried
         from segment to segment rather than recomputed from z, so a crossing
@@ -440,9 +454,10 @@ class _Run:
         The polynomial is sampled at the scan edges (``powers`` holds their
         powers 0..TAYLOR_ORDER); the first sub-interval with a sign change of
         e_r, or with an extremum between equal signs (a sign change of e_r')
-        that passes zero, holds the crossing.  Sign changes within the
-        rounding level of e_r or e_r' are not crossings.  Returns ((s, e_r(s))
-        just past the crossing, or None) and e_r at edges[-1].
+        that passes zero, holds the crossing; the extremum's value decides,
+        since the enclosure may be loose.  Sign changes within the rounding
+        level of e_r or e_r' are not crossings.  Returns ((s, e_r(s)) just past
+        the crossing, or None) and e_r at edges[-1].
         """
         flow = self.flow
         coefs = (flow.value_and_slope @ p).reshape(2, -1)   # e_r and e_r'
@@ -535,14 +550,16 @@ def _propagate(config: SimConfig, jumps: bool) -> SimTrace:
             e_abs, de_abs = np.abs(e), np.abs(de)
             turn = e[:-1] * e[1:]
             crossing = (turn < 0.0) & (np.maximum(e_abs[:-1], e_abs[1:]) > flow.e_floor * scale)
-            # an extremum inside a step lies within dip * |z| of the nearer
-            # end value, so only a small e_r there can hide two crossings
             extremum = ((turn > 0.0) & (de[:-1] * de[1:] < 0.0)
-                        & (np.minimum(de_abs[:-1], de_abs[1:]) > flow.de_floor * scale)
-                        & (np.minimum(e_abs[:-1], e_abs[1:]) <= flow.dip * np.sqrt(z_sq[:-1])))
-            stop = (crossing | extremum | ~(x_sq[1:] <= OVERFLOW_NORM**2)).nonzero()[0]
-            if stop.size:
-                cut = min(int(stop[0]) - int(stop[0]) // (CHUNK + 1), m)
+                        & (np.minimum(de_abs[:-1], de_abs[1:]) > flow.de_floor * scale))
+            stop = (crossing | ~(x_sq[1:] <= OVERFLOW_NORM**2)).nonzero()[0]
+            stop = int(stop[0]) if stop.size else turn.size
+            # enclose every extremum before the first event in one product
+            held = extremum[:stop].nonzero()[0]
+            if held.size:
+                held = held[~flow.clears(flat[held], e[held], z_sq[held])]
+                stop = int(held[0]) if held.size else stop
+            cut = min(stop - stop // (CHUNK + 1), m)
         if cut:
             last = cut + (cut - 1) // CHUNK         # the row after step cut
             run.e_peak = max(run.e_peak, float(np.abs(e[1:last + 1]).max()))

@@ -212,6 +212,48 @@ class TestCrossingsInsideAStep:
         assert tr.crossings == 4 and tr.suppressed_dwell == 2
 
 
+class TestExtremumEnclosure:
+    """e_r = offset + cos t has a minimum offset - 1 at t = pi (2k + 1): the
+    step holding it has equal signs of e_r at its ends and a sign change of
+    e_r'.  Only a step whose enclosure cannot rule out a zero is scanned."""
+
+    @staticmethod
+    def run(monkeypatch, offset, dt):
+        import resetcert.sim as sim_module
+        scans, step = [], sim_module._Run.step
+
+        def counted(self, z, t0, e_a):
+            scans.append(t0)
+            return step(self, z, t0, e_a)
+
+        monkeypatch.setattr(sim_module._Run, "step", counted)
+        signal = InputSignal("exppoly", terms=((offset, 0, 0.0, 0.0, 0.0),
+                                               (1.0, 0, 0.0, 1.0, 0.0)))
+        return simulate(SimConfig(open_loop_ci(0.0), dt=dt, t_end=60.0, input=signal)), scans
+
+    @pytest.mark.parametrize("dt", [0.25, 0.5, 1.0])
+    def test_clear_minimum_is_not_scanned(self, monkeypatch, dt):
+        tr, scans = self.run(monkeypatch, 1.02, dt)
+        assert scans == [] and tr.crossings == 0
+
+    @pytest.mark.parametrize("dt", [0.25, 0.5, 1.0])
+    def test_minimum_at_rounding_distance_is_scanned(self, monkeypatch, dt):
+        tr, scans = self.run(monkeypatch, 1.0 + 1e-6, dt)
+        assert len(scans) == 10 and tr.crossings == 0
+
+    @pytest.mark.parametrize("dt", [0.25, 0.5, 1.0])
+    def test_dips_below_zero_scan_at_most_once_per_crossing(self, monkeypatch, dt):
+        # two crossings a = acos 0.98 either side of each minimum; the second
+        # fires only when it is past the dwell dt
+        tr, scans = self.run(monkeypatch, 0.98, dt)
+        a = np.arccos(0.98)
+        mins = np.pi * (2 * np.arange(10) + 1)
+        hits = np.column_stack([mins - a, mins + a])
+        assert tr.crossings == 20 and len(scans) <= tr.crossings
+        fired = hits.ravel() if 2 * a >= dt else hits[:, 0]
+        assert tr.reset_instants == pytest.approx(fired, abs=1e-9)
+
+
 class TestJumpSemantics:
     def test_identity_reset_equals_linear(self):
         cl = gfore_loop(1.0)
