@@ -23,8 +23,7 @@ __version__ = "0.1.0"
 # other than gsore-check start without scipy.  sim is imported on first use
 # too, so that only simulation runs load it.
 _LAZY_EXPORTS = {
-    "gsore": frozenset(("CertificateResult", "GsoreProblem", "certify", "f1", "f2",
-                        "gamma_factor")),
+    "gsore": frozenset(("CertificateResult", "GsoreProblem", "certify", "gamma_factor")),
     "sim": frozenset(("SimConfig", "SimTrace", "realization_equivalence", "simulate",
                       "step_response")),
 }

@@ -279,8 +279,11 @@ def cmd_hbeta(args) -> int:
         "beta_prime": cand.beta_prime, "rho_prime": cand.rho_prime}}, args.out)
 
 
+INPUT_KINDS = ("step", "sinusoid", "exppoly", "zero")     # simulation.input.kind
+
+
 def _input_from_cfg(inp_cfg: dict):
-    from .sim import INPUT_KINDS, InputSignal
+    from .sim import InputSignal, sinusoid_input, step_input
 
     kind = inp_cfg.get("kind", "step")
     if kind not in INPUT_KINDS:
@@ -296,12 +299,14 @@ def _input_from_cfg(inp_cfg: dict):
             raise ConfigError(f"config field simulation.input.terms[{i}][1] needs a "
                               f"nonnegative integer power, got {t[1]!r}")
         terms.append(tuple(term))
-    return InputSignal(kind,
-                       amplitude=_number(inp_cfg.get("amplitude", 1.0),
-                                         "simulation.input.amplitude"),
-                       freq=_number(inp_cfg.get("freq", 1.0), "simulation.input.freq"),
-                       phase=_number(inp_cfg.get("phase", 0.0), "simulation.input.phase"),
-                       terms=tuple(terms))
+    amplitude = _number(inp_cfg.get("amplitude", 1.0), "simulation.input.amplitude")
+    freq = _number(inp_cfg.get("freq", 1.0), "simulation.input.freq")
+    phase = _number(inp_cfg.get("phase", 0.0), "simulation.input.phase")
+    constructors = {"step": lambda: step_input(amplitude),
+                    "sinusoid": lambda: sinusoid_input(amplitude, freq, phase),
+                    "exppoly": lambda: InputSignal(tuple(terms)),
+                    "zero": InputSignal}
+    return constructors[kind]()
 
 
 def cmd_simulate(args) -> int:
@@ -359,10 +364,6 @@ def cmd_simulate(args) -> int:
 
     if args.summary:
         _emit_json(summary, args.summary)
-    if args.nsv_out:
-        _, nsv = nsv_grid_samples(loop.plant, loop.c_l1, loop.c_l2, loop.c_s, element,
-                                  variant=loop.variant, points=args.grid_points)
-        _write_nsv_csv(nsv, args.nsv_out)
     return 0
 
 
@@ -394,7 +395,7 @@ COMMANDS = {        # each command takes only the flags it reads
     "classify": (cmd_classify, LOOP_FLAGS + TABLE_FLAGS + ("--asymptote", "--nsv-out")),
     "gsore-check": (cmd_gsore, LOOP_FLAGS + TABLE_FLAGS + ("--seed",)),
     "hbeta": (cmd_hbeta, LOOP_FLAGS),
-    "simulate": (cmd_simulate, LOOP_FLAGS + ("--nsv-out", "--summary")),
+    "simulate": (cmd_simulate, ("--config", "--out", "--summary")),
     "frf-convert": (cmd_frf_convert, TABLE_FLAGS + ("--to", "--out")),
 }
 

@@ -87,18 +87,6 @@ class FreqData:
                 + r2 * self.u1 + r1 * self.u2 + b1 * self.u3)
 
 
-def f1(x1, x2, x3, samples: LoopSamples, omega_r: float, xi: float):
-    """First quadratic form x1*Re(CR k jw) + x2*Re(CR k) + x3*Re(L k Cs)."""
-    d = FreqData.from_samples(samples, omega_r, xi)
-    return x1 * d.t1 + x2 * d.t2 + x3 * d.t3
-
-
-def f2(x1, x2, x3, samples: LoopSamples, omega_r: float, xi: float):
-    """Second quadratic form, with the (jw + 2 xi wr) lead and -|kappa|^2 terms."""
-    d = FreqData.from_samples(samples, omega_r, xi)
-    return x1 * d.u1 + x2 * d.u2 + x3 * d.u3
-
-
 def gamma_factor(gamma1: float, gamma2: float) -> float:
     """(g1 g2 - 1)^2 / ((g1^2 - 1)(g2^2 - 1)); always >= 1 on (-1, 1)^2."""
     if abs(gamma1) >= 1.0 or abs(gamma2) >= 1.0:

@@ -359,29 +359,19 @@ def _linear_part(blocks: dict, architecture: str):
     C_y = np.zeros((1, n))
     C_y[0, ig] = sg.C
 
-    if architecture == "standard":
-        # u_1 = C_L1(r - y); e_r = C_s(u_1) sits outside the loop
-        C_u = np.zeros((1, n))
-        C_u[0, i1] = s1.C
-        C_u[0, ig] = -D1 * sg.C
-        D_1 = D1
-        A[is_, :] += ss_.B @ C_u
-        B_w[is_, 0:1] += ss_.B * D_1
-        C_e = Ds * C_u
-        C_e[0, is_] += ss_.C[0]
-        D_e = Ds * D_1
-    elif architecture == "modified":
-        # shaping filter inside the loop: u_1 = C_s(C_L1(r - y)); e_r = u_1
-        C_v = np.zeros((1, n))
-        C_v[0, i1] = s1.C
-        C_v[0, ig] = -D1 * sg.C
-        A[is_, :] += ss_.B @ C_v
-        B_w[is_, 0:1] += ss_.B * D1
-        C_u = Ds * C_v
-        C_u[0, is_] += ss_.C[0]
-        D_1 = Ds * D1
-        C_e = C_u.copy()
-        D_e = D_1
+    # v = C_L1(r - y) drives the shaping filter, whose output is C_s(v)
+    C_v = np.zeros((1, n))
+    C_v[0, i1] = s1.C
+    C_v[0, ig] = -D1 * sg.C
+    A[is_, :] += ss_.B @ C_v
+    B_w[is_, 0:1] += ss_.B * D1
+    C_e = Ds * C_v
+    C_e[0, is_] += ss_.C[0]
+    D_e = Ds * D1
+    if architecture == "standard":          # e_r = C_s(v) sits outside the loop: u_1 = v
+        C_u, D_1 = C_v, D1
+    elif architecture == "modified":        # the filter sits in the loop: u_1 = e_r
+        C_u, D_1 = C_e, D_e
     else:
         raise ValueError(f"unknown architecture {architecture!r}")
     return A, B_u, B_w, C_y, C_e, C_u, D_e, D_1

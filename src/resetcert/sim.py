@@ -2,28 +2,32 @@
 
 The flow between resets is linear and every input is a Bohl function, so
 the simulator solves it exactly instead of integrating it numerically.
-Each ``InputSignal`` (step, sinusoid, sums of t^k e^(s t) cos terms, zero)
-is the output c @ w of a small autonomous generator w' = S w.  Appending the
-reference and disturbance generators to the closed loop gives one
-autonomous system z' = F z, so between resets z(t + h) = expm(F h) z
-(Beker, Hollot, Chait & Han, Automatica 40, 2004).
+Each ``InputSignal`` is a tuple of terms a t^k e^(sigma t) cos(omega t + phi)
+(a step is one term with k = sigma = omega = 0, a sinusoid one with k =
+sigma = 0, the zero input none), and each term is the output c @ w of a
+Jordan-chain generator w' = S w.  Appending the reference and disturbance
+generators to the closed loop gives one autonomous system z' = F z, so
+between resets z(t + h) = expm(F h) z (Beker, Hollot, Chait & Han,
+Automatica 40, 2004).
 
 - F is balanced once per run by an exact power-of-two diagonal scaling.
   Exponentials come from scaling and squaring of a Padé approximant (numpy
   only).
-- Grid samples come from the stacked powers expm(F j dt), j = 0..CHUNK.
-  A stretch without events is scanned in batches of up to BATCH chunks:
-  the chunk anchors, CHUNK steps apart, are chained through
+- Grid samples come from the stacked powers expm(F j dt), j = 1..CHUNK.
+  A stretch without events is scanned in batches of up to BATCH chunks,
+  one row per grid sample: row t is the state t steps on.  The chunk
+  anchors, rows 0, CHUNK, 2 CHUNK, ..., are chained through
   expm(F CHUNK dt), and one matrix product of the anchors with the power
-  stack gives every row of the batch (Moler & Van Loan, SIAM Review 45,
-  2003, method 1).  A batch is cut at the first step whose end values show
-  a sign change of e_r or a state-norm overflow (sign changes at the
+  stack gives the rows after each (Moler & Van Loan, SIAM Review 45, 2003,
+  method 1).  A batch is cut at the first step whose end values show a
+  state-norm overflow or a sign change of e_r (sign changes at the
   rounding level of the propagation from the chunk anchor are not events),
   or at an extremum that may hide two crossings: a sign change of e_r'
   between equal signs of e_r, unless on every cell the Bernstein
   coefficients of e_r's Taylor polynomial (Farouki & Rajan, CAGD 4, 1987)
-  keep its sign by more than its rounding level.  After a cut the next
-  batch holds one chunk; each batch that runs uncut doubles the next.
+  keep its sign by more than its rounding level.  Without jumps only an
+  overflow cuts a batch.  After a cut the next batch holds one chunk; each
+  batch that runs uncut doubles the next.
 - Inside a cut step the flow is the Taylor polynomial of expm(F u) z on
   cells short enough that it is exact to rounding.  e_r = g @ z is sampled
   at SCAN_MARKS marks per cell; in the first sub-interval with a sign change
@@ -65,7 +69,6 @@ SAMPLES_PER_TAU = 200       # default_dt resolution of the slowest time constant
 SAMPLES_PER_PERIOD = 40     # default_dt resolution of oscillating inputs
 ROUNDING_REL = 1e-12        # e_r (e_r') below this share of |g|_1 |z|
                             # (|g F|_1 |z|) is rounding of the propagation
-INPUT_KINDS = ("step", "sinusoid", "exppoly", "zero")
 # _BERNSTEIN @ a: Bernstein coefficients on [0, 1] of sum_j a_j s^j, j <= TAYLOR_ORDER
 _BERNSTEIN = np.array([[math.comb(k, j) / math.comb(TAYLOR_ORDER, j)
                         for j in range(TAYLOR_ORDER + 1)] for k in range(TAYLOR_ORDER + 1)])
@@ -73,68 +76,43 @@ _BERNSTEIN = np.array([[math.comb(k, j) / math.comb(TAYLOR_ORDER, j)
 
 @dataclass(frozen=True)
 class InputSignal:
-    """Bohl-class input: step, sinusoid, or a sum of t^k e^(s t) cos terms."""
+    """Bohl-class input: the sum of amp t^power e^(sigma t) cos(omega t + phase)
+    over its terms; no terms is the zero input."""
 
-    kind: str = "step"
-    amplitude: float = 1.0
-    freq: float = 1.0
-    phase: float = 0.0
     terms: tuple = ()          # (amp, power, sigma, omega, phase) summands
 
     def __call__(self, t):
-        if self.kind == "zero":
-            return np.zeros_like(np.asarray(t, float))
-        if self.kind == "step":
-            return self.amplitude * np.ones_like(np.asarray(t, float))
-        if self.kind == "sinusoid":
-            return self.amplitude * np.sin(self.freq * np.asarray(t, float) + self.phase)
-        if self.kind == "exppoly":
-            t = np.asarray(t, float)
-            out = np.zeros_like(t)
-            for amp, power, sigma, omega, phase in self.terms:
-                out = out + amp * t**power * np.exp(sigma * t) * np.cos(omega * t + phase)
-            return out
-        raise ValueError(f"unknown input kind {self.kind!r}")
+        t = np.asarray(t, float)
+        out = np.zeros_like(t)
+        for amp, power, sigma, omega, phase in self.terms:
+            out = out + amp * t**power * np.exp(sigma * t) * np.cos(omega * t + phase)
+        return out
 
     def generator(self):
         """(S, w0, c) with signal(t) = c @ expm(S t) @ w0."""
-        if self.kind == "zero":
-            return np.zeros((0, 0)), np.zeros(0), np.zeros(0)
-        if self.kind == "step":
-            return np.zeros((1, 1)), np.array([float(self.amplitude)]), np.ones(1)
-        if self.kind == "sinusoid":
-            # state a (sin(omega t + phase), cos(omega t + phase))
-            omega = float(self.freq)
-            return (np.array([[0.0, omega], [-omega, 0.0]]),
-                    self.amplitude * np.array([np.sin(self.phase), np.cos(self.phase)]),
-                    np.array([1.0, 0.0]))
-        if self.kind == "exppoly":
-            blocks = [_exppoly_generator(*term) for term in self.terms]
-            n = sum(b[1].size for b in blocks)
-            s, w0, c = np.zeros((n, n)), np.zeros(n), np.zeros(n)
-            i = 0
-            for s_k, w_k, c_k in blocks:
-                j = i + w_k.size
-                s[i:j, i:j], w0[i:j], c[i:j] = s_k, w_k, c_k
-                i = j
-            return s, w0, c
-        raise ValueError(f"unknown input kind {self.kind!r}")
+        blocks = [_exppoly_generator(*term) for term in self.terms]
+        n = sum(b[1].size for b in blocks)
+        s, w0, c = np.zeros((n, n)), np.zeros(n), np.zeros(n)
+        i = 0
+        for s_k, w_k, c_k in blocks:
+            j = i + w_k.size
+            s[i:j, i:j], w0[i:j], c[i:j] = s_k, w_k, c_k
+            i = j
+        return s, w0, c
 
     def frequencies(self) -> tuple:
         """Angular frequencies of the oscillating parts of the signal."""
-        if self.kind == "sinusoid":
-            return (abs(float(self.freq)),)
-        if self.kind == "exppoly":
-            return tuple(abs(float(term[3])) for term in self.terms if term[3] != 0.0)
-        return ()
+        return tuple(abs(float(term[3])) for term in self.terms if term[3] != 0.0)
 
 
 def _exppoly_generator(amp, power, sigma, omega, phase):
     """Generator of amp t^k e^(sigma t) cos(omega t + phase).
 
-    The states are t^j/j! e^(sigma t) cos(omega t + phase) for j = 0..k (and
-    the matching sin states when omega != 0): a Jordan chain of the scalar
-    sigma or of the 2x2 rotation block [[sigma, -omega], [omega, sigma]].
+    The states are amp k! t^j/j! e^(sigma t) cos(omega t + phase) for j = 0..k
+    (and the matching sin states when omega != 0): a Jordan chain of the
+    scalar sigma or of the 2x2 rotation block [[sigma, -omega], [omega, sigma]],
+    read out at j = k.  The amplitude sits in w0, so a step's generator is
+    S = 0, w0 = amp, c = 1.
     """
     k = int(power)
     if k != power or k < 0:
@@ -148,18 +126,19 @@ def _exppoly_generator(amp, power, sigma, omega, phase):
     n = m * (k + 1)
     s = np.kron(np.eye(k + 1), block) + np.kron(np.eye(k + 1, k=-1), np.eye(m))
     w0 = np.zeros(n)
-    w0[:m] = start
+    w0[:m] = amp * math.factorial(k) * start
     c = np.zeros(n)
-    c[m * k] = amp * math.factorial(k)
+    c[m * k] = 1.0
     return s, w0, c
 
 
 def step_input(amplitude: float = 1.0) -> InputSignal:
-    return InputSignal("step", amplitude=amplitude)
+    return InputSignal(((amplitude, 0, 0.0, 0.0, 0.0),))
 
 
 def sinusoid_input(amplitude: float = 1.0, freq: float = 1.0, phase: float = 0.0) -> InputSignal:
-    return InputSignal("sinusoid", amplitude=amplitude, freq=freq, phase=phase)
+    """amplitude sin(freq t + phase), as the cosine term a quarter period later."""
+    return InputSignal(((amplitude, 0, 0.0, freq, phase - math.pi / 2),))
 
 
 @dataclass(frozen=True)
@@ -169,7 +148,7 @@ class SimConfig:
     t_end: float
     lam: float = None           # minimum dwell; defaults to dt
     input: InputSignal = field(default_factory=step_input)
-    disturbance: InputSignal = field(default_factory=lambda: InputSignal("zero"))
+    disturbance: InputSignal = field(default_factory=InputSignal)
     x0: np.ndarray = None
 
     def __post_init__(self):
@@ -314,7 +293,7 @@ def _bracketed_root(p, dp, lo, hi, f_lo, f_hi, tol):
 
 class _Flow:
     """The loop augmented with its input generators, in balanced coordinates
-    z_b = z / d: the powers 0..CHUNK of Phi = expm(F dt) and the Taylor
+    z_b = z / d: the powers 1..CHUNK of Phi = expm(F dt) and the Taylor
     vectors (F h)^j / j! of the cell length h = dt / cells."""
 
     def __init__(self, config: SimConfig):
@@ -359,22 +338,24 @@ class _Flow:
                                           np.diag(self.orders[1:], 1)])
         # each power straight from the exponential, so a chunk's error does
         # not grow with its length: z @ stack holds the states after
-        # 0..CHUNK steps from z, one block of n entries each
-        powers = expm(f * (dt * np.arange(CHUNK + 1))[:, None, None])
-        self.stack = powers.transpose(2, 0, 1).reshape(n, (CHUNK + 1) * n)
-        self.leap = powers[CHUNK].T                 # z @ leap: CHUNK steps on
+        # 1..CHUNK steps from z, one block of n entries each
+        powers = expm(f * (dt * np.arange(1, CHUNK + 1))[:, None, None])
+        self.stack = powers.transpose(2, 0, 1).reshape(n, CHUNK * n)
+        self.leap = powers[-1].T                    # z @ leap: CHUNK steps on
 
     def rows(self, z, chunks):
-        """Balanced states after 0..CHUNK grid steps from each of ``chunks``
-        anchors, shape (chunks, CHUNK + 1, n).  The first anchor is z and
-        each next one is the last row of the chunk before it, chained through
-        the CHUNK-th power; one product with the power stack gives the rest."""
+        """Balanced states 0..chunks CHUNK grid steps from z, one row each:
+        row t is the state t steps on.  The chunk anchors, rows 0, CHUNK,
+        2 CHUNK, ..., are chained through the CHUNK-th power; one product of
+        the anchors with the power stack gives the rows after each."""
         anchors = np.empty((chunks, self.n))
         anchors[0] = z
         for j in range(1, chunks):
             anchors[j] = anchors[j - 1] @ self.leap
-        zs = (anchors @ self.stack).reshape(chunks, CHUNK + 1, self.n)
-        zs[:-1, CHUNK] = anchors[1:]
+        zs = np.empty((chunks * CHUNK + 1, self.n))
+        zs[0] = z
+        zs[1:] = (anchors @ self.stack).reshape(-1, self.n)
+        zs[CHUNK:-1:CHUNK] = anchors[1:]
         return zs
 
     def clears(self, zs, e, z_sq):
@@ -533,42 +514,36 @@ def _propagate(config: SimConfig, jumps: bool) -> SimTrace:
     chunks = 1
     while k < n_steps:
         m = min(chunks * CHUNK, n_steps - k)
-        zs = flow.rows(z, chunks)
-        # the samples in time order, one row each; the last row of a chunk
-        # and the first of the next are the same state, so transition t
-        # (rows t -> t + 1) is step t - t // (CHUNK + 1) from z, or no step
-        # at all and then no event
-        flat = zs.reshape(-1, flow.n)
-        e, de = flat @ flow.g, flat @ flow.g_dot
+        zs = flow.rows(z, chunks)                   # step t goes from row t to row t + 1
+        e, de = zs @ flow.g, zs @ flow.g_dot
         e[0], de[0] = e_prev, de_prev
-        z_sq, x_sq = ((flat * flat) @ flow.norm_weights).T
-        cut = m
+        z_sq, x_sq = ((zs * zs) @ flow.norm_weights).T
+        event = ~(x_sq[1:] <= OVERFLOW_NORM**2)
         if jumps:
             # sign changes within the rounding level of the propagation from
             # the chunk's anchor are no events
-            scale = np.sqrt(z_sq[::CHUNK + 1]).repeat(CHUNK + 1)[:-1]
+            scale = np.sqrt(z_sq[:-1:CHUNK]).repeat(CHUNK)
             e_abs, de_abs = np.abs(e), np.abs(de)
             turn = e[:-1] * e[1:]
-            crossing = (turn < 0.0) & (np.maximum(e_abs[:-1], e_abs[1:]) > flow.e_floor * scale)
+            event |= (turn < 0.0) & (np.maximum(e_abs[:-1], e_abs[1:]) > flow.e_floor * scale)
             extremum = ((turn > 0.0) & (de[:-1] * de[1:] < 0.0)
                         & (np.minimum(de_abs[:-1], de_abs[1:]) > flow.de_floor * scale))
-            stop = (crossing | ~(x_sq[1:] <= OVERFLOW_NORM**2)).nonzero()[0]
-            stop = int(stop[0]) if stop.size else turn.size
+        stop = event.nonzero()[0]
+        stop = int(stop[0]) if stop.size else event.size
+        if jumps:
             # enclose every extremum before the first event in one product
             held = extremum[:stop].nonzero()[0]
             if held.size:
-                held = held[~flow.clears(flat[held], e[held], z_sq[held])]
+                held = held[~flow.clears(zs[held], e[held], z_sq[held])]
                 stop = int(held[0]) if held.size else stop
-            cut = min(stop - stop // (CHUNK + 1), m)
+        cut = min(stop, m)
         if cut:
-            last = cut + (cut - 1) // CHUNK         # the row after step cut
-            run.e_peak = max(run.e_peak, float(np.abs(e[1:last + 1]).max()))
-            max_norm = max(max_norm, math.sqrt(x_sq[1:last + 1].max()))
+            run.e_peak = max(run.e_peak, float(np.abs(e[1:cut + 1]).max()))
+            max_norm = max(max_norm, math.sqrt(x_sq[1:cut + 1].max()))
             # x = z[:nx] * dx as one product: dx holds powers of two, so it is exact
-            np.matmul(zs[:, 1:].reshape(-1, flow.n)[:cut], flow.unbalance,
-                      out=states[k + 1:k + 1 + cut])
-            e_sig[k + 1:k + 1 + cut] = e.reshape(chunks, -1)[:, 1:].ravel()[:cut]
-            z, e_prev, de_prev = flat[last], float(e[last]), float(de[last])
+            np.matmul(zs[1:cut + 1], flow.unbalance, out=states[k + 1:k + 1 + cut])
+            e_sig[k + 1:k + 1 + cut] = e[1:cut + 1]
+            z, e_prev, de_prev = zs[cut], float(e[cut]), float(de[cut])
             k += cut
         if cut == m:
             # no cut: the next batch is twice as long; after a cut, one chunk
@@ -576,11 +551,14 @@ def _propagate(config: SimConfig, jumps: bool) -> SimTrace:
             continue
         chunks = 1
         # the step k -> k + 1 holds a crossing candidate or overflows
-        z, jumped, e_prev = run.step(z, times[k], e_prev)
+        if jumps:
+            z, jumped, e_prev = run.step(z, times[k], e_prev)
+            flags[k + 1] = 1.0 if jumped else 0.0
+        else:                                       # no jump rule: the step is the next row
+            z, e_prev = zs[cut + 1], float(e[cut + 1])
         k += 1
         x = z[:nx] * dx
         states[k], e_sig[k] = x, e_prev
-        flags[k] = 1.0 if jumped else 0.0
         norm = math.sqrt(x @ x)
         max_norm = max(max_norm, norm)
         if not norm <= OVERFLOW_NORM:

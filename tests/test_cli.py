@@ -62,6 +62,18 @@ class TestClassify:
         assert nsv_csv.read_text() == "\n".join(rows) + "\n"
         assert len(rows) - 1 > 600
 
+    def test_nsv_out_monotone(self, tmp_path):
+        # a verdict that is not certified still writes the NSV
+        cfg = write_config(tmp_path, {
+            "element": {"kind": "SOSRE", "omega_r": 2.0, "xi": 1.0, "gamma": 0.5},
+            "blocks": {"plant": {"num": [1.0], "den": [0.0, 1.0, 1.0]}},
+        })
+        nsv = tmp_path / "nsv.csv"
+        assert run(["classify", "--config", cfg, "--out", str(tmp_path / "v.json"),
+                    "--nsv-out", str(nsv), "--grid-points", "400"]) == 2
+        data = np.genfromtxt(nsv, delimiter=",", names=True)
+        assert np.all(np.diff(data["omega_rad_s"]) > 0)
+
     def test_ci_origin_pole_exit_2(self, tmp_path):
         cfg = write_config(tmp_path, CI_ORIGIN)
         out = tmp_path / "verdict.json"
@@ -267,19 +279,10 @@ class TestSimulate:
         assert summary["_gamma1"]["resets_fired"] == 0
         assert summary["_gamma1"]["min_reset_gap"] is None
 
-    def test_nsv_out_monotone(self, tmp_path):
-        cfg = write_config(tmp_path, {
-            "element": {"kind": "SOSRE", "omega_r": 2.0, "xi": 1.0, "gamma": 0.5},
-            "blocks": {"plant": {"num": [1.0], "den": [0.0, 1.0, 1.0]}},
-            "simulation": {"dt": 0.01, "t_end": 5.0,
-                           "input": {"kind": "step", "amplitude": 1.0}},
-        })
-        out = tmp_path / "trace.csv"
-        nsv = tmp_path / "nsv.csv"
-        assert run(["simulate", "--config", cfg, "--out", str(out),
-                    "--nsv-out", str(nsv), "--grid-points", "400"]) == 0
-        data = np.genfromtxt(nsv, delimiter=",", names=True)
-        assert np.all(np.diff(data["omega_rad_s"]) > 0)
+
+def grid_points(command):
+    """The --grid-points flag for the commands that take it."""
+    return [] if command == "simulate" else ["--grid-points", "400"]
 
 
 def lead_shaped(**changes):
@@ -330,8 +333,8 @@ class TestMalformedLoopInput:
             "text-phase", "text-gamma-sweep", "text-lambda"])
     def test_refused_with_exit_1(self, tmp_path, capsys, command, cfg):
         path = write_config(tmp_path, cfg)
-        assert run([command, "--config", path, "--out", str(tmp_path / "out"),
-                    "--grid-points", "400"]) == 1
+        assert run([command, "--config", path, "--out", str(tmp_path / "out")]
+                   + grid_points(command)) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
 
@@ -370,8 +373,8 @@ class TestMalformedLoopInput:
             "short-term"])
     def test_malformed_section_names_the_field(self, tmp_path, capsys, command, cfg, field):
         path = write_config(tmp_path, cfg)
-        assert run([command, "--config", path, "--out", str(tmp_path / "out"),
-                    "--grid-points", "400"]) == 1
+        assert run([command, "--config", path, "--out", str(tmp_path / "out")]
+                   + grid_points(command)) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
         assert f"config field {field} " in err
@@ -470,12 +473,13 @@ class TestUsage:
         ("simulate", "--asymptote", "0,-2"), ("classify", "--summary", "s.json"),
         ("classify", "--to", "magphase"), ("hbeta", "--frf", "p.csv"),
         ("simulate", "--frf", "p.csv"), ("hbeta", "--frf-format", "complex"),
-        ("simulate", "--frf-format", "magphase")])
+        ("simulate", "--frf-format", "magphase"), ("simulate", "--nsv-out", "nsv.csv"),
+        ("simulate", "--grid-points", "400")])
     def test_flag_a_command_does_not_read(self, tmp_path, command, flag, value):
         cfg = write_config(tmp_path, small_gsore_config() if command == "gsore-check"
                            else GFORE_DEMO)
-        assert run([command, "--config", cfg, "--grid-points", "400", flag, value,
-                    "--out", str(tmp_path / "out")]) == 1
+        assert run([command, "--config", cfg] + grid_points(command) + [
+            flag, value, "--out", str(tmp_path / "out")]) == 1
         assert not (tmp_path / "out").exists()
 
     def test_frf_convert_reads_no_loop_flags(self, tmp_path):

@@ -11,14 +11,13 @@ from resetcert.gsore import (
     STALL_DROP,
     STALL_GENERATIONS,
     CertificateResult,
+    FreqData,
     OptimizerSettings,
     _ratio_at,
     _search_set,
     _stalled,
     _verify_candidate,
     certify,
-    f1,
-    f2,
     gamma_factor,
     gsore_problem,
     prop1_bounds,
@@ -51,37 +50,40 @@ def mass_fixture(gamma1=0.5, gamma2=0.5):
 
 
 class TestQuadraticForms:
+    """The FreqData columns: f1 = x1 t1 + x2 t2 + x3 t3 (= d1) and
+    f2 = x1 u1 + x2 u2 + x3 u3 (= d2), against their complex closed forms."""
+
     def test_linearity_zero(self):
-        s = single_sample(0.5 - 0.5j)
-        assert f1(0, 0, 0, s, 1.0, 1.0)[0] == 0.0
-        assert f2(0, 0, 0, s, 1.0, 1.0)[0] == 0.0
+        d = FreqData.from_samples(single_sample(0.5 - 0.5j), 1.0, 1.0)
+        assert d.d1(0, 0, 0)[0] == 0.0
+        assert d.d2(0, 0, 0)[0] == 0.0
 
     def test_f1_third_slot_is_nchi(self):
         # unit shaping: the X3 coefficient equals a^2 + b^2 + a
-        s = single_sample(0.5 - 0.5j)
-        assert f1(0, 0, 1, s, 1.0, 1.0)[0] == pytest.approx(1.0, abs=1e-12)
+        d = FreqData.from_samples(single_sample(0.5 - 0.5j), 1.0, 1.0)
+        assert d.t3[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_f1_first_slot_complex_oracle(self):
         wr, xi = 1.0, 1.0
         elem = gsore(wr, xi)
         cr = evaluate(base_tf(elem), 1.0)
         lval = cr
-        s = single_sample(lval, w=1.0, cr=cr)
+        d = FreqData.from_samples(single_sample(lval, w=1.0, cr=cr), wr, xi)
         kappa = 1 + np.conj(lval)
-        assert f1(1, 0, 0, s, wr, xi)[0] == pytest.approx((cr * kappa * 1j).real, abs=1e-12)
+        assert d.t1[0] == pytest.approx((cr * kappa * 1j).real, abs=1e-12)
+        assert d.t2[0] == pytest.approx((cr * kappa).real, abs=1e-12)
 
     def test_f2_terms_complex_oracle(self):
         wr, xi = 2.0, 0.7
         w = 1.3
         lval, cs, cr = 0.4 - 0.2j, 0.9 + 0.1j, 0.3 - 0.6j
-        s = single_sample(lval, w=w, cs=cs, cr=cr)
+        d = FreqData.from_samples(single_sample(lval, w=w, cs=cs, cr=cr), wr, xi)
         kappa = 1 + np.conj(lval)
         lead = 1j * w + 2 * xi * wr
-        assert f2(1, 0, 0, s, wr, xi)[0] == pytest.approx((cr * kappa * lead).real, abs=1e-12)
-        assert f2(0, 0, 1, s, wr, xi)[0] == pytest.approx(
-            (lval * kappa * cs * lead).real, abs=1e-12)
+        assert d.u1[0] == pytest.approx((cr * kappa * lead).real, abs=1e-12)
+        assert d.u3[0] == pytest.approx((lval * kappa * cs * lead).real, abs=1e-12)
         expect = (cr * kappa * (2j * xi * wr * w - w**2)).real - abs(kappa) ** 2
-        assert f2(0, 1, 0, s, wr, xi)[0] == pytest.approx(expect, abs=1e-12)
+        assert d.u2[0] == pytest.approx(expect, abs=1e-12)
 
 
 class TestGammaFactor:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -35,8 +37,7 @@ def gfore_loop(gamma=0.0):
 def polynomial_input(roots, scale=1.0):
     """scale * prod (t - root) as a sum of exppoly t^k terms."""
     coefs = scale * np.poly(roots)[::-1]
-    return InputSignal("exppoly", terms=tuple((float(c), k, 0.0, 0.0, 0.0)
-                                              for k, c in enumerate(coefs)))
+    return InputSignal(tuple((float(c), k, 0.0, 0.0, 0.0) for k, c in enumerate(coefs)))
 
 
 class TestClosedFormOracle:
@@ -55,7 +56,7 @@ class TestClosedFormOracle:
 
     def test_zero_everything_stays_zero(self):
         cl = open_loop_ci(0.0)
-        cfg = SimConfig(cl, dt=0.01, t_end=5.0, input=InputSignal("zero"))
+        cfg = SimConfig(cl, dt=0.01, t_end=5.0, input=InputSignal())
         tr = simulate(cfg)
         assert np.all(tr.states == 0.0)
         assert tr.reset_instants == []
@@ -94,13 +95,15 @@ class TestBatchedScan:
         # comes from the batched scan alone; the run ends inside a batch and
         # inside a chunk
         cl = open_loop_ci(0.0)
-        signal = InputSignal("exppoly", terms=((1.0, 0, 0.0, 0.0, 0.0),
-                                               (0.5, 0, 0.0, 1.0, -np.pi / 2)))
-        n_steps = 3 * BATCH * CHUNK + CHUNK // 2 + 17
-        tr = simulate(SimConfig(cl, dt=0.01, t_end=n_steps * 0.01, input=signal))
-        assert tr.steps == n_steps and tr.crossings == 0
-        exact = tr.times + 0.5 * (1.0 - np.cos(tr.times))
-        assert np.max(np.abs(tr.states[:, 0] - exact)) <= 1e-12 * np.max(exact)
+        signal = InputSignal(((1.0, 0, 0.0, 0.0, 0.0), (0.5, 0, 0.0, 1.0, -np.pi / 2)))
+        # and runs that end exactly at a chunk's end, at the end of a full
+        # batch's worth of chunks and one step past it
+        for n_steps in (3 * BATCH * CHUNK + CHUNK // 2 + 17, CHUNK, BATCH * CHUNK,
+                        BATCH * CHUNK + 1):
+            tr = simulate(SimConfig(cl, dt=0.01, t_end=n_steps * 0.01, input=signal))
+            assert tr.steps == n_steps and tr.crossings == 0
+            exact = tr.times + 0.5 * (1.0 - np.cos(tr.times))
+            assert np.max(np.abs(tr.states[:, 0] - exact)) <= 1e-12 * np.max(exact)
 
     def test_sim_ubibs_reset_counts(self, workloads, tmp_path):
         # resets per sim_ubibs operation at seed 1 (step, sinusoid)
@@ -124,7 +127,7 @@ class TestGenerators:
 
     def test_exppoly_cosine_is_shifted_sinusoid(self):
         t = np.linspace(0.0, 20.0, 101)
-        a = InputSignal("exppoly", terms=((1.7, 0, 0.0, 2.3, 0.4),))
+        a = InputSignal(((1.7, 0, 0.0, 2.3, 0.4),))
         b = sinusoid_input(1.7, 2.3, 0.4 + np.pi / 2)
         assert np.max(np.abs(self.generated(a, t) - self.generated(b, t))) <= 1e-12
         cl = gfore_loop(0.0)
@@ -135,7 +138,7 @@ class TestGenerators:
 
     def test_exppoly_constant_is_step(self):
         t = np.linspace(0.0, 20.0, 101)
-        a = InputSignal("exppoly", terms=((1.3, 0, 0.0, 0.0, 0.0),))
+        a = InputSignal(((1.3, 0, 0.0, 0.0, 0.0),))
         b = step_input(1.3)
         assert np.max(np.abs(self.generated(a, t) - self.generated(b, t))) <= 1e-12
         cl = assemble_closed_loop(realization(gfore(1.0, 0.0)), [[0.0]], ONE, ONE,
@@ -146,15 +149,23 @@ class TestGenerators:
         assert np.max(np.abs(ta.states - tb.states)) <= 1e-12
 
     def test_generator_matches_closed_form(self):
+        # the signal and its generator against the closed form of each input
         t = np.linspace(0.0, 5.0, 51)
-        signal = InputSignal("exppoly", terms=((0.7, 2, -0.3, 1.5, 0.2),
-                                               (-1.1, 1, 0.1, 0.0, 0.0)))
-        scale = np.max(np.abs(signal(t)))
-        assert np.max(np.abs(self.generated(signal, t) - signal(t))) <= 1e-13 * scale
+        a, w, phi = 1.3, 2.3, 0.4
+        cases = [(InputSignal(((0.7, 2, -0.3, 1.5, 0.2), (-1.1, 1, 0.1, 0.0, 0.0))),
+                  0.7 * t**2 * np.exp(-0.3 * t) * np.cos(1.5 * t + 0.2)
+                  - 1.1 * t * np.exp(0.1 * t)),
+                 (step_input(a), np.full_like(t, a)),
+                 (sinusoid_input(a, w, phi), a * np.sin(w * t + phi))]
+        for signal, exact in cases:
+            scale = np.max(np.abs(exact))
+            assert np.max(np.abs(signal(t) - exact)) <= 1e-13 * scale
+            assert np.max(np.abs(self.generated(signal, t) - exact)) <= 1e-13 * scale
+        assert np.all(step_input(a)(t) == a)
 
     def test_exppoly_power_must_be_integer(self):
         with pytest.raises(ValueError):
-            InputSignal("exppoly", terms=((1.0, 1.5, 0.0, 0.0, 0.0),)).generator()
+            InputSignal(((1.0, 1.5, 0.0, 0.0, 0.0),)).generator()
 
 
 class TestEventCounters:
@@ -194,8 +205,7 @@ class TestCrossingsInsideAStep:
         # both negative; the first crossing fires, the second is within the
         # dwell
         cl = open_loop_ci(0.0)
-        signal = InputSignal("exppoly", terms=((-0.9, 0, 0.0, 0.0, 0.0),
-                                               (1.0, 0, 0.0, 1.0, 0.0)))
+        signal = InputSignal(((-0.9, 0, 0.0, 0.0, 0.0), (1.0, 0, 0.0, 1.0, 0.0)))
         tr = simulate(SimConfig(cl, dt=1.9, t_end=7.6, input=signal))
         a = np.arccos(0.9)
         assert tr.reset_instants == pytest.approx([a, 2 * np.pi - a], abs=1e-9)
@@ -227,8 +237,7 @@ class TestExtremumEnclosure:
             return step(self, z, t0, e_a)
 
         monkeypatch.setattr(sim_module._Run, "step", counted)
-        signal = InputSignal("exppoly", terms=((offset, 0, 0.0, 0.0, 0.0),
-                                               (1.0, 0, 0.0, 1.0, 0.0)))
+        signal = InputSignal(((offset, 0, 0.0, 0.0, 0.0), (1.0, 0, 0.0, 1.0, 0.0)))
         return simulate(SimConfig(open_loop_ci(0.0), dt=dt, t_end=60.0, input=signal)), scans
 
     @pytest.mark.parametrize("dt", [0.25, 0.5, 1.0])
@@ -316,6 +325,18 @@ class TestJumpSemantics:
         tr = simulate(cfg)
         assert tr.diverged
         assert tr.max_state_norm > 1e12
+        # A_bar has eigenvalues 1.236 and -3.236 and no reset fires: the
+        # linear run overflows at the same step, without numpy overflow
+        unstable = assemble_closed_loop(realization(gfore(1.0, 0.0)), [[0.0]],
+                                        ONE, ONE, tf([-5.0], [1.0, 1.0]), ONE)
+        for t_end in (200.0, 1000.0):
+            cfg = SimConfig(unstable, dt=0.05, t_end=t_end, input=step_input(1.0))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                a, b = simulate(cfg), simulate_linear(cfg)
+            assert a.diverged and b.diverged and a.steps == b.steps == 461
+            assert np.all(np.isfinite(b.states))
+            assert b.max_state_norm == pytest.approx(a.max_state_norm, rel=1e-12)
 
 
 class TestStepResponse:
@@ -392,5 +413,7 @@ class TestTraceExport:
         assert default_dt(cl) > cap
         assert default_dt(cl, input=sinusoid_input(1.0, 50.0)) == pytest.approx(cap)
         assert default_dt(cl, disturbance=InputSignal(
-            "exppoly", terms=((1.0, 1, -0.1, 50.0, 0.0),))) == pytest.approx(cap)
+            ((1.0, 1, -0.1, 50.0, 0.0),))) == pytest.approx(cap)
         assert default_dt(cl, input=step_input(2.0)) == default_dt(cl)
+        # a zero-frequency sinusoid is a constant and sets no cap
+        assert default_dt(cl, input=sinusoid_input(1.0, 0.0)) == default_dt(cl)
