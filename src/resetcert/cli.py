@@ -341,7 +341,8 @@ def cmd_simulate(args) -> int:
     summary = {}
     for suffix, a_rho in runs:
         cl = loop.closed_loop(a_rho)
-        dt = _number(sim_cfg.get("dt", default_dt(cl, input=inp)), "simulation.dt")
+        dt = (_number(sim_cfg["dt"], "simulation.dt") if "dt" in sim_cfg
+              else default_dt(cl, input=inp))
         if not dt > 0:
             raise ConfigError(f"config field simulation.dt needs a positive number, got {dt!r}")
         t_end = _number(sim_cfg.get("t_end", 2000 * dt), "simulation.t_end")

@@ -38,6 +38,7 @@ STALL_GENERATIONS = 20
 STALL_DROP = 1e-3
 PENALTY_WEIGHT = 1e3    # objective weight of the constraint violations
 SEARCH_POINTS = 128     # most grid samples a DE restart starts on (see certify)
+_SCAN_ELEMENTS = 2**15  # most (ratio, sample) pairs one block of a ratio scan holds
 
 
 # ---------------------------------------------------------------------------
@@ -107,32 +108,36 @@ def prop1_bounds(F1, F2, F3, ratio: float):
     -inf when F3 < 0 everywhere, eta2 is +inf when the direction clears every
     F3 < 0 sample on its own.
     """
-    F1, F2, F3 = (np.asarray(a, float) for a in (F1, F2, F3))
-    denom = np.hypot(F1, F2)
-    unit = np.array([1.0, ratio]) / np.hypot(1.0, ratio)
-    cos_t = (unit[0] * F1 + unit[1] * F2) / np.maximum(denom, 1e-300)
-    pos = F3 >= 0.0
-    eta1, eta2 = -np.inf, np.inf
-    if np.any(pos):
-        if np.any(cos_t[pos] <= 0.0):
-            return np.inf, -np.inf, False          # direction cannot beat F3 >= 0
-        eta1 = float(np.max(F3[pos] / (cos_t[pos] * denom[pos])))
-    hard = ~pos & (cos_t < 0.0)
-    if np.any(hard):
-        eta2 = float(np.min(F3[hard] / (cos_t[hard] * denom[hard])))
-    return eta1, eta2, bool(eta1 < eta2)
+    (eta1,), (eta2,) = _magnitude_windows(F1, F2, F3, [ratio])
+    return float(eta1), float(eta2), bool(eta1 < eta2)
 
 
 def ratio_window(F1, F2, F3, ratios):
     """Feasible ratios from a scan, with their magnitude windows."""
-    feas, lo, hi = [], [], []
-    for r in ratios:
-        e1, e2, ok = prop1_bounds(F1, F2, F3, r)
-        if ok:
-            feas.append(float(r))
-            lo.append(e1)
-            hi.append(e2)
-    return np.array(feas), np.array(lo), np.array(hi)
+    eta1, eta2 = _magnitude_windows(F1, F2, F3, ratios)
+    ok = eta1 < eta2
+    return np.asarray(ratios, float)[ok], eta1[ok], eta2[ok]
+
+
+def _magnitude_windows(F1, F2, F3, ratios):
+    """(eta1, eta2) of ``prop1_bounds`` per ratio, (inf, -inf) where refused,
+    scanned in blocks of at most _SCAN_ELEMENTS (ratio, sample) pairs."""
+    F1, F2, F3, ratios = (np.asarray(a, float) for a in (F1, F2, F3, ratios))
+    denom, pos = np.hypot(F1, F2), F3 >= 0.0
+    eta1, eta2 = np.full(len(ratios), -np.inf), np.full(len(ratios), np.inf)
+    step = max(1, _SCAN_ELEMENTS // max(1, F1.size))
+    for i in range(0, len(ratios), step):
+        r = ratios[i:i + step, None]
+        unit = np.hypot(1.0, r)
+        cos_t = (1.0 / unit * F1 + r / unit * F2) / np.maximum(denom, 1e-300)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            mag = F3 / (cos_t * denom)
+        eta1[i:i + step] = np.where(pos, mag, -np.inf).max(axis=1, initial=-np.inf)
+        hard = ~pos & (cos_t < 0.0)
+        eta2[i:i + step] = np.where(hard, mag, np.inf).min(axis=1, initial=np.inf)
+        refused = (pos & (cos_t <= 0.0)).any(axis=1)    # cannot beat F3 >= 0
+        eta1[i:i + step][refused], eta2[i:i + step][refused] = np.inf, -np.inf
+    return eta1, eta2
 
 
 # ---------------------------------------------------------------------------
@@ -239,23 +244,26 @@ def _pd2_viol(a, d, off):
 def _population_objective(data: FreqData, ptype, k_s0, wr, xi, kn, n_minus_m,
                           gamma_bound):
     """Vectorized penalized objective over a population of gene vectors."""
+    forms = np.stack([data.t1, data.t2, data.t3, data.u1, data.u2, data.u3])
 
     def fun(x):
         x = np.atleast_2d(np.asarray(x, float))
         if x.shape[0] != 4:
             x = x.T
-        b1, b2, r1, r2, r3 = params = _params_from_genes(x, ptype, k_s0)
-        # one row per population member, one column per frequency
-        cb1, cb2, cr1, cr2, cr3 = cols = tuple(v[:, None] for v in params)
-        d1 = data.d1(cr1, cr2, cb1)
-        d2 = data.d2(cr3, cr2, cb2)
-        c = data.off_diag(cols)
-        dscale = np.abs(d1) + np.abs(d2) + np.abs(c) + 1e-300
-        pen = (np.maximum(0.0, -d1 / dscale).max(axis=1)
-               + np.maximum(0.0, -d2 / dscale).max(axis=1))
+        b1, b2, r1, r2, r3 = _params_from_genes(x, ptype, k_s0)
+        z = np.zeros_like(r3)
+        weights = np.array([[r1, r2, b1, z, z, z], [z, z, z, r3, r2, b2],
+                            [r2, r3, b2, r2, r1, b1]])
+        # d1, d2 and c in one product: one row per population member, one column per frequency
+        d1, d2, c = (weights.swapaxes(1, 2).reshape(-1, 6) @ forms).reshape(3, z.size, -1)
         ok = (d1 > 0) & (d2 > 0)
-        ratio = np.where(ok, c**2 / np.where(ok, d1 * d2, 1.0), 0.0)
-        m = ratio.max(axis=1)
+        bad = ~ok.all(axis=1)           # the d-penalty is 0 on every other member
+        dscale = np.abs(d1[bad]) + np.abs(d2[bad]) + np.abs(c[bad]) + 1e-300
+        pen = np.zeros(z.size)
+        pen[bad] = sum(np.maximum(0.0, -d[bad] / dscale).max(axis=1) for d in (d1, d2))
+        d1 *= d2
+        c *= c
+        m = np.divide(c, d1, out=np.zeros_like(c), where=ok).max(axis=1)
         if n_minus_m == 3:
             off = wr**2 * r1 + 2 * r2 * xi * wr - r3 - kn * b1
             pen += _pd2_viol(4 * r1 * xi * wr - 2 * r2, 2 * wr**2 * r2 - 2 * kn * b2, off)

@@ -254,6 +254,33 @@ class TestSimulate:
         for g in ("-0.5", "0", "0.5"):
             assert (tmp_path / f"trace_gamma{g}.csv").exists()
 
+    def test_default_dt_only_without_dt(self, tmp_path, monkeypatch):
+        import resetcert.sim as sim
+
+        def refuse(cl, input=None):
+            raise AssertionError("default_dt called although simulation.dt is set")
+
+        sim_cfg = {"t_end": 2.0, "input": {"kind": "step", "amplitude": 1.0},
+                   "gamma_sweep": [-0.5, 0.0, 0.5]}
+        base = {"element": {"kind": "GFORE", "omega_r": 1.0},
+                "blocks": {"plant": {"num": [9.0], "den": [1.0, 1.0]}}}
+        out = str(tmp_path / "trace.csv")
+        default_dt = sim.default_dt
+        monkeypatch.setattr(sim, "default_dt", refuse)
+        cfg = write_config(tmp_path, {**base, "simulation": {**sim_cfg, "dt": 0.01}})
+        assert run(["simulate", "--config", cfg, "--out", out]) == 0
+
+        calls = []
+
+        def counted(cl, input=None):
+            calls.append(cl)
+            return default_dt(cl, input=input)
+
+        monkeypatch.setattr(sim, "default_dt", counted)
+        cfg = write_config(tmp_path, {**base, "simulation": sim_cfg})
+        assert run(["simulate", "--config", cfg, "--out", out]) == 0
+        assert len(calls) == 3
+
     def test_summary_counters_per_run(self, tmp_path):
         cfg = write_config(tmp_path, {
             "element": {"kind": "CI", "gamma": 0.0},

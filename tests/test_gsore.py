@@ -13,8 +13,15 @@ from resetcert.gsore import (
     CertificateResult,
     FreqData,
     OptimizerSettings,
+    PENALTY_WEIGHT,
+    _de_run,
+    _gene_bounds,
+    _params_from_genes,
+    _pd2_viol,
+    _population_objective,
     _ratio_at,
     _search_set,
+    _seed_population,
     _stalled,
     _verify_candidate,
     certify,
@@ -22,6 +29,7 @@ from resetcert.gsore import (
     gsore_problem,
     prop1_bounds,
     rank_condition,
+    ratio_window,
 )
 from resetcert.hbeta import HbetaCandidate, limit_matrix_infinity
 from resetcert.lti import evaluate, series, tf
@@ -142,6 +150,120 @@ class TestMagnitudeInterval:
                     interval = bool(ok and e1 < mag < e2)
                     mism += int(brute != interval)
             assert mism == 0
+
+
+class TestBlockedRatioScan:
+    """ratio_window scans its ratios in blocks of at most _SCAN_ELEMENTS
+    (ratio, sample) pairs; every window must hold exactly."""
+
+    RATIOS = np.logspace(-6, 6, 241)
+
+    @staticmethod
+    def admits(F1, F2, F3, ratio, mags):
+        """Per magnitude: Q1 F1 + Q2 F2 > F3 at every sample."""
+        q1 = np.asarray(mags, float)[:, None] / np.hypot(1.0, ratio)
+        return np.all(q1 * F1 + q1 * ratio * F2 > F3, axis=1)
+
+    def check_scan(self, F1, F2, F3, monkeypatch):
+        import resetcert.gsore as gsore_module
+
+        monkeypatch.setattr(gsore_module, "_SCAN_ELEMENTS", 2**40)
+        whole = ratio_window(F1, F2, F3, self.RATIOS)
+        # a few ratios per block, so the scan spans many blocks
+        monkeypatch.setattr(gsore_module, "_SCAN_ELEMENTS", 3 * len(F1))
+        feas, lo, hi = ratio_window(F1, F2, F3, self.RATIOS)
+        for a, b in zip(whole, (feas, lo, hi)):
+            assert np.array_equal(a, b)
+        for r, e1, e2 in zip(feas, lo, hi):
+            inside = [e1 * (1 + 1e-7) if e1 > 0 else min(1e-12, e2 / 2),
+                      e2 * (1 - 1e-7) if np.isfinite(e2) else max(1.0, 2 * e1)]
+            assert self.admits(F1, F2, F3, r, inside).all()
+            outside = [m for m in (e1 * (1 - 1e-7), e2 * (1 + 1e-7)) if 0 < m < np.inf]
+            assert not self.admits(F1, F2, F3, r, outside).any()
+        mags = np.logspace(-9, 9, 361)
+        for r in np.setdiff1d(self.RATIOS, feas):
+            assert not self.admits(F1, F2, F3, r, mags).any()
+        return feas.size
+
+    @pytest.mark.parametrize("points", [400, 2000])
+    def test_type3_fixture(self, points, monkeypatch):
+        elem, lin, g = mass_fixture()
+        prob = gsore_problem(elem, ONE, lin, g, points=points)
+        d = FreqData.from_samples(prob.samples, elem.omega_r, elem.xi)
+        for F in ((d.t1, d.t2, -prob.k_s0 * d.t3), (d.u1, d.u2, -prob.k_s0 * d.u3)):
+            assert 0 < self.check_scan(*F, monkeypatch) < self.RATIOS.size
+
+    def test_random_arrays(self, monkeypatch):
+        gen = np.random.default_rng(23)
+        feasible = 0
+        for trial in range(12):
+            n = int(gen.integers(5, 60))
+            F1, F2, F3 = gen.uniform(0.1, 2.0, n), gen.normal(size=n), gen.normal(size=n)
+            F1[:2] = F2[:2] = 0.0           # N(w) = 0 samples
+            F3[:2] = -1.0 if trial % 3 else 0.0
+            F2[2], F3[2] = -0.5, 0.5        # F3 >= 0 with cos <= 0 at the large ratios
+            feasible += self.check_scan(F1, F2, F3, monkeypatch)
+        assert feasible > 0
+
+
+def reference_objective(data, ptype, k_s0, wr, xi, kn, n_minus_m, gamma_bound, genes):
+    """The penalized objective member by member, from FreqData's own forms."""
+    values = []
+    for x in genes:
+        b1, b2, r1, r2, r3 = params = [float(v[0]) for v in
+                                       _params_from_genes(x.reshape(4, 1), ptype, k_s0)]
+        d1, d2 = data.d1(r1, r2, b1), data.d2(r3, r2, b2)
+        c = data.off_diag(params)
+        dscale = np.abs(d1) + np.abs(d2) + np.abs(c) + 1e-300
+        pen = max(0.0, np.max(-d1 / dscale)) + max(0.0, np.max(-d2 / dscale))
+        ok = (d1 > 0) & (d2 > 0)
+        m = float(np.max(c[ok] ** 2 / (d1[ok] * d2[ok]), initial=0.0))
+        kn1, kn2 = (kn * b1, 2 * kn * b2) if n_minus_m == 3 else (0.0, 0.0)
+        pen += _pd2_viol(4 * r1 * xi * wr - 2 * r2, 2 * wr**2 * r2 - kn2,
+                         wr**2 * r1 + 2 * r2 * xi * wr - r3 - kn1)
+        if ptype == "III":
+            pen += _pd2_viol(2 * k_s0 * b1, 4 * k_s0 * b2 * xi * wr - 2 * r2,
+                             k_s0 * b2 + 2 * k_s0 * b1 * xi * wr - r1)
+        pscale = abs(r1 * r3) + r2**2 + 1e-300
+        pen += max(0.0, -(r1 * r3 - r2**2) / pscale)
+        pen += max(0.0, -(r1 * r3 - gamma_bound * r2**2) / pscale)
+        values.append(1e9 + PENALTY_WEIGHT * pen if pen > 0 else min(m, 1e8))
+    return np.array(values)
+
+
+def objective_loops():
+    """(element, c_l2, plant) per (problem type, n - m)."""
+    v = gsore(2.0, 1.0, 0.4, 0.4)
+    return {("III", 6): mass_fixture(), ("III", 3): (v, ONE, tf([1.0], [0.0, 1.0])),
+            ("IV", 4): (gsore(2.0, 1.0, 0.3, 0.5), ONE,
+                        tf([1.0], np.convolve([1.0, 1.0], [1.0, 0.5]))),
+            ("V", 3): (v, ONE, tf([0.8], [1.0, 1.0]))}
+
+
+class TestPopulationObjective:
+    """The objective's one matrix product against a member-by-member build."""
+
+    @pytest.mark.parametrize("ptype,n_minus_m", [("III", 6), ("III", 3), ("IV", 4), ("V", 3)])
+    def test_matches_per_member_reference(self, ptype, n_minus_m):
+        elem, lin, g = objective_loops()[ptype, n_minus_m]
+        prob = gsore_problem(elem, ONE, lin, g, points=400)
+        assert (prob.problem_type, prob.n_minus_m) == (ptype, n_minus_m)
+        wr, xi = prob.element.omega_r, prob.element.xi
+        data = FreqData.from_samples(prob.samples, wr, xi)
+        bounds, _, scans = _gene_bounds(data, ptype, prob.k_s0, wr, xi)
+        args = (ptype, prob.k_s0, wr, xi, prob.k_n, n_minus_m, gamma_factor(*prob.gammas))
+        fun = _population_objective(data, *args)
+        # the seeded start is mostly penalized, a short DE run mostly feasible
+        init = _seed_population(bounds, scans, 60, np.random.default_rng(1))
+        genes = np.vstack([init, _de_run(fun, bounds, init, 0, 60)[0].population])
+        got, want = fun(genes.T), reference_objective(data, *args, genes)
+        b1, b2, r1, r2, r3 = (v[:, None] for v in _params_from_genes(genes.T, ptype, prob.k_s0))
+        d_bad = ((data.d1(r1, r2, b1) <= 0) | (data.d2(r3, r2, b2) <= 0)).any(axis=1)
+        feasible = got < 1e9
+        assert feasible.any() and d_bad.any() and not (feasible & d_bad).any()
+        assert np.array_equal(feasible, want < 1e9)
+        np.testing.assert_allclose(got[feasible], want[feasible], rtol=1e-12)
+        np.testing.assert_allclose(got[~feasible], want[~feasible], rtol=1e-12)
 
 
 class TestCertify:

@@ -16,6 +16,9 @@ Groups, all built from the benchmark's inputs in ``bench/workloads.py``:
 - ``gsore``: ``certify`` on each ``gsore_fixtures`` loop at frequency
   scales 0.3, 1 and 4 (q, m_value and the reconstructed parameters as hex,
   the condition records and the search record);
+- ``gsore-certificates``: the same certificates without their search
+  records, so a search change that keeps every certificate but moves a
+  restart's ``best`` objective in its last digits reads as equal;
 - ``gsore-verdicts``: the same certificates reduced to (type, scale,
   certified, oracle, rank), so a search change that moves m and q but no
   verdict reads as equal;
@@ -116,14 +119,21 @@ def gsore_results() -> list:
     return out
 
 
-def gsore_digest() -> str:
+def _gsore_digest(head_of) -> str:
     h = hashlib.sha1()
     for ptype, scale, res in gsore_results():
         head = [ptype, scale, [_hex(q) for q in res.q], _hex(res.m_value),
-                [_hex(p) for p in res.reconstructed], _records(res.conditions),
-                res.search]
-        h.update(json.dumps(head, sort_keys=True).encode())
+                [_hex(p) for p in res.reconstructed], _records(res.conditions)]
+        h.update(json.dumps(head_of(res, head), sort_keys=True).encode())
     return h.hexdigest()
+
+
+def gsore_digest() -> str:
+    return _gsore_digest(lambda res, head: head + [res.search])
+
+
+def gsore_certificates_digest() -> str:
+    return _gsore_digest(lambda res, head: head)
 
 
 def gsore_verdicts_digest() -> str:
@@ -200,7 +210,8 @@ def sim_digest() -> str:
 
 def main() -> int:
     for name, fn in (("fo", fo_digest), ("fo-verdicts", fo_verdicts_digest),
-                     ("gsore", gsore_digest), ("gsore-verdicts", gsore_verdicts_digest),
+                     ("gsore", gsore_digest), ("gsore-certificates", gsore_certificates_digest),
+                     ("gsore-verdicts", gsore_verdicts_digest),
                      ("cli", cli_digest), ("cli-verdicts", cli_verdicts_digest),
                      ("sim", sim_digest)):
         try:
