@@ -91,12 +91,17 @@ def _block_from_cfg(cfg) -> RationalTF:
 
 
 def _number(value, field: str, kind=float):
-    """``value`` as a ``kind``; anything else is a ConfigError naming the
-    config ``field`` (a dotted path such as ``optimizer.population``)."""
+    """``value`` as a ``kind``: float, or int, which refuses a fraction;
+    anything else is a ConfigError naming the config ``field`` (a dotted
+    path such as ``optimizer.population``)."""
     try:
-        return kind(value)
+        number = kind(value)
+        if kind is int and number != float(value):      # int() cuts a fraction off
+            raise ValueError
+        return number
     except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"config field {field} needs a number, got {value!r}") from None
+        noun = "an integer" if kind is int else "a number"
+        raise ConfigError(f"config field {field} needs {noun}, got {value!r}") from None
 
 
 def _list(value, field: str) -> list:
@@ -230,13 +235,14 @@ def cmd_gsore(args) -> int:
     unknown = sorted(set(extra) - {"origin_pole", "k_n", "n_minus_m"})
     if unknown:
         raise ConfigError(f"unknown gsore keys {unknown}; use origin_pole, k_n, n_minus_m")
-    problem = gsore_problem(
-        loop.element, loop.c_l1, loop.c_l2, loop.plant, c_s=loop.c_s,
-        points=args.grid_points,
-        origin_pole=extra.get("origin_pole"),
-        k_n=extra.get("k_n"),
-        n_minus_m=extra.get("n_minus_m"),
-    )
+    origin_pole = extra.get("origin_pole")
+    if origin_pole is not None and not isinstance(origin_pole, bool):
+        raise ConfigError(f"config field gsore.origin_pole needs a boolean, got {origin_pole!r}")
+    constants = {key: _number(extra[key], f"gsore.{key}", kind)
+                 for key, kind in (("k_n", float), ("n_minus_m", int))
+                 if extra.get(key) is not None}
+    problem = gsore_problem(loop.element, loop.c_l1, loop.c_l2, loop.plant, c_s=loop.c_s,
+                            points=args.grid_points, origin_pole=origin_pole, **constants)
     opt = _section(cfg, "optimizer")
     settings = OptimizerSettings(
         population=_number(opt.get("population", 200), "optimizer.population", int),

@@ -186,7 +186,7 @@ def gsore_problem(element: ResetElement, c_l1: RationalTF, c_l2: RationalTF,
     loop without an origin pole.  k_s0 = Cs(0) always comes from the loop.
     A rational plant gives origin_pole, k_n and n_minus_m too, and passing
     any of them raises DomainError; a measured plant needs origin_pole and
-    n_minus_m, and its k_n defaults to 0.
+    n_minus_m, and k_n too when n_minus_m is 3; otherwise k_n defaults to 0.
     """
     loop = Loop(element, c_l1, c_l2, plant, c_s)
     if loop.rational:
@@ -195,6 +195,8 @@ def gsore_problem(element: ResetElement, c_l1: RationalTF, c_l2: RationalTF,
         origin_pole, k_n, n_minus_m = loop.origin_poles > 0, loop.k_n, loop.n_minus_m
     elif origin_pole is None or n_minus_m is None:
         raise DomainError("measured plant: origin_pole and n_minus_m are required")
+    elif n_minus_m == 3 and k_n is None:       # the w -> inf limit matrix reads k_n
+        raise DomainError("measured plant: k_n is required when n_minus_m is 3")
     k_n = 0.0 if k_n is None else k_n
     grid = loop.grid(points)
     if loop.rational and not origin_pole:
@@ -580,7 +582,7 @@ def _verify_candidate(problem: GsoreProblem, params, windows, seed) -> Certifica
 
     cand = HbetaCandidate(np.array([b1, b2]), np.array([[r1, r2], [r2, r3]]))
     limits = {"high-frequency-limit-matrix": limit_matrix_infinity(
-        cand, wr, xi, problem.n_minus_m, problem.k_n if problem.n_minus_m == 3 else None)}
+        cand, wr, xi, problem.n_minus_m, problem.k_n)}
     if problem.origin_pole:
         limits["zero-frequency-limit-matrix"] = limit_matrix_zero(cand, wr, xi, problem.k_s0)
     conditions += [pd_condition(cid, m) for cid, m in limits.items()]

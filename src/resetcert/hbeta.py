@@ -35,9 +35,11 @@ class HbetaCandidate:
     rho_prime: float | np.ndarray
 
     def as_matrix_params(self):
+        """(b1, b2, r1, r2, r3): beta = (b1, b2) and the upper triangle
+        [[r1, r2], [., r3]] of rho, as floats."""
         b = np.atleast_1d(np.asarray(self.beta_prime, float))
         r = np.atleast_2d(np.asarray(self.rho_prime, float))
-        return b, r
+        return float(b[0]), float(b[1]), float(r[0, 0]), float(r[0, 1]), float(r[1, 1])
 
 
 @dataclass(frozen=True)
@@ -173,9 +175,7 @@ def _sym_matrix_entries(candidate, samples: LoopSamples, omega_r: float, xi: flo
     """Entries (d1, d2, c) of the real symmetric part of the 2x2 SPR response,
     times |kappa|^2, and the sums of the magnitudes of the terms of d1 and of
     d2, the rounding bounds the strict tests compare them with."""
-    b, r = candidate.as_matrix_params()
-    b1, b2 = float(b[0]), float(b[1])
-    r1, r2, r3 = float(r[0, 0]), float(r[0, 1]), float(r[1, 1])
+    b1, b2, r1, r2, r3 = candidate.as_matrix_params()
     L, cs, cr, w = samples.loop, samples.shaping, samples.reset_base, samples.omega
     kappa = 1.0 + np.conj(L)
     jw = 1j * w
@@ -196,26 +196,19 @@ def _sym_matrix_entries(candidate, samples: LoopSamples, omega_r: float, xi: flo
 
 def limit_matrix_infinity(candidate, omega_r: float, xi: float,
                           n_minus_m: int, k_n: float | None) -> np.ndarray:
-    """lim w^2 (H(jw) + H(-jw)^T); the n-m = 3 case picks up the k_n terms."""
-    b, r = candidate.as_matrix_params()
-    b1, b2 = float(b[0]), float(b[1])
-    r1, r2, r3 = float(r[0, 0]), float(r[0, 1]), float(r[1, 1])
-    if n_minus_m == 3:
-        if k_n is None:
-            raise ValueError("k_n required when n - m = 3")
-        off = omega_r**2 * r1 + 2.0 * r2 * xi * omega_r - r3 - k_n * b1
-        return np.array([[4.0 * r1 * xi * omega_r - 2.0 * r2, off],
-                         [off, 2.0 * omega_r**2 * r2 - 2.0 * k_n * b2]])
-    off = omega_r**2 * r1 + 2.0 * r2 * xi * omega_r - r3
+    """lim w^2 (H(jw) + H(-jw)^T); the k_n terms are 0 unless n-m = 3."""
+    b1, b2, r1, r2, r3 = candidate.as_matrix_params()
+    if n_minus_m == 3 and k_n is None:
+        raise ValueError("k_n required when n - m = 3")
+    k = k_n if n_minus_m == 3 else 0.0
+    off = omega_r**2 * r1 + 2.0 * r2 * xi * omega_r - r3 - k * b1
     return np.array([[4.0 * r1 * xi * omega_r - 2.0 * r2, off],
-                     [off, 2.0 * omega_r**2 * r2]])
+                     [off, 2.0 * omega_r**2 * r2 - 2.0 * k * b2]])
 
 
 def limit_matrix_zero(candidate, omega_r: float, xi: float, k_s0: float) -> np.ndarray:
     """lim w->0 of H(jw) + H(-jw)^T when the open loop integrates."""
-    b, r = candidate.as_matrix_params()
-    b1, b2 = float(b[0]), float(b[1])
-    r1, r2 = float(r[0, 0]), float(r[0, 1])
+    b1, b2, r1, r2, _ = candidate.as_matrix_params()
     off = k_s0 * b2 + 2.0 * k_s0 * b1 * xi * omega_r - r1
     return np.array([[2.0 * k_s0 * b1, off],
                      [off, 4.0 * k_s0 * b2 * xi * omega_r - 2.0 * r2]])
@@ -241,8 +234,7 @@ def spr_check_matrix(candidate: HbetaCandidate, samples: LoopSamples,
     pole, w -> infinity per the loop relative degree), and the strict
     jump-map inequality A_rho' rho A_rho - rho < 0.
     """
-    b, r = candidate.as_matrix_params()
-    r1, r2, r3 = float(r[0, 0]), float(r[0, 1]), float(r[1, 1])
+    _, _, r1, r2, r3 = candidate.as_matrix_params()
     if r1 <= 0.0 or r3 <= 0.0 or r1 * r3 <= r2 * r2:
         raise NotPositiveDefinite("rho must be positive definite")
     if samples.omega.size < 8:
@@ -267,7 +259,7 @@ def spr_check_matrix(candidate: HbetaCandidate, samples: LoopSamples,
     if origin_pole:
         conditions.append(pd_condition("zero-frequency-limit-matrix",
                                        limit_matrix_zero(candidate, wr, xi, k_s0)))
-    jump_ok, jump_margin = jump_map_test(element.a_rho, r)
+    jump_ok, jump_margin = jump_map_test(element.a_rho, candidate.rho_prime)
     conditions.append(Condition("jump-map-strict-inequality", pass_fail(jump_ok), jump_margin))
     return SprReport(conditions)
 

@@ -236,8 +236,9 @@ def to_state_space(tfn: RationalTF, form: str = "controllable") -> StateSpace:
     """Canonical realization of a proper transfer function.
 
     ``controllable``: top-row companion matrix, B = e1, matching the usual
-    template A = [[-a_{n-1} ... -a_0], [I, 0]].  ``observable``: coefficients
-    in the last column, B carries the numerator, C = e_n.
+    template A = [[-a_{n-1} ... -a_0], [I, 0]].  ``observable``: its dual,
+    with the coefficients in the last column, B carrying the numerator and
+    C = e_n.
     """
     if not tfn.is_proper():
         raise ImproperTransferFunction(f"relative degree {relative_degree(tfn)} < 0")
@@ -250,21 +251,15 @@ def to_state_space(tfn: RationalTF, form: str = "controllable") -> StateSpace:
     if n == 0:
         return StateSpace(np.zeros((0, 0)), np.zeros((0, 1)), np.zeros((1, 0)),
                           np.array([[d]]))
-    if form == "controllable":
-        A = np.zeros((n, n))
-        A[0, :] = -den[:n][::-1]
-        A[1:, :-1] += np.eye(n - 1)
-        B = np.zeros((n, 1))
-        B[0, 0] = 1.0
-        C = rem[::-1].reshape(1, n)
-    elif form == "observable":
-        A = np.zeros((n, n))
-        A[:, -1] = -den[:n]
-        A[np.arange(1, n), np.arange(n - 1)] = 1.0
-        B = rem.reshape(n, 1)
-        C = np.zeros((1, n))
-        C[0, -1] = 1.0
-    else:
+    A = np.eye(n, k=-1)
+    A[0, :] = -den[:n][::-1]
+    B = np.eye(n, 1)
+    C = rem[::-1].reshape(1, n)
+    if form == "observable":
+        # the dual of the controllable form, (J A^T J, J C^T, B^T J) with J
+        # the reversal permutation
+        A, B, C = (np.ascontiguousarray(m) for m in (A.T[::-1, ::-1], C.T[::-1], B.T[:, ::-1]))
+    elif form != "controllable":
         raise ValueError(f"unknown canonical form {form!r}")
     return StateSpace(A, B, C, np.array([[d]]))
 
@@ -313,70 +308,6 @@ class ClosedLoop:
         return self.a_bar.shape[0]
 
 
-def _linear_part(blocks: dict, architecture: str):
-    """State-space of the LTI surroundings of the reset element.
-
-    Returns (A, B_u, B_w, C_y, C_e, C_u, D_e, D_1) with input u_r, exogenous
-    w = [r, d], outputs y, e_r, u_1 per the chosen architecture.
-    """
-    c_l1, c_l2, g, c_s = blocks["c_l1"], blocks["c_l2"], blocks["g"], blocks["c_s"]
-    if not g.is_strictly_proper():
-        raise NonStrictlyProperPlant("plant block must be strictly proper")
-    for name in ("c_l1", "c_l2", "c_s"):
-        if not blocks[name].is_proper():
-            raise ImproperTransferFunction(f"{name} must be proper")
-
-    s1 = to_state_space(c_l1)
-    s2 = to_state_space(c_l2)
-    sg = to_state_space(g)
-    ss_ = to_state_space(c_s)
-    n1, n2, ng, ns = s1.order, s2.order, sg.order, ss_.order
-    n = n1 + n2 + ng + ns
-    i1 = slice(0, n1)
-    i2 = slice(n1, n1 + n2)
-    ig = slice(n1 + n2, n1 + n2 + ng)
-    is_ = slice(n1 + n2 + ng, n)
-    D1 = float(s1.D[0, 0])
-    D2 = float(s2.D[0, 0])
-    Ds = float(ss_.D[0, 0])
-
-    A = np.zeros((n, n))
-    A[i1, i1] = s1.A
-    A[i2, i2] = s2.A
-    A[ig, ig] = sg.A
-    A[is_, is_] = ss_.A
-    A[i1, ig] = -s1.B @ sg.C                      # e = r - y feeds C_L1
-    A[ig, i2] = sg.B @ s2.C                       # C_L2 output into plant
-
-    B_u = np.zeros((n, 1))
-    B_u[i2] = s2.B
-    B_u[ig] = sg.B * D2
-
-    B_w = np.zeros((n, 2))
-    B_w[i1, 0:1] = s1.B
-    B_w[ig, 1:2] = sg.B                           # disturbance enters plant input
-
-    C_y = np.zeros((1, n))
-    C_y[0, ig] = sg.C
-
-    # v = C_L1(r - y) drives the shaping filter, whose output is C_s(v)
-    C_v = np.zeros((1, n))
-    C_v[0, i1] = s1.C
-    C_v[0, ig] = -D1 * sg.C
-    A[is_, :] += ss_.B @ C_v
-    B_w[is_, 0:1] += ss_.B * D1
-    C_e = Ds * C_v
-    C_e[0, is_] += ss_.C[0]
-    D_e = Ds * D1
-    if architecture == "standard":          # e_r = C_s(v) sits outside the loop: u_1 = v
-        C_u, D_1 = C_v, D1
-    elif architecture == "modified":        # the filter sits in the loop: u_1 = e_r
-        C_u, D_1 = C_e, D_e
-    else:
-        raise ValueError(f"unknown architecture {architecture!r}")
-    return A, B_u, B_w, C_y, C_e, C_u, D_e, D_1
-
-
 def assemble_closed_loop(reset_ss: StateSpace, a_rho, c_l1: RationalTF,
                          c_l2: RationalTF, g: RationalTF, c_s: RationalTF,
                          architecture: str = "standard") -> ClosedLoop:
@@ -390,9 +321,62 @@ def assemble_closed_loop(reset_ss: StateSpace, a_rho, c_l1: RationalTF,
     n_r = reset_ss.order
     if a_rho.shape != (n_r, n_r):
         raise DimensionMismatch(f"a_rho {a_rho.shape} vs reset order {n_r}")
-    blocks = {"c_l1": c_l1, "c_l2": c_l2, "g": g, "c_s": c_s}
-    A, B_u, B_w, C_y, C_e, C_u, D_e, D_1 = _linear_part(blocks, architecture)
-    n_p = A.shape[0]
+    if not g.is_strictly_proper():
+        raise NonStrictlyProperPlant("plant block must be strictly proper")
+    for name, block in (("c_l1", c_l1), ("c_l2", c_l2), ("c_s", c_s)):
+        if not block.is_proper():
+            raise ImproperTransferFunction(f"{name} must be proper")
+
+    # the LTI surroundings of the reset element, state zeta: input u_r,
+    # exogenous w = [r, d], outputs y, e_r and the reset element's input u_1
+    s1 = to_state_space(c_l1)
+    s2 = to_state_space(c_l2)
+    sg = to_state_space(g)
+    ss_ = to_state_space(c_s)
+    n1, n2, ng, ns = s1.order, s2.order, sg.order, ss_.order
+    n_p = n1 + n2 + ng + ns
+    i1 = slice(0, n1)
+    i2 = slice(n1, n1 + n2)
+    ig = slice(n1 + n2, n1 + n2 + ng)
+    is_ = slice(n1 + n2 + ng, n_p)
+    D1 = float(s1.D[0, 0])
+    D2 = float(s2.D[0, 0])
+    Ds = float(ss_.D[0, 0])
+
+    A = np.zeros((n_p, n_p))
+    A[i1, i1] = s1.A
+    A[i2, i2] = s2.A
+    A[ig, ig] = sg.A
+    A[is_, is_] = ss_.A
+    A[i1, ig] = -s1.B @ sg.C                      # e = r - y feeds C_L1
+    A[ig, i2] = sg.B @ s2.C                       # C_L2 output into plant
+
+    B_u = np.zeros((n_p, 1))
+    B_u[i2] = s2.B
+    B_u[ig] = sg.B * D2
+
+    B_w = np.zeros((n_p, 2))
+    B_w[i1, 0:1] = s1.B
+    B_w[ig, 1:2] = sg.B                           # disturbance enters plant input
+
+    C_y = np.zeros((1, n_p))
+    C_y[0, ig] = sg.C
+
+    # v = C_L1(r - y) drives the shaping filter, whose output is C_s(v)
+    C_v = np.zeros((1, n_p))
+    C_v[0, i1] = s1.C
+    C_v[0, ig] = -D1 * sg.C
+    A[is_, :] += ss_.B @ C_v
+    B_w[is_, 0:1] += ss_.B * D1
+    C_e = Ds * C_v
+    C_e[0, is_] += ss_.C[0]
+    D_e = Ds * D1
+    if architecture == "standard":          # e_r = C_s(v) sits outside the loop: u_1 = v
+        C_u, D_1 = C_v, D1
+    elif architecture == "modified":        # the filter sits in the loop: u_1 = e_r
+        C_u, D_1 = C_e, D_e
+    else:
+        raise ValueError(f"unknown architecture {architecture!r}")
     Ar, Br, Cr, Dr = reset_ss.A, reset_ss.B, reset_ss.C, float(reset_ss.D[0, 0])
 
     a_bar = np.zeros((n_r + n_p, n_r + n_p))
@@ -507,9 +491,10 @@ def controllability_observability(a, b=None, c=None, rtol: float = RANK_RTOL):
 
     Returns ``(controllable, observable)``; an omitted b or c yields None in
     the corresponding slot.  Each pair is tested through the eigenvalue
-    pencil rank([lambda*I - A, B]) with a relative singular-value threshold;
-    the plain Krylov stack loses rank information in double precision once
-    the eigenvalue spread exceeds a few decades.
+    pencil rank([lambda*I - A, B]) with a relative singular-value threshold,
+    observability as controllability of the dual pair (A^T, C^T); the plain
+    Krylov stack loses rank information in double precision once the
+    eigenvalue spread exceeds a few decades.
     """
     a = np.atleast_2d(np.asarray(a, float))
     n = a.shape[0]
@@ -517,16 +502,12 @@ def controllability_observability(a, b=None, c=None, rtol: float = RANK_RTOL):
     # the pencil conditioning improves by orders of magnitude
     a, d = balance(a)
     scale = max(np.linalg.norm(a, 2), 1.0) if n else 1.0
+    eigs = np.linalg.eigvals(a) if n else ()      # A and A^T share them
 
-    def pencil_full_rank(side, stack_below):
-        if n == 0:
-            return True
-        for lam in np.linalg.eigvals(a):
-            if stack_below:
-                m = np.vstack([lam * np.eye(n) - a, side])
-            else:
-                m = np.hstack([lam * np.eye(n) - a, side])
-            sv = np.linalg.svd(m, compute_uv=False)
+    def pencil_full_rank(m, side):
+        side = side / max(np.linalg.norm(side), 1e-300) * scale
+        for lam in eigs:
+            sv = np.linalg.svd(np.hstack([lam * np.eye(n) - m, side]), compute_uv=False)
             if sv[n - 1] <= rtol * max(sv[0], scale):
                 return False
         return True
@@ -536,14 +517,12 @@ def controllability_observability(a, b=None, c=None, rtol: float = RANK_RTOL):
         b = np.atleast_2d(np.asarray(b, float))
         if b.shape[0] != n:
             raise DimensionMismatch(f"B rows {b.shape[0]} != {n}")
-        b = b / d[:, None]
-        ctrb = pencil_full_rank(b / max(np.linalg.norm(b), 1e-300) * scale, False)
+        ctrb = pencil_full_rank(a, b / d[:, None])
     if c is not None:
         c = np.atleast_2d(np.asarray(c, float))
         if c.shape[1] != n:
             raise DimensionMismatch(f"C cols {c.shape[1]} != {n}")
-        c = c * d
-        obsv = pencil_full_rank(c / max(np.linalg.norm(c), 1e-300) * scale, True)
+        obsv = pencil_full_rank(a.T, (c * d).T)
     return ctrb, obsv
 
 
@@ -612,7 +591,9 @@ def high_frequency_re_limit(tfn: RationalTF):
     """High-frequency behaviour of Re tfn(jw).
 
     Returns ``("value", H(inf))`` for a biproper function, otherwise
-    ``("scaled", lim w^2 Re tfn(jw))`` (0 when the decay is faster).
+    ``("scaled", lim w^2 Re tfn(jw))`` (0 when the decay is faster): for a
+    strictly proper H, Re H = P/Q with P and Q even and deg P < deg Q, so
+    deg P <= deg Q - 2 and the scaled limit is finite.
     """
     if relative_degree(tfn) <= 0 and not tfn.is_zero():
         return "value", float(tfn.num[-1] / tfn.den[-1])
@@ -621,7 +602,4 @@ def high_frequency_re_limit(tfn: RationalTF):
     top = end_term(p, "hi")
     if top is None or top[0] < dq - 2:
         return "scaled", 0.0
-    # deg p > dq - 2 means Re decays slower than 1/w^2: biproper already
-    # excluded, the even-degree bound forces deg p == dq, i.e. a nonzero
-    # limit of Re itself; report it unscaled.
-    return ("value" if top[0] > dq - 2 else "scaled"), top[1] / cq
+    return "scaled", top[1] / cq

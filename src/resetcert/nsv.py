@@ -3,7 +3,11 @@
 The per-frequency vector N(w) = (Re(L*Cs*kappa), Re(kappa*C_R)) with
 kappa = 1 + conj(L) decides membership through the range of its angle,
 mapped into [-pi/2, 3*pi/2).  The angle-window test is the decision path;
-the condition-list test is kept as diagnostics and must agree with it.
+the condition-list test is kept as diagnostics and must agree with it.  The
+Type II set is the Type I set with N_chi mirrored, so one transcription of
+the condition list serves both: the N_chi rules read side * N_chi with side
+= +1 or -1 (negation is exact), and a literal quadrant triple per type picks
+where delta, psi and the forbidden angles lie.
 """
 
 from __future__ import annotations
@@ -34,6 +38,9 @@ REFINE_LEVELS = 8        # bisection levels of nsv_grid_samples, run in staged t
 TYPE1_BOUNDS = ((-np.pi / 2 - SIGN_EPS, np.pi + SIGN_EPS),
                 (-np.pi / 2 - SIGN_EPS, np.pi - SIGN_EPS))
 TYPE2_BOUNDS = ((SIGN_EPS, 3 * np.pi / 2 - SIGN_EPS),) * 2
+# per type, the quadrants k of delta, psi and the forbidden angles of its
+# condition list; quadrant k is (k - 1) pi/2 < theta < k pi/2, so IV is 0
+_LIST_QUADRANTS = {1: (0, 2, 3), 2: (3, 1, 0)}
 
 
 @dataclass(frozen=True)
@@ -130,42 +137,24 @@ def _window_slack(theta1, theta2, bounds):
     return min(*own, np.pi + SIGN_EPS - (theta2 - theta1)), int(own[1] < own[0])
 
 
-def _condition_list_type1(n_chi, n_ups, theta, eps=SIGN_EPS):
-    """Direct transcription of the Type-I condition list (diagnostics path)."""
+def _condition_list(t, n_chi, n_ups, theta, eps=SIGN_EPS):
+    """Direct transcription of the Type-``t`` condition list (diagnostics
+    path): Type II is Type I read on -N_chi, with its own quadrant triple."""
+    side = 1.0 if t == 1 else -1.0
     scale = np.hypot(n_chi, n_ups)
     zero_chi = np.abs(n_chi) <= 1e-12 * scale
     zero_ups = np.abs(n_ups) <= 1e-12 * scale
-    c3 = bool(np.all(n_ups[zero_chi] > eps * scale[zero_chi])) if np.any(zero_chi) else True
-    c4 = bool(np.all(n_chi[zero_ups] > eps * scale[zero_ups])) if np.any(zero_ups) else True
-    i2 = (theta > np.pi / 2) & (theta < np.pi)
-    i3 = (theta > np.pi) & (theta < 3 * np.pi / 2)
-    i4 = (theta > -np.pi / 2) & (theta < 0.0)
+    c3 = bool(np.all(n_ups[zero_chi] > eps * scale[zero_chi]))
+    c4 = bool(np.all(side * n_chi[zero_ups] > eps * scale[zero_ups]))
     a = bool(np.all(n_ups >= -eps * scale))
-    b = bool(np.all(n_chi >= -eps * scale))
-    with np.errstate(divide="ignore"):
+    b = bool(np.all(side * n_chi >= -eps * scale))
+    with np.errstate(divide="ignore", invalid="ignore"):    # 0/0 lies in no quadrant
         ratios = np.abs(n_ups / n_chi)
-    delta1 = np.max(ratios[i4]) if np.any(i4) else -np.inf
-    psi1 = np.min(ratios[i2]) if np.any(i2) else np.inf
-    c = bool(delta1 < psi1 and not np.any(i3))
-    return c3 and c4 and (a or b or c)
-
-
-def _condition_list_type2(n_chi, n_ups, theta, eps=SIGN_EPS):
-    scale = np.hypot(n_chi, n_ups)
-    zero_chi = np.abs(n_chi) <= 1e-12 * scale
-    zero_ups = np.abs(n_ups) <= 1e-12 * scale
-    c3 = bool(np.all(n_ups[zero_chi] > eps * scale[zero_chi])) if np.any(zero_chi) else True
-    c4 = bool(np.all(n_chi[zero_ups] < -eps * scale[zero_ups])) if np.any(zero_ups) else True
-    i1 = (theta > 0.0) & (theta < np.pi / 2)
-    i3 = (theta > np.pi) & (theta < 3 * np.pi / 2)
-    i4 = (theta > -np.pi / 2) & (theta < 0.0)
-    a = bool(np.all(n_ups >= -eps * scale))
-    b = bool(np.all(n_chi <= eps * scale))
-    with np.errstate(divide="ignore"):
-        ratios = np.abs(n_ups / n_chi)
-    delta2 = np.max(ratios[i3]) if np.any(i3) else -np.inf
-    psi2 = np.min(ratios[i1]) if np.any(i1) else np.inf
-    c = bool(delta2 < psi2 and not np.any(i4))
+    in_delta, in_psi, forbidden = ((theta > (k - 1) * np.pi / 2) & (theta < k * np.pi / 2)
+                                   for k in _LIST_QUADRANTS[t])
+    delta = np.max(ratios[in_delta], initial=-np.inf)
+    psi = np.min(ratios[in_psi], initial=np.inf)
+    c = bool(delta < psi and not np.any(forbidden))
     return c3 and c4 and (a or b or c)
 
 
@@ -214,9 +203,8 @@ def classify(nsv: Nsv, origin_pole: bool = False, k_s0: float = 1.0,
         holds.append(no_failure([nonzero, *rules, window]))
         if no_failure([nonzero, *rules]):
             eligible.append(window)
-    conditions += [
-        Condition("type1-condition-list", pass_fail(_condition_list_type1(n_chi, n_ups, theta))),
-        Condition("type2-condition-list", pass_fail(_condition_list_type2(n_chi, n_ups, theta)))]
+    conditions += [Condition(f"type{t}-condition-list",
+                             pass_fail(_condition_list(t, n_chi, n_ups, theta))) for t in (1, 2)]
     best = max(eligible, key=lambda c: c.margin, default=Condition("type-membership", "fail"))
     membership = replace(best, id="type-membership", status=pass_fail(any(holds)),
                          detail=f"type1={holds[0]} type2={holds[1]}")

@@ -23,8 +23,7 @@ from resetcert.hbeta import (
 from resetcert.lti import assemble_closed_loop, evaluate, high_frequency_re_limit, series, tf
 from resetcert.nsv import (
     Nsv,
-    _condition_list_type1,
-    _condition_list_type2,
+    _condition_list,
     certify_first_order,
     classify,
     compute_nsv,
@@ -129,8 +128,8 @@ def test_criterion_02_window_list_equivalence():
         ups = rng.normal(size=n)
         theta = map_angle(np.arctan2(ups, chi))
         v = classify(Nsv(np.arange(1.0, n + 1.0), chi, ups, theta), check_density=False)
-        agree += int(v.is_type1 == _condition_list_type1(chi, ups, theta)
-                     and v.is_type2 == _condition_list_type2(chi, ups, theta))
+        agree += int(v.is_type1 == _condition_list(1, chi, ups, theta)
+                     and v.is_type2 == _condition_list(2, chi, ups, theta))
     assert agree == 200
     elapsed = time.time() - t0
     assert elapsed < 5.0

@@ -394,10 +394,13 @@ class TestMalformedLoopInput:
         ("simulate", lead_shaped(top={"simulation": {"dt": 0.01, "t_end": 1.0, "input": {
             "kind": "exppoly", "terms": [[1, 0, 0, 0, 0], [1, 0]]}}}),
          "simulation.input.terms[1]"),
+        ("classify", lead_shaped(top={"plant_rhp_poles": 1.5}), "plant_rhp_poles"),
+        ("gsore-check", dict(gsore_config(), optimizer={"population": 60.5}),
+         "optimizer.population"),
     ], ids=["text-x0", "number-candidate", "text-optimizer", "number-input",
             "number-gamma-sweep", "text-term", "list-template-params", "unknown-input-kind",
             "negative-dt", "t-end-not-above-dt", "negative-lambda", "fractional-power",
-            "short-term"])
+            "short-term", "fractional-rhp-poles", "fractional-population"])
     def test_malformed_section_names_the_field(self, tmp_path, capsys, command, cfg, field):
         path = write_config(tmp_path, cfg)
         assert run([command, "--config", path, "--out", str(tmp_path / "out")]
@@ -411,15 +414,61 @@ class TestMalformedLoopInput:
         assert run(["classify", "--config", cfg, "--grid-points", "2"]) == 1
 
 
+def write_frf(tmp_path, num, den, band):
+    """A complex-format FRF table of num/den on ``band`` (rad/s)."""
+    from resetcert.lti import evaluate, tf
+    vals = evaluate(tf(num, den), band)
+    frf = tmp_path / "plant.csv"
+    frf.write_text("".join(f"{w / (2 * np.pi):.17g},{v.real:.17g},{v.imag:.17g}\n"
+                           for w, v in zip(band, vals)))
+    return frf
+
+
+GSORE_TABLE_LOOP = {"element": {"kind": "GSORE", "omega_r": 2.0, "xi": 1.0,
+                                "gamma1": 0.4, "gamma2": 0.4},
+                    "optimizer": {"population": 60, "generations": 150, "restarts": 1}}
+TABLE_CONSTANTS = {"origin_pole": False, "k_n": 0.8, "n_minus_m": 3}
+
+
+class TestMeasuredPlantConfigValues:
+    """A measured plant's declared loop constants are checked as read: a
+    wrong one exits 1 with an error that says why, instead of a misread
+    value or a traceback."""
+
+    @pytest.mark.parametrize("cfg, message", [
+        (dict(GSORE_TABLE_LOOP, gsore=dict(TABLE_CONSTANTS, origin_pole="false")),
+         "config field gsore.origin_pole "),
+        (dict(GSORE_TABLE_LOOP, gsore=dict(TABLE_CONSTANTS, origin_pole=0)),
+         "config field gsore.origin_pole "),
+        (dict(GSORE_TABLE_LOOP, gsore=dict(TABLE_CONSTANTS, n_minus_m="three")),
+         "config field gsore.n_minus_m "),
+        (dict(GSORE_TABLE_LOOP, gsore=dict(TABLE_CONSTANTS, n_minus_m=3.5)),
+         "config field gsore.n_minus_m "),
+        (dict(GSORE_TABLE_LOOP, gsore=dict(TABLE_CONSTANTS, k_n="x")), "config field gsore.k_n "),
+        (dict(GSORE_TABLE_LOOP, gsore={"origin_pole": False, "n_minus_m": 3}), "k_n is required"),
+    ], ids=["text-origin-pole", "number-origin-pole", "text-n-minus-m", "fractional-n-minus-m",
+            "text-k-n", "missing-k-n"])
+    def test_refused_with_exit_1(self, tmp_path, capsys, cfg, message):
+        frf = write_frf(tmp_path, [0.8], [1.0, 1.0], np.logspace(-3, 3, 1500))
+        path = write_config(tmp_path, cfg)
+        assert run(["gsore-check", "--config", path, "--frf", str(frf), "--grid-points", "800",
+                    "--out", str(tmp_path / "out.json")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert message in err
+
+    def test_declared_constants_are_read(self, tmp_path):
+        frf = write_frf(tmp_path, [0.8], [1.0, 1.0], np.logspace(-3, 3, 1500))
+        path = write_config(tmp_path, dict(GSORE_TABLE_LOOP, gsore=TABLE_CONSTANTS))
+        out = tmp_path / "out.json"
+        assert run(["gsore-check", "--config", path, "--frf", str(frf), "--grid-points", "800",
+                    "--out", str(out)]) in (0, 2)
+        assert json.loads(out.read_text())["problem_type"] == "V"
+
+
 class TestClassifyFromFrf:
     def test_measured_plant_with_asymptotes(self, tmp_path):
-        from resetcert.lti import evaluate, tf
-        band = np.logspace(-2, 2, 1200)
-        vals = evaluate(tf([1.0], [1.0, 1.0]), band)
-        frf = tmp_path / "plant.csv"
-        lines = [f"{w / (2 * np.pi):.17g},{v.real:.17g},{v.imag:.17g}"
-                 for w, v in zip(band, vals)]
-        frf.write_text("\n".join(lines) + "\n")
+        frf = write_frf(tmp_path, [1.0], [1.0, 1.0], np.logspace(-2, 2, 1200))
         cfg = write_config(tmp_path, {"element": {"kind": "GFORE", "omega_r": 1.0,
                                                   "gamma": 0.2}})
         out = tmp_path / "verdict.json"

@@ -247,7 +247,7 @@ class TestLoopGrid:
         g = tf([0.8], [1.0, 1.0])
         table = FrfTable(band, evaluate(g, band))
         elem = gsore(2.0, 1.0, 0.4, 0.4)
-        for plant, extra in ((g, {}), (table, {"origin_pole": False, "n_minus_m": 3})):
+        for plant, extra in ((g, {}), (table, {"origin_pole": False, "n_minus_m": 3, "k_n": 0.8})):
             with pytest.raises(GridTooSparse):
                 Loop(elem, self.ONE, self.ONE, plant).grid(31)
             with pytest.raises(GridTooSparse):

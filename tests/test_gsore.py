@@ -632,6 +632,19 @@ class TestCertifyFromMeasuredPlant:
         elem = gsore(2.0, 1.0, 0.3, 0.5)
         assert gsore_problem(elem, ONE, ONE, table, **kwargs).k_s0 == 0.5
 
+    def test_relative_degree_three_needs_k_n(self):
+        # with n - m = 3 the w -> inf limit matrix reads k_n, so a table must
+        # declare it; with n - m = 4 no limit reads it
+        elem = gsore(2.0, 1.0, 0.4, 0.4)
+        freqs = np.logspace(-3, 3, 1500)
+        table = FrfTable(freqs, evaluate(tf([0.8], [1.0, 1.0]), freqs))
+        with pytest.raises(DomainError, match="k_n"):
+            gsore_problem(elem, ONE, ONE, table, points=800, origin_pole=False, n_minus_m=3)
+        assert gsore_problem(elem, ONE, ONE, table, points=800, origin_pole=False,
+                             n_minus_m=3, k_n=0.8).k_n == 0.8
+        assert gsore_problem(elem, ONE, ONE, table, points=800, origin_pole=False,
+                             n_minus_m=4).k_n == 0.0
+
     def test_rational_plant_refuses_constant_overrides(self):
         # the blocks give origin_pole, k_n and n-m; a second value is refused
         elem = gsore(2.0, 1.0, 0.3, 0.5)

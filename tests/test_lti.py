@@ -312,6 +312,24 @@ class TestRank:
                                                c=np.array([[1.0, 0.0, 0.0]]))
         assert not ct and not ob
 
+    def test_observability_is_dual_controllability(self):
+        # A = T [[A11, 0], [A21, A22]] T^-1 and C = [C1, 0] T^-1: the states
+        # of A22 reach neither the rest nor the output, so the pair (A, C) is
+        # unobservable exactly when there are any
+        local = np.random.default_rng(23)
+        for _ in range(300):
+            n = int(local.integers(1, 7))
+            hidden = int(local.integers(0, n))
+            a = local.normal(size=(n, n))
+            a[:n - hidden, n - hidden:] = 0.0
+            c = local.normal(size=(int(local.integers(1, 3)), n))
+            c[:, n - hidden:] = 0.0
+            t = local.normal(size=(n, n)) + 3.0 * np.eye(n)
+            a, c = t @ a @ np.linalg.inv(t), c @ np.linalg.inv(t)
+            _, observable = controllability_observability(a, c=c)
+            dual, _ = controllability_observability(a.T, b=c.T)
+            assert observable == dual == (hidden == 0)
+
     def test_assembled_loop_rank(self):
         g = tf([1.0], [1.0, 2.0, 1.0])
         one = tf([1.0])

@@ -18,8 +18,7 @@ from resetcert.nsv import (
     map_angle,
     nsv_grid_samples,
     sufficient_phase_conditions,
-    _condition_list_type1,
-    _condition_list_type2,
+    _condition_list,
     _nsv_arrays,
 )
 
@@ -143,10 +142,28 @@ class TestWindowListEquivalence:
             ups = rng.normal(size=n)
             theta = map_angle(np.arctan2(ups, chi))
             v = classify(Nsv(np.arange(1.0, n + 1.0), chi, ups, theta), check_density=False)
-            list1 = _condition_list_type1(chi, ups, theta)
-            list2 = _condition_list_type2(chi, ups, theta)
+            list1 = _condition_list(1, chi, ups, theta)
+            list2 = _condition_list(2, chi, ups, theta)
             agree += int(v.is_type1 == list1 and v.is_type2 == list2)
         assert agree == 200
+
+    def test_type2_list_is_the_mirrored_type1_list(self):
+        # the Type II list on N equals the Type I list on N with N_chi
+        # negated and its angle taken afresh, exact zero components included
+        local = np.random.default_rng(17)
+        outcomes = set()
+        for _ in range(400):
+            n = int(local.integers(3, 30))
+            chi, ups = local.normal(size=(2, n))
+            chi[local.random(n) < 0.2] = 0.0
+            ups[local.random(n) < 0.2] = 0.0
+            theta = map_angle(np.arctan2(ups, chi))
+            mirrored = map_angle(np.arctan2(ups, -chi))
+            for t, u in ((2, 1), (1, 2)):
+                holds = _condition_list(t, chi, ups, theta)
+                assert holds == _condition_list(u, -chi, ups, mirrored)
+                outcomes.add(holds)
+        assert outcomes == {True, False}
 
 
 class TestPhaseShortcuts:
