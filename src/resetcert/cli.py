@@ -69,21 +69,45 @@ def cglp_pid_blocks(k_p: float, omega_c: float, omega_d: float, xi_d: float) -> 
     return k_p * lead2 * pi * lead1
 
 
-def _block_from_cfg(cfg) -> RationalTF:
+# the keys each JSON object of a config may hold; the top level has every command's sections
+CONFIG_KEYS = {
+    "top level": ("element", "blocks", "architecture", "plant_rhp_poles",
+                  "plant_origin_poles", "gsore", "optimizer", "candidate", "simulation"),
+    "element": ("kind", "omega_r", "xi", "gamma", "gamma1", "gamma2", "realization"),
+    "blocks": ("c_l1", "c_l2", "plant", "c_s"),
+    "template params": ("k_p", "omega_c", "omega_d", "xi_d"),
+    "gsore": ("origin_pole", "k_n", "n_minus_m"),
+    "optimizer": ("population", "generations", "restarts"),
+    "candidate": ("beta_prime", "rho_prime"),
+    "simulation": ("dt", "t_end", "lambda", "input", "x0", "gamma_sweep"),
+    "simulation.input": ("kind", "amplitude", "freq", "phase", "terms"),
+}
+
+
+def _known(cfg: dict, keys, field: str) -> dict:
+    """``cfg``, or a ConfigError naming its keys outside ``keys`` and its ``field``."""
+    extra = sorted(set(cfg) - set(keys))
+    if extra:
+        raise ConfigError(f"config field {field} has unknown keys {extra}; use {', '.join(keys)}")
+    return cfg
+
+
+def _block_from_cfg(cfg, field: str) -> RationalTF:
     if cfg is None:
         return tf([1.0])
     if isinstance(cfg, (int, float)):
         return tf([float(cfg)])
+    if isinstance(cfg, dict):
+        _known(cfg, ("template", "params") if "template" in cfg else ("num", "den"), field)
     if isinstance(cfg, dict) and "template" in cfg:
-        name = cfg["template"]
+        if cfg["template"] != "cglp_pid":
+            raise ConfigError(f"unknown block template {cfg['template']!r}")
         params = _section(cfg, "params", "template params")
-        if name == "cglp_pid":
-            try:
-                return cglp_pid_blocks(*(_number(params[k], f"params.{k}") for k in
-                                         ("k_p", "omega_c", "omega_d", "xi_d")))
-            except KeyError as exc:
-                raise ConfigError(f"cglp_pid template missing parameter {exc}") from None
-        raise ConfigError(f"unknown block template {name!r}")
+        try:
+            return cglp_pid_blocks(*(_number(params[k], f"params.{k}")
+                                     for k in CONFIG_KEYS["template params"]))
+        except KeyError as exc:
+            raise ConfigError(f"cglp_pid template missing parameter {exc}") from None
     try:
         return tf(cfg["num"], cfg["den"])
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
@@ -118,13 +142,15 @@ def _numbers(value, field: str) -> list:
 
 def _section(cfg: dict, key: str, field: str | None = None) -> dict:
     """``cfg[key]`` as a JSON object, ``{}`` when absent or null; anything
-    else is a ConfigError naming the config ``field`` (default ``key``)."""
+    else, or a key outside ``CONFIG_KEYS[field]``, is a ConfigError naming
+    the config ``field`` (default ``key``)."""
+    field = field or key
     value = cfg.get(key)
     if value is None:
         return {}
     if not isinstance(value, dict):
-        raise ConfigError(f"config field {field or key} needs a JSON object, got {value!r}")
-    return value
+        raise ConfigError(f"config field {field} needs a JSON object, got {value!r}")
+    return _known(value, CONFIG_KEYS[field], field)
 
 
 def _element_from_cfg(cfg) -> ResetElement:
@@ -162,7 +188,7 @@ def _load_config(args):
             raise ConfigError(f"invalid JSON in {args.config}: {exc}") from None
     if not isinstance(cfg, dict):
         raise ConfigError(f"config {args.config} needs a JSON object at the top")
-    return cfg
+    return _known(cfg, CONFIG_KEYS["top level"], "top level")
 
 
 def _loop_from(args, cfg) -> Loop:
@@ -178,10 +204,10 @@ def _loop_from(args, cfg) -> Loop:
     elif "plant" not in blocks:
         raise ConfigError("config needs blocks.plant" + (" or an --frf file" if takes_frf else ""))
     else:
-        plant = _block_from_cfg(blocks["plant"])
-    return Loop(element, _block_from_cfg(blocks.get("c_l1")),
-                _block_from_cfg(blocks.get("c_l2")), plant,
-                c_s=_block_from_cfg(blocks.get("c_s")),
+        plant = _block_from_cfg(blocks["plant"], "blocks.plant")
+    return Loop(element, _block_from_cfg(blocks.get("c_l1"), "blocks.c_l1"),
+                _block_from_cfg(blocks.get("c_l2"), "blocks.c_l2"), plant,
+                c_s=_block_from_cfg(blocks.get("c_s"), "blocks.c_s"),
                 architecture=cfg.get("architecture", "standard"))
 
 
@@ -232,9 +258,6 @@ def cmd_gsore(args) -> int:
     if loop.element.kind != "GSORE":
         raise ConfigError("gsore-check needs a GSORE element")
     extra = _section(cfg, "gsore")
-    unknown = sorted(set(extra) - {"origin_pole", "k_n", "n_minus_m"})
-    if unknown:
-        raise ConfigError(f"unknown gsore keys {unknown}; use origin_pole, k_n, n_minus_m")
     origin_pole = extra.get("origin_pole")
     if origin_pole is not None and not isinstance(origin_pole, bool):
         raise ConfigError(f"config field gsore.origin_pole needs a boolean, got {origin_pole!r}")
@@ -243,13 +266,9 @@ def cmd_gsore(args) -> int:
                  if extra.get(key) is not None}
     problem = gsore_problem(loop.element, loop.c_l1, loop.c_l2, loop.plant, c_s=loop.c_s,
                             points=args.grid_points, origin_pole=origin_pole, **constants)
-    opt = _section(cfg, "optimizer")
-    settings = OptimizerSettings(
-        population=_number(opt.get("population", 200), "optimizer.population", int),
-        generations=_number(opt.get("generations", 500), "optimizer.generations", int),
-        restarts=_number(opt.get("restarts", 8), "optimizer.restarts", int),
-        seed=args.seed,
-    )
+    settings = OptimizerSettings(**{key: _number(value, f"optimizer.{key}", int)
+                                    for key, value in _section(cfg, "optimizer").items()},
+                                 seed=args.seed)
     result = certify(problem, settings)
     return _emit_verdict(result.conditions, {
         "problem_type": result.problem_type,
@@ -271,8 +290,8 @@ def cmd_hbeta(args) -> int:
                                   variant=variant, points=args.grid_points)
     cand_cfg = _section(cfg, "candidate")
     if cand_cfg:
-        cand = HbetaCandidate(_number(cand_cfg.get("beta_prime"), "candidate.beta_prime"),
-                              _number(cand_cfg.get("rho_prime"), "candidate.rho_prime"))
+        cand = HbetaCandidate(*(_number(cand_cfg.get(key), f"candidate.{key}")
+                                for key in CONFIG_KEYS["candidate"]))
     else:
         cand = search_candidate_scalar(samples, element, c_s, p_lin, variant)
         if cand is None:

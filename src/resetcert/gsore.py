@@ -17,7 +17,7 @@ variables are reported as the scale-free ratios Q1..Q4.
 from __future__ import annotations
 
 from contextlib import suppress
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import differential_evolution, minimize_scalar
@@ -47,15 +47,11 @@ _SCAN_ELEMENTS = 2**15  # most (ratio, sample) pairs one block of a ratio scan h
 
 @dataclass(frozen=True)
 class FreqData:
-    """Reusable per-frequency pieces of the f1/f2 quadratic forms."""
+    """Per-frequency rows of the f1/f2 quadratic forms: ``forms`` is (6, N),
+    rows t1, t2, t3, u1, u2, u3."""
 
     omega: np.ndarray
-    t1: np.ndarray
-    t2: np.ndarray
-    t3: np.ndarray
-    u1: np.ndarray
-    u2: np.ndarray
-    u3: np.ndarray
+    forms: np.ndarray
 
     @staticmethod
     def from_samples(samples: LoopSamples, omega_r: float, xi: float) -> "FreqData":
@@ -63,29 +59,25 @@ class FreqData:
         kappa = 1.0 + np.conj(L)
         jw = 1j * w
         lead = jw + 2.0 * xi * omega_r
-        return FreqData(
-            omega=w,
-            t1=(cr * kappa * jw).real,
-            t2=(cr * kappa).real,
-            t3=(L * kappa * cs).real,
-            u1=(cr * kappa * lead).real,
-            u2=(cr * kappa * (2j * xi * omega_r * w - w**2)).real - np.abs(kappa) ** 2,
-            u3=(L * kappa * cs * lead).real,
-        )
+        return FreqData(w, np.stack([
+            (cr * kappa * jw).real, (cr * kappa).real, (L * kappa * cs).real,
+            (cr * kappa * lead).real,
+            (cr * kappa * (2j * xi * omega_r * w - w**2)).real - np.abs(kappa) ** 2,
+            (L * kappa * cs * lead).real]))
 
     def take(self, idx) -> "FreqData":
-        return FreqData(*(getattr(self, name)[idx] for name in self.__dataclass_fields__))
+        return FreqData(self.omega[idx], self.forms[:, idx])
 
-    def d1(self, rho1, rho2, beta1):
-        return rho1 * self.t1 + rho2 * self.t2 + beta1 * self.t3
-
-    def d2(self, rho3, rho2, beta2):
-        return rho3 * self.u1 + rho2 * self.u2 + beta2 * self.u3
-
-    def off_diag(self, params):
-        b1, b2, r1, r2, r3 = params
-        return (r2 * self.t1 + r3 * self.t2 + b2 * self.t3
-                + r2 * self.u1 + r1 * self.u2 + b1 * self.u3)
+    def entries(self, p):
+        """d1 = r1 t1 + r2 t2 + b1 t3, d2 = r3 u1 + r2 u2 + b2 u3 and
+        c = r2 t1 + r3 t2 + b2 t3 + r2 u1 + r1 u2 + b1 u3, each (S, N), of the
+        (5, S) parameters p = (b1, b2, r1, r2, r3), in one matrix product:
+        one row per parameter column, one column per frequency."""
+        b1, b2, r1, r2, r3 = p
+        z = np.zeros_like(r3)
+        weights = np.array([[r1, r2, b1, z, z, z], [z, z, z, r3, r2, b2],
+                            [r2, r3, b2, r2, r1, b1]])
+        return (weights.swapaxes(1, 2).reshape(-1, 6) @ self.forms).reshape(3, z.size, -1)
 
 
 def gamma_factor(gamma1: float, gamma2: float) -> float:
@@ -236,8 +228,10 @@ def _params_from_genes(x, ptype: str, k_s0: float):
     return b1, b2, np.ones_like(rho3), rho2, rho3
 
 
-def _pd2_viol(a, d, off):
-    """Positive-definiteness violation of [[a, off], [off, d]] (0 when PD)."""
+def _pd2_viol(m):
+    """Positive-definiteness violation of the symmetric 2x2 matrix ``m``, or
+    of each matrix of a (2, 2, S) stack (0 when PD)."""
+    a, d, off = m[0, 0], m[1, 1], m[0, 1]
     scale = np.abs(a) + np.abs(d) + np.abs(off) + 1e-300
     return (np.maximum(0.0, -a / scale) + np.maximum(0.0, -d / scale)
             + np.maximum(0.0, -(a * d - off**2) / scale**2))
@@ -246,35 +240,24 @@ def _pd2_viol(a, d, off):
 def _population_objective(data: FreqData, ptype, k_s0, wr, xi, kn, n_minus_m,
                           gamma_bound):
     """Vectorized penalized objective over a population of gene vectors."""
-    forms = np.stack([data.t1, data.t2, data.t3, data.u1, data.u2, data.u3])
 
     def fun(x):
         x = np.atleast_2d(np.asarray(x, float))
         if x.shape[0] != 4:
             x = x.T
-        b1, b2, r1, r2, r3 = _params_from_genes(x, ptype, k_s0)
-        z = np.zeros_like(r3)
-        weights = np.array([[r1, r2, b1, z, z, z], [z, z, z, r3, r2, b2],
-                            [r2, r3, b2, r2, r1, b1]])
-        # d1, d2 and c in one product: one row per population member, one column per frequency
-        d1, d2, c = (weights.swapaxes(1, 2).reshape(-1, 6) @ forms).reshape(3, z.size, -1)
+        _, _, r1, r2, r3 = p = _params_from_genes(x, ptype, k_s0)
+        d1, d2, c = data.entries(p)
         ok = (d1 > 0) & (d2 > 0)
         bad = ~ok.all(axis=1)           # the d-penalty is 0 on every other member
         dscale = np.abs(d1[bad]) + np.abs(d2[bad]) + np.abs(c[bad]) + 1e-300
-        pen = np.zeros(z.size)
+        pen = np.zeros(r3.size)
         pen[bad] = sum(np.maximum(0.0, -d[bad] / dscale).max(axis=1) for d in (d1, d2))
         d1 *= d2
         c *= c
         m = np.divide(c, d1, out=np.zeros_like(c), where=ok).max(axis=1)
-        if n_minus_m == 3:
-            off = wr**2 * r1 + 2 * r2 * xi * wr - r3 - kn * b1
-            pen += _pd2_viol(4 * r1 * xi * wr - 2 * r2, 2 * wr**2 * r2 - 2 * kn * b2, off)
-        else:
-            off = wr**2 * r1 + 2 * r2 * xi * wr - r3
-            pen += _pd2_viol(4 * r1 * xi * wr - 2 * r2, 2 * wr**2 * r2, off)
+        pen += _pd2_viol(limit_matrix_infinity(p, wr, xi, n_minus_m, kn))
         if ptype == "III":
-            off0 = k_s0 * b2 + 2 * k_s0 * b1 * xi * wr - r1
-            pen += _pd2_viol(2 * k_s0 * b1, 4 * k_s0 * b2 * xi * wr - 2 * r2, off0)
+            pen += _pd2_viol(limit_matrix_zero(p, wr, xi, k_s0))
         pscale = np.abs(r1 * r3) + r2**2 + 1e-300
         pen += np.maximum(0.0, -(r1 * r3 - r2**2) / pscale)
         pen += np.maximum(0.0, -(r1 * r3 - gamma_bound * r2**2) / pscale)
@@ -292,13 +275,13 @@ def _gene_bounds(data: FreqData, ptype: str, k_s0: float, wr: float, xi: float):
     (ratio, magnitude) windows, which bound the ratio genes and later seed
     the initial population inside the S1/S2-feasible set.
     """
-    k = k_s0
     windows = {}
     scans = {}
     if ptype == "III":
         ratios = np.logspace(-6, 6, 241)
-        feas1, lo1, hi1 = ratio_window(data.t1, data.t2, -k * data.t3, ratios)
-        feas2, lo2, hi2 = ratio_window(data.u1, data.u2, -k * data.u3, ratios)
+        t1, t2, t3, u1, u2, u3 = data.forms
+        feas1, lo1, hi1 = ratio_window(t1, t2, -k_s0 * t3, ratios)
+        feas2, lo2, hi2 = ratio_window(u1, u2, -k_s0 * u3, ratios)
         scans["s1"] = (feas1, lo1, hi1)
         scans["s2"] = (feas2, lo2, hi2)
         b_mag = (-3.0, 12.0)
@@ -476,16 +459,15 @@ def certify(problem: GsoreProblem, settings: OptimizerSettings | None = None) ->
                 best_j, best_x = full_j, np.array(r.x)
         if best_j < M_BOUND - 10 * M_SLACK:
             break
-    params = _loop_params(best_x, ptype, problem.k_s0, alpha)
-    windows = {}
-    if "q2_over_q1" in windows_hat:
-        lo, hi = windows_hat["q2_over_q1"]
-        windows["q2_over_q1"] = (alpha * lo, alpha * hi)
-    if "q4_over_q3" in windows_hat:
-        lo, hi = windows_hat["q4_over_q3"]
-        windows["q4_over_q3"] = (lo / alpha, hi / alpha)
-    return replace(_verify_candidate(problem, params, windows, settings.seed),
-                   search=search)
+    b1, b2, r1, r2, r3 = params = _loop_params(best_x, ptype, problem.k_s0, alpha)
+    q = ((r1 / b1, r2 / b1, r3 / b2, r2 / b2) if ptype == "III"
+         else (b1 / r1, r2 / r1, b2 / r3, r2 / r3))
+    # q2/q1 = rho2/rho1 scales as alpha, q4/q3 = rho2/rho3 as 1/alpha
+    windows = {key: (alpha * lo, alpha * hi) if key == "q2_over_q1" else (lo / alpha, hi / alpha)
+               for key, (lo, hi) in windows_hat.items()}
+    m_value, conditions = _verify_candidate(problem, loop_data, params)
+    return CertificateResult(q, m_value, conditions, params, ptype, settings.seed, windows,
+                             search)
 
 
 def _de_run(fun, bounds, init, seed: int, generations: int):
@@ -514,11 +496,10 @@ def _grid_check(problem: GsoreProblem, data: FreqData, params):
     Each diagonal entry is divided by the sum of its terms' magnitudes, the
     rounding bound of that sum, so no frequency scaling of the loop moves
     the verdict."""
-    b1, b2, r1, r2, r3 = params
-    s1 = data.d1(r1, r2, b1) / (np.abs(r1 * data.t1) + np.abs(r2 * data.t2)
-                                + np.abs(b1 * data.t3) + 1e-300)
-    s2 = data.d2(r3, r2, b2) / (np.abs(r3 * data.u1) + np.abs(r2 * data.u2)
-                                + np.abs(b2 * data.u3) + 1e-300)
+    p = np.reshape(params, (5, 1))
+    (d1,), (d2,), _ = data.entries(p)
+    (scale1,), (scale2,), _ = FreqData(data.omega, np.abs(data.forms)).entries(np.abs(p))
+    s1, s2 = d1 / (scale1 + 1e-300), d2 / (scale2 + 1e-300)
     strict = s1.min() > STRICT_MARGIN and s2.min() > STRICT_MARGIN
     if not strict:
         return s1, s2, float("inf"), None
@@ -527,11 +508,9 @@ def _grid_check(problem: GsoreProblem, data: FreqData, params):
 
 def _ratio(data: FreqData, params):
     """c^2/(d1*d2) per frequency; +inf wherever d1 or d2 is not positive."""
-    b1, b2, r1, r2, r3 = params
-    d1 = data.d1(r1, r2, b1)
-    d2 = data.d2(r3, r2, b2)
+    (d1,), (d2,), (c,) = data.entries(np.reshape(params, (5, 1)))
     with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where((d1 > 0) & (d2 > 0), data.off_diag(params) ** 2 / (d1 * d2), np.inf)
+        return np.where((d1 > 0) & (d2 > 0), c**2 / (d1 * d2), np.inf)
 
 
 def _ratio_at(problem: GsoreProblem, params, omega):
@@ -569,23 +548,23 @@ def _refined_sup(problem: GsoreProblem, ratio, params):
     return m, at
 
 
-def _verify_candidate(problem: GsoreProblem, params, windows, seed) -> CertificateResult:
+def _verify_candidate(problem: GsoreProblem, data: FreqData, params):
+    """(m_value, conditions): the strict verdict on the loop-scale ``params``,
+    with ``data`` the forms of the problem's grid."""
     b1, b2, r1, r2, r3 = params
     elem = problem.element
     wr, xi = elem.omega_r, elem.xi
-    data = FreqData.from_samples(problem.samples, wr, xi)
     s1, s2, m_value, sup_omega = _grid_check(problem, data, params)
     grid = [Condition(cid, pass_fail(s.min() > STRICT_MARGIN), float(s.min()),
                       float(data.omega[int(np.argmin(s))]))
             for cid, s in (("S1-diagonal-positivity", s1), ("S2-diagonal-positivity", s2))]
-    conditions = list(grid)
 
     cand = HbetaCandidate(np.array([b1, b2]), np.array([[r1, r2], [r2, r3]]))
     limits = {"high-frequency-limit-matrix": limit_matrix_infinity(
-        cand, wr, xi, problem.n_minus_m, problem.k_n)}
+        params, wr, xi, problem.n_minus_m, problem.k_n)}
     if problem.origin_pole:
-        limits["zero-frequency-limit-matrix"] = limit_matrix_zero(cand, wr, xi, problem.k_s0)
-    conditions += [pd_condition(cid, m) for cid, m in limits.items()]
+        limits["zero-frequency-limit-matrix"] = limit_matrix_zero(params, wr, xi, problem.k_s0)
+    conditions = grid + [pd_condition(cid, m) for cid, m in limits.items()]
     # the sup over the axis takes in the ratio's limits, which the grid only nears
     for m in limits.values():
         ratio = (4.0 * m[0, 1] ** 2 / (m[0, 0] * m[1, 1])
@@ -607,11 +586,6 @@ def _verify_candidate(problem: GsoreProblem, params, windows, seed) -> Certifica
     conditions.append(Condition("rank-conditions", rank, detail="measured plant: needs a model"
                                 if rank == "conditional" else ""))
 
-    if problem.problem_type == "III":
-        q = (r1 / b1, r2 / b1, r3 / b2, r2 / b2)
-    else:
-        q = (b1 / r1, r2 / r1, b2 / r3, r2 / r3)
-
     oracle = Condition("oracle-cross-check", "skipped", detail="S1, S2 or rho failed")
     if no_failure(grid) and pd_ok:
         pos = problem.samples.omega > 0.0
@@ -624,9 +598,7 @@ def _verify_candidate(problem: GsoreProblem, params, windows, seed) -> Certifica
         oracle = Condition(oracle.id, pass_fail(rep.passed),
                            detail="failed: " + ", ".join(failed) if failed else "")
     conditions.append(oracle)
-    return CertificateResult(tuple(float(v) for v in q), float(m_value), conditions,
-                             tuple(float(v) for v in params), problem.problem_type, seed,
-                             windows)
+    return float(m_value), conditions
 
 
 def rank_condition(problem: GsoreProblem, params) -> str:

@@ -194,21 +194,22 @@ def _sym_matrix_entries(candidate, samples: LoopSamples, omega_r: float, xi: flo
     return d1, d2, c, scale1, scale2
 
 
-def limit_matrix_infinity(candidate, omega_r: float, xi: float,
+def limit_matrix_infinity(params, omega_r: float, xi: float,
                           n_minus_m: int, k_n: float | None) -> np.ndarray:
-    """lim w^2 (H(jw) + H(-jw)^T); the k_n terms are 0 unless n-m = 3."""
-    b1, b2, r1, r2, r3 = candidate.as_matrix_params()
+    """lim w^2 (H(jw) + H(-jw)^T) at ``params`` = (b1, b2, r1, r2, r3), floats
+    or equal-shape arrays; the k_n terms are 0 unless n-m = 3."""
+    b1, b2, r1, r2, r3 = params
     if n_minus_m == 3 and k_n is None:
         raise ValueError("k_n required when n - m = 3")
-    k = k_n if n_minus_m == 3 else 0.0
-    off = omega_r**2 * r1 + 2.0 * r2 * xi * omega_r - r3 - k * b1
+    kb1, kb2 = (k_n * b1, 2.0 * k_n * b2) if n_minus_m == 3 else (0.0, 0.0)
+    off = omega_r**2 * r1 + 2.0 * r2 * xi * omega_r - r3 - kb1
     return np.array([[4.0 * r1 * xi * omega_r - 2.0 * r2, off],
-                     [off, 2.0 * omega_r**2 * r2 - 2.0 * k * b2]])
+                     [off, 2.0 * omega_r**2 * r2 - kb2]])
 
 
-def limit_matrix_zero(candidate, omega_r: float, xi: float, k_s0: float) -> np.ndarray:
-    """lim w->0 of H(jw) + H(-jw)^T when the open loop integrates."""
-    b1, b2, r1, r2, _ = candidate.as_matrix_params()
+def limit_matrix_zero(params, omega_r: float, xi: float, k_s0: float) -> np.ndarray:
+    """lim w->0 of H(jw) + H(-jw)^T at ``params`` when the open loop integrates."""
+    b1, b2, r1, r2, _ = params
     off = k_s0 * b2 + 2.0 * k_s0 * b1 * xi * omega_r - r1
     return np.array([[2.0 * k_s0 * b1, off],
                      [off, 4.0 * k_s0 * b2 * xi * omega_r - 2.0 * r2]])
@@ -234,7 +235,7 @@ def spr_check_matrix(candidate: HbetaCandidate, samples: LoopSamples,
     pole, w -> infinity per the loop relative degree), and the strict
     jump-map inequality A_rho' rho A_rho - rho < 0.
     """
-    _, _, r1, r2, r3 = candidate.as_matrix_params()
+    _, _, r1, r2, r3 = params = candidate.as_matrix_params()
     if r1 <= 0.0 or r3 <= 0.0 or r1 * r3 <= r2 * r2:
         raise NotPositiveDefinite("rho must be positive definite")
     if samples.omega.size < 8:
@@ -255,10 +256,10 @@ def spr_check_matrix(candidate: HbetaCandidate, samples: LoopSamples,
         Condition("grid-determinant-positivity", pass_fail(np.all(det > MARGIN * det_scale)),
                   float(det_margin[j]), float(w[j])),
         pd_condition("high-frequency-limit-matrix",
-                     limit_matrix_infinity(candidate, wr, xi, n_minus_m, k_n))]
+                     limit_matrix_infinity(params, wr, xi, n_minus_m, k_n))]
     if origin_pole:
         conditions.append(pd_condition("zero-frequency-limit-matrix",
-                                       limit_matrix_zero(candidate, wr, xi, k_s0)))
+                                       limit_matrix_zero(params, wr, xi, k_s0)))
     jump_ok, jump_margin = jump_map_test(element.a_rho, candidate.rho_prime)
     conditions.append(Condition("jump-map-strict-inequality", pass_fail(jump_ok), jump_margin))
     return SprReport(conditions)

@@ -103,10 +103,6 @@ class RationalTF:
     def constant(k: float) -> "RationalTF":
         return RationalTF(np.array([float(k)]), np.array([1.0]))
 
-    @staticmethod
-    def zero() -> "RationalTF":
-        return RationalTF(np.array([0.0]), np.array([1.0]))
-
     # -- structure (num and den are canonical) -----------------------------
     @property
     def degree_num(self) -> int:

@@ -172,9 +172,8 @@ def classify(nsv: Nsv, origin_pole: bool = False, k_s0: float = 1.0,
     if len(nsv) == 0:
         raise SparseGrid("no NSV samples")
     n_chi, n_ups, theta, omega = nsv.n_chi, nsv.n_upsilon, nsv.theta, nsv.omega
-    theta_raw = np.unwrap(np.arctan2(n_ups, n_chi))
-    if check_density and theta_raw.size > 1:
-        gap = np.max(np.abs(np.diff(theta_raw)))
+    if check_density and theta.size > 1:
+        gap = np.max(np.abs(np.diff(np.unwrap(theta))))
         if gap >= THETA_GAP_MAX:
             raise SparseGrid(f"adjacent angle gap {gap:.3f} rad >= pi/6; refine the grid")
     all_theta = np.concatenate([theta, np.asarray(list(extra_thetas), float)])
@@ -367,9 +366,8 @@ def _refine_stage(loop: Loop, variant: str, left: np.ndarray, right: np.ndarray,
 
 
 def _split_keys(nsv: Nsv) -> np.ndarray:
-    """Rows omega, N_chi, N_upsilon and atan2 angle: what the split test reads."""
-    return np.stack([nsv.omega, nsv.n_chi, nsv.n_upsilon,
-                     np.arctan2(nsv.n_upsilon, nsv.n_chi)])
+    """Rows omega, N_chi, N_upsilon and angle: what the split test reads."""
+    return np.stack([nsv.omega, nsv.n_chi, nsv.n_upsilon, nsv.theta])
 
 
 def _flagged(left: np.ndarray, right: np.ndarray) -> np.ndarray:

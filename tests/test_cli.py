@@ -397,10 +397,30 @@ class TestMalformedLoopInput:
         ("classify", lead_shaped(top={"plant_rhp_poles": 1.5}), "plant_rhp_poles"),
         ("gsore-check", dict(gsore_config(), optimizer={"population": 60.5}),
          "optimizer.population"),
+        # a key that no command reads is refused, not ignored
+        ("classify", lead_shaped(top={"plant_rhp_pole": 1}), "top level"),
+        ("classify", lead_shaped(top={"element": {"kind": "GFORE", "omegar": 50.0}}), "element"),
+        ("classify", lead_shaped(cs={"num": [1.0, 1.0], "den": [1.0, 0.1]}), "blocks"),
+        ("classify", lead_shaped(plant={"num": [1.0], "den": [1.0, 1.0], "gain": 2.0}),
+         "blocks.plant"),
+        ("classify", lead_shaped(c_l1={"template": "cglp_pid", "params": {
+            "k_p": 1.0, "omega_c": 1.0, "omega_d": 3.6, "xi_d": 1.0, "omega_r": 4.0}}),
+         "template params"),
+        ("gsore-check", dict(gsore_config(), optimizer={"population": 20, "generations": 2,
+                                                        "restarts": 1, "seeds": 4}), "optimizer"),
+        ("hbeta", lead_shaped(top={"candidate": {"beta_prime": 1.0, "rho_prime": 1.0,
+                                                 "gamma": 0.5}}), "candidate"),
+        ("simulate", lead_shaped(top={"simulation": {"dt": 0.01, "t_end": 1.0, "tend": 5.0}}),
+         "simulation"),
+        ("simulate", lead_shaped(top={"simulation": {"dt": 0.01, "t_end": 1.0, "input": {
+            "kind": "step", "amp": 2.0}}}), "simulation.input"),
     ], ids=["text-x0", "number-candidate", "text-optimizer", "number-input",
             "number-gamma-sweep", "text-term", "list-template-params", "unknown-input-kind",
             "negative-dt", "t-end-not-above-dt", "negative-lambda", "fractional-power",
-            "short-term", "fractional-rhp-poles", "fractional-population"])
+            "short-term", "fractional-rhp-poles", "fractional-population", "unknown-top-level",
+            "unknown-element", "unknown-blocks", "unknown-block", "unknown-template-params",
+            "unknown-optimizer", "unknown-candidate", "unknown-simulation",
+            "unknown-simulation-input"])
     def test_malformed_section_names_the_field(self, tmp_path, capsys, command, cfg, field):
         path = write_config(tmp_path, cfg)
         assert run([command, "--config", path, "--out", str(tmp_path / "out")]

@@ -12,7 +12,8 @@ import pytest
 
 from resetcert.elements import EIG_MARGIN, clegg, gfore, gsore, pci, sosre
 from resetcert.frf import STATUSES, FrfTable
-from resetcert.gsore import M_SLACK, STRICT_MARGIN, _verify_candidate, certify, gsore_problem
+from resetcert.gsore import (M_SLACK, STRICT_MARGIN, CertificateResult, FreqData,
+                             _verify_candidate, certify, gsore_problem)
 from resetcert.hbeta import (MARGIN, HbetaCandidate, search_candidate_scalar, spr_check_matrix,
                              spr_check_scalar)
 from resetcert.lti import evaluate, tf
@@ -49,6 +50,14 @@ def record(verdict, cid):
     """The record ``cid`` of a verdict (anything with ``conditions``)."""
     (found,) = [c for c in verdict.conditions if c.id == cid]
     return found
+
+
+def verify(problem, params):
+    """The GSORE verifier's verdict on the loop-scale ``params``, as a
+    certificate record (q, seed and search left empty)."""
+    data = FreqData.from_samples(problem.samples, problem.element.omega_r, problem.element.xi)
+    m_value, conditions = _verify_candidate(problem, data, params)
+    return CertificateResult((), m_value, conditions, tuple(params), problem.problem_type, 0)
 
 
 def check_records(verdict, holds: bool):
@@ -188,5 +197,5 @@ def test_gsore_certificate(gsore_type5):
                                       "wrong-beta"])
 def test_gsore_candidate_verdicts(gsore_type5, params):
     prob, _ = gsore_type5
-    res = _verify_candidate(prob, params, {}, 0)
+    res = verify(prob, params)
     check_records(res, res.certified)

@@ -16,6 +16,7 @@ from resetcert.gsore import (
     PENALTY_WEIGHT,
     _de_run,
     _gene_bounds,
+    _grid_check,
     _params_from_genes,
     _pd2_viol,
     _population_objective,
@@ -23,7 +24,6 @@ from resetcert.gsore import (
     _search_set,
     _seed_population,
     _stalled,
-    _verify_candidate,
     certify,
     gamma_factor,
     gsore_problem,
@@ -31,11 +31,11 @@ from resetcert.gsore import (
     rank_condition,
     ratio_window,
 )
-from resetcert.hbeta import HbetaCandidate, limit_matrix_infinity
+from resetcert.hbeta import limit_matrix_infinity
 from resetcert.lti import evaluate, series, tf
 from resetcert.nsv import certify_first_order
 
-from test_conditions import record
+from test_conditions import record, verify
 
 rng = np.random.default_rng(5)
 ONE = tf([1.0])
@@ -58,40 +58,40 @@ def mass_fixture(gamma1=0.5, gamma2=0.5):
 
 
 class TestQuadraticForms:
-    """The FreqData columns: f1 = x1 t1 + x2 t2 + x3 t3 (= d1) and
+    """The FreqData rows: f1 = x1 t1 + x2 t2 + x3 t3 (= d1) and
     f2 = x1 u1 + x2 u2 + x3 u3 (= d2), against their complex closed forms."""
 
     def test_linearity_zero(self):
         d = FreqData.from_samples(single_sample(0.5 - 0.5j), 1.0, 1.0)
-        assert d.d1(0, 0, 0)[0] == 0.0
-        assert d.d2(0, 0, 0)[0] == 0.0
+        assert not d.entries(np.zeros((5, 1))).any()
 
     def test_f1_third_slot_is_nchi(self):
         # unit shaping: the X3 coefficient equals a^2 + b^2 + a
         d = FreqData.from_samples(single_sample(0.5 - 0.5j), 1.0, 1.0)
-        assert d.t3[0] == pytest.approx(1.0, abs=1e-12)
+        assert d.forms[2, 0] == pytest.approx(1.0, abs=1e-12)
 
     def test_f1_first_slot_complex_oracle(self):
         wr, xi = 1.0, 1.0
         elem = gsore(wr, xi)
         cr = evaluate(base_tf(elem), 1.0)
         lval = cr
-        d = FreqData.from_samples(single_sample(lval, w=1.0, cr=cr), wr, xi)
+        t1, t2, *_ = FreqData.from_samples(single_sample(lval, w=1.0, cr=cr), wr, xi).forms[:, 0]
         kappa = 1 + np.conj(lval)
-        assert d.t1[0] == pytest.approx((cr * kappa * 1j).real, abs=1e-12)
-        assert d.t2[0] == pytest.approx((cr * kappa).real, abs=1e-12)
+        assert t1 == pytest.approx((cr * kappa * 1j).real, abs=1e-12)
+        assert t2 == pytest.approx((cr * kappa).real, abs=1e-12)
 
     def test_f2_terms_complex_oracle(self):
         wr, xi = 2.0, 0.7
         w = 1.3
         lval, cs, cr = 0.4 - 0.2j, 0.9 + 0.1j, 0.3 - 0.6j
-        d = FreqData.from_samples(single_sample(lval, w=w, cs=cs, cr=cr), wr, xi)
+        *_, u1, u2, u3 = FreqData.from_samples(single_sample(lval, w=w, cs=cs, cr=cr),
+                                               wr, xi).forms[:, 0]
         kappa = 1 + np.conj(lval)
         lead = 1j * w + 2 * xi * wr
-        assert d.u1[0] == pytest.approx((cr * kappa * lead).real, abs=1e-12)
-        assert d.u3[0] == pytest.approx((lval * kappa * cs * lead).real, abs=1e-12)
+        assert u1 == pytest.approx((cr * kappa * lead).real, abs=1e-12)
+        assert u3 == pytest.approx((lval * kappa * cs * lead).real, abs=1e-12)
         expect = (cr * kappa * (2j * xi * wr * w - w**2)).real - abs(kappa) ** 2
-        assert d.u2[0] == pytest.approx(expect, abs=1e-12)
+        assert u2 == pytest.approx(expect, abs=1e-12)
 
 
 class TestGammaFactor:
@@ -189,8 +189,8 @@ class TestBlockedRatioScan:
     def test_type3_fixture(self, points, monkeypatch):
         elem, lin, g = mass_fixture()
         prob = gsore_problem(elem, ONE, lin, g, points=points)
-        d = FreqData.from_samples(prob.samples, elem.omega_r, elem.xi)
-        for F in ((d.t1, d.t2, -prob.k_s0 * d.t3), (d.u1, d.u2, -prob.k_s0 * d.u3)):
+        t1, t2, t3, u1, u2, u3 = FreqData.from_samples(prob.samples, elem.omega_r, elem.xi).forms
+        for F in ((t1, t2, -prob.k_s0 * t3), (u1, u2, -prob.k_s0 * u3)):
             assert 0 < self.check_scan(*F, monkeypatch) < self.RATIOS.size
 
     def test_random_arrays(self, monkeypatch):
@@ -207,23 +207,27 @@ class TestBlockedRatioScan:
 
 
 def reference_objective(data, ptype, k_s0, wr, xi, kn, n_minus_m, gamma_bound, genes):
-    """The penalized objective member by member, from FreqData's own forms."""
+    """The penalized objective member by member, written out on FreqData's
+    form rows, with the limit matrices written out too."""
+    t1, t2, t3, u1, u2, u3 = data.forms
     values = []
     for x in genes:
-        b1, b2, r1, r2, r3 = params = [float(v[0]) for v in
-                                       _params_from_genes(x.reshape(4, 1), ptype, k_s0)]
-        d1, d2 = data.d1(r1, r2, b1), data.d2(r3, r2, b2)
-        c = data.off_diag(params)
+        b1, b2, r1, r2, r3 = [float(v[0]) for v in
+                              _params_from_genes(x.reshape(4, 1), ptype, k_s0)]
+        d1, d2 = r1 * t1 + r2 * t2 + b1 * t3, r3 * u1 + r2 * u2 + b2 * u3
+        c = r2 * t1 + r3 * t2 + b2 * t3 + r2 * u1 + r1 * u2 + b1 * u3
         dscale = np.abs(d1) + np.abs(d2) + np.abs(c) + 1e-300
         pen = max(0.0, np.max(-d1 / dscale)) + max(0.0, np.max(-d2 / dscale))
         ok = (d1 > 0) & (d2 > 0)
         m = float(np.max(c[ok] ** 2 / (d1[ok] * d2[ok]), initial=0.0))
         kn1, kn2 = (kn * b1, 2 * kn * b2) if n_minus_m == 3 else (0.0, 0.0)
-        pen += _pd2_viol(4 * r1 * xi * wr - 2 * r2, 2 * wr**2 * r2 - kn2,
-                         wr**2 * r1 + 2 * r2 * xi * wr - r3 - kn1)
+        off = wr**2 * r1 + 2 * r2 * xi * wr - r3 - kn1
+        pen += _pd2_viol(np.array([[4 * r1 * xi * wr - 2 * r2, off],
+                                   [off, 2 * wr**2 * r2 - kn2]]))
         if ptype == "III":
-            pen += _pd2_viol(2 * k_s0 * b1, 4 * k_s0 * b2 * xi * wr - 2 * r2,
-                             k_s0 * b2 + 2 * k_s0 * b1 * xi * wr - r1)
+            off = k_s0 * b2 + 2 * k_s0 * b1 * xi * wr - r1
+            pen += _pd2_viol(np.array([[2 * k_s0 * b1, off],
+                                       [off, 4 * k_s0 * b2 * xi * wr - 2 * r2]]))
         pscale = abs(r1 * r3) + r2**2 + 1e-300
         pen += max(0.0, -(r1 * r3 - r2**2) / pscale)
         pen += max(0.0, -(r1 * r3 - gamma_bound * r2**2) / pscale)
@@ -258,12 +262,35 @@ class TestPopulationObjective:
         genes = np.vstack([init, _de_run(fun, bounds, init, 0, 60)[0].population])
         got, want = fun(genes.T), reference_objective(data, *args, genes)
         b1, b2, r1, r2, r3 = (v[:, None] for v in _params_from_genes(genes.T, ptype, prob.k_s0))
-        d_bad = ((data.d1(r1, r2, b1) <= 0) | (data.d2(r3, r2, b2) <= 0)).any(axis=1)
+        t1, t2, t3, u1, u2, u3 = data.forms
+        d_bad = ((r1 * t1 + r2 * t2 + b1 * t3 <= 0)
+                 | (r3 * u1 + r2 * u2 + b2 * u3 <= 0)).any(axis=1)
         feasible = got < 1e9
         assert feasible.any() and d_bad.any() and not (feasible & d_bad).any()
         assert np.array_equal(feasible, want < 1e9)
         np.testing.assert_allclose(got[feasible], want[feasible], rtol=1e-12)
         np.testing.assert_allclose(got[~feasible], want[~feasible], rtol=1e-12)
+
+
+class TestGridCheckMargins:
+    """The S1/S2 margins, each entry over its rounding bound from the one
+    product on the forms and on their magnitudes, against both written out
+    elementwise."""
+
+    @pytest.mark.parametrize("ptype,n_minus_m", [("III", 6), ("IV", 4), ("V", 3)])
+    def test_margins_match_elementwise(self, ptype, n_minus_m):
+        elem, lin, g = objective_loops()[ptype, n_minus_m]
+        prob = gsore_problem(elem, ONE, lin, g, points=400)
+        res = certify(prob, OptimizerSettings(population=60, generations=100, restarts=1, seed=3))
+        assert res.certified and res.problem_type == ptype
+        data = FreqData.from_samples(prob.samples, elem.omega_r, elem.xi)
+        s1, s2, _, _ = _grid_check(prob, data, res.reconstructed)
+        b1, b2, r1, r2, r3 = res.reconstructed
+        t1, t2, t3, u1, u2, u3 = data.forms
+        np.testing.assert_allclose(s1, (r1 * t1 + r2 * t2 + b1 * t3)
+                                   / (abs(r1 * t1) + abs(r2 * t2) + abs(b1 * t3)), rtol=1e-13)
+        np.testing.assert_allclose(s2, (r3 * u1 + r2 * u2 + b2 * u3)
+                                   / (abs(r3 * u1) + abs(r2 * u2) + abs(b2 * u3)), rtol=1e-13)
 
 
 class TestCertify:
@@ -360,7 +387,7 @@ class TestEarlyStop:
         res = certify(gsore_problem(elem, ONE, ONE, g, points=400), OptimizerSettings())
         assert res.certified and res.oracle_cross_check == "pass"
         dense = gsore_problem(elem, ONE, ONE, g, points=40000)
-        assert _verify_candidate(dense, res.reconstructed, {}, 0).certified
+        assert verify(dense, res.reconstructed).certified
 
     def test_acceptance_fixture_stops_on_stall(self):
         elem, lin, g = mass_fixture()
@@ -485,13 +512,10 @@ class TestSupIncludesLimits:
         elem = gsore(2.0, 1.0, 0.4, 0.4)
         prob = gsore_problem(elem, ONE, ONE, tf([0.8], [1.0, 1.0]), points=400)
         params = (0.5, 0.2, 1.5, 0.3, 2.0)
-        b1, b2, r1, r2, r3 = params
-        m_inf = limit_matrix_infinity(
-            HbetaCandidate(np.array([b1, b2]), np.array([[r1, r2], [r2, r3]])),
-            elem.omega_r, elem.xi, prob.n_minus_m, prob.k_n)
+        m_inf = limit_matrix_infinity(params, elem.omega_r, elem.xi, prob.n_minus_m, prob.k_n)
         limit = 4.0 * m_inf[0, 1] ** 2 / (m_inf[0, 0] * m_inf[1, 1])
         assert limit == pytest.approx(3.88664, abs=1e-5)
-        res = _verify_candidate(prob, params, {}, 0)
+        res = verify(prob, params)
         assert res.m_value == limit
         sup = record(res, "sup-ratio-below-four")
         assert sup.margin == M_BOUND - limit and sup.omega is None
@@ -529,7 +553,7 @@ class TestScaleFreeMargins:
         b1, b2, r1, r2, r3 = base.reconstructed
         for a in (0.01, 20.0 * np.pi, 100.0):
             mapped = (b1, a * b2, a * r1, a**2 * r2, a**3 * r3)
-            res = _verify_candidate(scaled_acceptance_problem(a), mapped, {}, 0)
+            res = verify(scaled_acceptance_problem(a), mapped)
             assert res.certified and res.oracle_cross_check == "pass", a
 
 

@@ -337,8 +337,7 @@ class TestMatrixEntries:
         w = 1e6
         h = c0 @ np.linalg.inv(1j * w * np.eye(cl.order) - cl.a_bar) @ b0
         numeric = ((h + h.conj().T) * w**2).real
-        cand = HbetaCandidate(np.array([b1, b2]), np.array([[r1, r2], [r2, r3]]))
-        expect = limit_matrix_infinity(cand, elem.omega_r, elem.xi, 4, None)
+        expect = limit_matrix_infinity((b1, b2, r1, r2, r3), elem.omega_r, elem.xi, 4, None)
         np.testing.assert_allclose(numeric, expect, rtol=1e-4)
 
     def test_infinity_limit_matrix_reldeg3(self):
@@ -355,8 +354,7 @@ class TestMatrixEntries:
         numeric = ((h + h.conj().T) * w**2).real
         loop = series(base_tf(elem), g)
         k_n = loop.num[-1] / loop.den[-1]
-        cand = HbetaCandidate(np.array([b1, b2]), np.array([[r1, r2], [r2, r3]]))
-        expect = limit_matrix_infinity(cand, wr, xi, 3, k_n)
+        expect = limit_matrix_infinity((b1, b2, r1, r2, r3), wr, xi, 3, k_n)
         np.testing.assert_allclose(numeric, expect, rtol=1e-4)
 
     def test_zero_limit_matrix_matches_numeric(self):
@@ -372,9 +370,28 @@ class TestMatrixEntries:
         w = 1e-7
         h = c0 @ np.linalg.inv(1j * w * np.eye(cl.order) - cl.a_bar) @ b0
         numeric = (h + h.conj().T).real
-        cand = HbetaCandidate(np.array([b1, b2]), np.array([[r1, r2], [r2, r3]]))
-        expect = limit_matrix_zero(cand, wr, xi, k_s0=1.0)
+        expect = limit_matrix_zero((b1, b2, r1, r2, r3), wr, xi, k_s0=1.0)
         np.testing.assert_allclose(numeric, expect, rtol=1e-4)
+
+
+class TestLimitMatrixStack:
+    """(5, S) parameter arrays give a (2, 2, S) stack whose columns are the
+    float calls' matrices bit for bit."""
+
+    @pytest.mark.parametrize("limit, args", [
+        (limit_matrix_infinity, (2.0, 0.7, 3, 0.8)),
+        (limit_matrix_infinity, (2.0, 0.7, 4, None)),
+        (limit_matrix_zero, (2.0, 0.7, 1.3)),
+    ], ids=["infinity-relative-degree-3", "infinity-relative-degree-4", "zero"])
+    def test_columns_are_the_float_calls(self, limit, args):
+        gen = np.random.default_rng(31)
+        params = gen.normal(size=(5, 60)) * 10.0 ** gen.uniform(-3, 3, (5, 60))
+        params[:, :5] = 0.0
+        stack = limit(params, *args)
+        assert stack.shape == (2, 2, 60)
+        for j in range(60):
+            single = limit(tuple(float(v) for v in params[:, j]), *args)
+            assert stack[..., j].tobytes() == single.tobytes(), j
 
 
 class TestMatrixCheck:

@@ -22,6 +22,10 @@ Groups, all built from the benchmark's inputs in ``bench/workloads.py``:
 - ``gsore-verdicts``: the same certificates reduced to (type, scale,
   certified, oracle, rank), so a search change that moves m and q but no
   verdict reads as equal;
+- ``gsore-search``: q, the reconstructed parameters and the search records
+  (``best`` as hex) of the same certificates and of the CLI ``gsore-check``
+  runs, without m and the margins, so a change of the verifier's rounding
+  reads as equal while any moved DE trajectory or certificate shows;
 - ``cli``: exit code and the ``--out``/``--nsv-out`` bytes of every
   ``cli_inputs`` command for seeds 1-3, run in-process;
 - ``cli-verdicts``: the same runs reduced to the exit code, the
@@ -145,6 +149,25 @@ def gsore_verdicts_digest() -> str:
     return h.hexdigest()
 
 
+def _search_head(q, params, search) -> list:
+    return [[_hex(v) for v in q], [_hex(v) for v in params],
+            [dict(record, best=_hex(record["best"])) for record in search]]
+
+
+def gsore_search_digest() -> str:
+    h = hashlib.sha1()
+    for ptype, scale, res in gsore_results():
+        head = [ptype, scale, *_search_head(res.q, res.reconstructed, res.search)]
+        h.update(json.dumps(head, sort_keys=True).encode())
+    for seed, name, code, outputs in cli_runs():
+        data = json.loads(outputs.get("--out", b"{}")) if name in wl.CLI_VERDICTS else {}
+        if "search" in data:        # a gsore-check certificate
+            params = [data["reconstructed"][k] for k in ("beta1", "beta2", "rho1", "rho2", "rho3")]
+            head = [seed, name, code, *_search_head(data["q"], params, data["search"])]
+            h.update(json.dumps(head, sort_keys=True).encode())
+    return h.hexdigest()
+
+
 @functools.cache
 def cli_runs() -> list:
     """(seed, name, exit code, {flag: output bytes}) of every cli_inputs run."""
@@ -212,6 +235,7 @@ def main() -> int:
     for name, fn in (("fo", fo_digest), ("fo-verdicts", fo_verdicts_digest),
                      ("gsore", gsore_digest), ("gsore-certificates", gsore_certificates_digest),
                      ("gsore-verdicts", gsore_verdicts_digest),
+                     ("gsore-search", gsore_search_digest),
                      ("cli", cli_digest), ("cli-verdicts", cli_verdicts_digest),
                      ("sim", sim_digest)):
         try:
