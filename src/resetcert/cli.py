@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
@@ -18,7 +19,7 @@ import numpy as np
 
 from . import elements
 from .elements import ResetElement
-from .errors import ConfigError, ResetCertError
+from .errors import ConfigError, DomainError, ResetCertError
 from .frf import GRID_POINTS, Condition, Loop, load_frf, no_failure, save_frf
 from .hbeta import HbetaCandidate, search_candidate_scalar, spr_check_scalar
 from .lti import RationalTF, tf
@@ -96,7 +97,7 @@ def _block_from_cfg(cfg, field: str) -> RationalTF:
     if cfg is None:
         return tf([1.0])
     if isinstance(cfg, (int, float)):
-        return tf([float(cfg)])
+        return tf([_number(cfg, field)])
     if isinstance(cfg, dict):
         _known(cfg, ("template", "params") if "template" in cfg else ("num", "den"), field)
     if isinstance(cfg, dict) and "template" in cfg:
@@ -110,21 +111,25 @@ def _block_from_cfg(cfg, field: str) -> RationalTF:
             raise ConfigError(f"cglp_pid template missing parameter {exc}") from None
     try:
         return tf(cfg["num"], cfg["den"])
-    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
-        raise ConfigError(f"block needs numeric num/den lists, den nonzero: {exc}") from None
+    except (KeyError, TypeError, ValueError, ZeroDivisionError, DomainError) as exc:
+        raise ConfigError(f"config field {field} needs finite numeric num/den lists, "
+                          f"den nonzero: {exc}") from None
 
 
 def _number(value, field: str, kind=float):
-    """``value`` as a ``kind``: float, or int, which refuses a fraction;
-    anything else is a ConfigError naming the config ``field`` (a dotted
-    path such as ``optimizer.population``)."""
+    """``value`` as a ``kind``: a finite float, or int, which refuses a
+    fraction; anything else (NaN and Infinity included, which Python's json
+    reads) is a ConfigError naming the config ``field`` (a dotted path such
+    as ``optimizer.population``)."""
     try:
         number = kind(value)
         if kind is int and number != float(value):      # int() cuts a fraction off
             raise ValueError
+        if not math.isfinite(number):
+            raise ValueError
         return number
     except (TypeError, ValueError, OverflowError):
-        noun = "an integer" if kind is int else "a number"
+        noun = "an integer" if kind is int else "a finite number"
         raise ConfigError(f"config field {field} needs {noun}, got {value!r}") from None
 
 

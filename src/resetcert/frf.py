@@ -7,14 +7,15 @@ Frequencies are stored internally in rad/s.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .elements import ResetElement, base_tf, realization
-from .errors import (ConfigError, EmptyTable, GridTooSparse, NonMonotoneFrequency, OutOfBand,
-                     ParseError)
+from .errors import (ConfigError, DomainError, EmptyTable, GridTooSparse, NonMonotoneFrequency,
+                     OutOfBand, ParseError)
 from .lti import (ClosedLoop, RationalTF, assemble_closed_loop, end_term, evaluate,
                   leading_coefficients, relative_degree, series, tf)
 
@@ -71,6 +72,11 @@ class FrfTable:
             raise EmptyTable("need at least 2 FRF samples")
         if f.size != v.size:
             raise NonMonotoneFrequency("frequency and value columns differ in length")
+        bad = np.flatnonzero(~(np.isfinite(f) & np.isfinite(v)))
+        if bad.size:
+            i = int(bad[0])
+            raise DomainError(f"FRF sample {i} needs a finite frequency and value, "
+                              f"got {float(f[i])} rad/s and {complex(v[i])}")
         if np.any(f <= 0.0) or np.any(np.diff(f) <= 0.0):
             raise NonMonotoneFrequency("frequencies must be positive and strictly increasing")
         object.__setattr__(self, "freqs", f)
@@ -99,9 +105,12 @@ def _rows(path):
             if len(parts) != 3:
                 raise ParseError(f"{path}:{lineno}: expected 3 columns, got {len(parts)}")
             try:
-                yield tuple(float(p) for p in parts)
+                row = tuple(float(p) for p in parts)
             except ValueError as exc:
                 raise ParseError(f"{path}:{lineno}: {exc}") from None
+            if not all(map(math.isfinite, row)):
+                raise ParseError(f"{path}:{lineno}: non-finite number in {line!r}")
+            yield row
 
 
 def load_frf(path, fmt: str = "complex") -> FrfTable:

@@ -8,12 +8,14 @@ leading terms (``polysum``), so degrees are canonical.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import (
     DimensionMismatch,
+    DomainError,
     EvaluationAtPole,
     ImproperTransferFunction,
     InsufficientFrfResolution,
@@ -30,7 +32,7 @@ RANK_RTOL = 1e-9            # singular-value threshold for rank tests
 # polynomial helpers (ascending coefficients)
 # ---------------------------------------------------------------------------
 
-def canonical(coeffs, terms) -> np.ndarray:
+def canonical(coeffs, terms=None) -> np.ndarray:
     """Strip trailing zeros and trailing rounding noise.
 
     ``terms`` bounds, per coefficient (or as one scalar), the sum of the
@@ -38,10 +40,15 @@ def canonical(coeffs, terms) -> np.ndarray:
     most CANONICAL_RTOL times that is rounding noise of its sum.  A product
     of canonical polynomials has a single leading term, so however far its
     leading coefficient sits below the others (wide pole spreads put it many
-    decades down) it is never noise.  ``terms=0`` strips exact zeros only.
+    decades down) it is never noise.  ``terms=None`` strips exact zeros only.
     """
-    c = np.atleast_1d(np.asarray(coeffs, dtype=float))
-    kept = (np.abs(c) > CANONICAL_RTOL * np.asarray(terms)).nonzero()[0]
+    c = np.array(coeffs, dtype=float, ndmin=1)     # a copy
+    if terms is None:
+        if c.size and c[-1] != 0.0:
+            return c
+        kept = c.nonzero()[0]
+    else:
+        kept = (np.abs(c) > CANONICAL_RTOL * np.asarray(terms)).nonzero()[0]
     return c[:kept[-1] + 1].copy() if kept.size else np.zeros(1)
 
 
@@ -70,13 +77,19 @@ def polysum(*products) -> np.ndarray:
     return canonical(total, bound)
 
 
+def _horner(coeffs: np.ndarray, x, dtype):
+    """sum(coeffs[k] * x**k) by Horner's scheme in place, from the leading
+    coefficient; x may be an array."""
+    acc = np.full(np.shape(x), coeffs[-1], dtype)
+    for c in coeffs[-2::-1]:
+        acc *= x
+        acc += c
+    return acc
+
+
 def polyval_jw(coeffs, omega):
     """Evaluate p(j*omega) by Horner's scheme; omega may be an array."""
-    s = 1j * np.asarray(omega, dtype=float)
-    acc = np.zeros_like(s, dtype=complex)
-    for c in np.asarray(coeffs, float)[::-1]:
-        acc = acc * s + c
-    return acc
+    return _horner(np.asarray(coeffs, float), 1j * np.asarray(omega, dtype=float), complex)
 
 
 # ---------------------------------------------------------------------------
@@ -91,8 +104,15 @@ class RationalTF:
     den: np.ndarray
 
     def __post_init__(self):
-        num = canonical(self.num, 0.0)      # the coefficients are taken as exact
-        den = canonical(self.den, 0.0)
+        num = canonical(self.num)       # the coefficients are taken as exact
+        den = canonical(self.den)
+        # a NaN or an infinity makes the sum non-finite; so may an overflow,
+        # which the exact test then lets through
+        if not math.isfinite(sum(num.tolist()) + sum(den.tolist())):
+            for name, c in (("num", num), ("den", den)):
+                if not np.isfinite(c).all():
+                    raise DomainError(f"transfer function {name} needs finite coefficients, "
+                                      f"got {c.tolist()}")
         if den.size == 1 and den[0] == 0.0:
             raise ZeroDivisionError("transfer function denominator is zero")
         object.__setattr__(self, "num", num)
@@ -150,7 +170,7 @@ def tf(num, den=(1.0,)) -> RationalTF:
 
 def poly_roots(coeffs) -> np.ndarray:
     """Roots via companion-matrix eigenvalues (numpy.roots, trailing zeros stripped)."""
-    c = canonical(coeffs, 0.0)
+    c = canonical(coeffs)
     if c.size <= 1:
         return np.array([])
     return np.roots(c[::-1])
@@ -160,10 +180,10 @@ def evaluate(tfn: RationalTF, omega):
     """Frequency response num(jw)/den(jw); omega scalar or array, rad/s."""
     num_v = polyval_jw(tfn.num, omega)
     den_v = polyval_jw(tfn.den, omega)
-    # scale-free pole guard: |den(jw)| against the coefficient magnitude bound
+    # scale-free pole guard: |den(jw)| against the coefficient magnitude
+    # bound sum |den_k| |w|^k
     w = np.abs(np.asarray(omega, float))
-    w_pos = np.maximum(w, 1e-300)
-    bound = sum(abs(c) * w_pos ** k for k, c in enumerate(tfn.den))
+    bound = _horner(np.abs(tfn.den), w, float)
     bad = np.abs(den_v) <= 1e-14 * bound
     if bad.any():
         w_bad = np.atleast_1d(w)[np.atleast_1d(bad)][0]

@@ -5,13 +5,14 @@ kappa = 1 + conj(L) decides membership through the range of its angle,
 mapped into [-pi/2, 3*pi/2).  The angle-window test is the decision path;
 the condition-list test is kept as diagnostics and must agree with it.  The
 Type II set is the Type I set with N_chi mirrored, so one transcription of
-the condition list serves both: the N_chi rules read side * N_chi with side
-= +1 or -1 (negation is exact), and a literal quadrant triple per type picks
-where delta, psi and the forbidden angles lie.
+the condition list serves both: the N_chi rules read N_chi or -N_chi
+(negation is exact), and a literal quadrant triple per type picks where
+delta, psi and the forbidden angles lie.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -139,23 +140,25 @@ def _window_slack(theta1, theta2, bounds):
 
 def _condition_list(t, n_chi, n_ups, theta, eps=SIGN_EPS):
     """Direct transcription of the Type-``t`` condition list (diagnostics
-    path): Type II is Type I read on -N_chi, with its own quadrant triple."""
-    side = 1.0 if t == 1 else -1.0
+    path): Type II is Type I read on -N_chi, with its own quadrant triple.
+    The list holds when c3 and c4 hold and one of a, b and c does; the
+    clauses are read in that order and the first that decides it ends it."""
+    chi = n_chi if t == 1 else -n_chi
     scale = np.hypot(n_chi, n_ups)
     zero_chi = np.abs(n_chi) <= 1e-12 * scale
     zero_ups = np.abs(n_ups) <= 1e-12 * scale
-    c3 = bool(np.all(n_ups[zero_chi] > eps * scale[zero_chi]))
-    c4 = bool(np.all(side * n_chi[zero_ups] > eps * scale[zero_ups]))
-    a = bool(np.all(n_ups >= -eps * scale))
-    b = bool(np.all(side * n_chi >= -eps * scale))
+    if not (np.all(n_ups[zero_chi] > eps * scale[zero_chi])             # c3
+            and np.all(chi[zero_ups] > eps * scale[zero_ups])):         # c4
+        return False
+    if np.all(n_ups >= -eps * scale) or np.all(chi >= -eps * scale):    # a, b
+        return True
     with np.errstate(divide="ignore", invalid="ignore"):    # 0/0 lies in no quadrant
         ratios = np.abs(n_ups / n_chi)
     in_delta, in_psi, forbidden = ((theta > (k - 1) * np.pi / 2) & (theta < k * np.pi / 2)
                                    for k in _LIST_QUADRANTS[t])
     delta = np.max(ratios[in_delta], initial=-np.inf)
     psi = np.min(ratios[in_psi], initial=np.inf)
-    c = bool(delta < psi and not np.any(forbidden))
-    return c3 and c4 and (a or b or c)
+    return bool(delta < psi and not np.any(forbidden))                  # c
 
 
 def classify(nsv: Nsv, origin_pole: bool = False, k_s0: float = 1.0,
@@ -173,7 +176,10 @@ def classify(nsv: Nsv, origin_pole: bool = False, k_s0: float = 1.0,
         raise SparseGrid("no NSV samples")
     n_chi, n_ups, theta, omega = nsv.n_chi, nsv.n_upsilon, nsv.theta, nsv.omega
     if check_density and theta.size > 1:
-        gap = np.max(np.abs(np.diff(np.unwrap(theta))))
+        # theta lies in [-pi/2, 3*pi/2), so each adjacent step turns by
+        # min(|d theta|, 2 pi - |d theta|)
+        step = np.abs(theta[1:] - theta[:-1])
+        gap = np.max(np.minimum(step, 2.0 * np.pi - step))
         if gap >= THETA_GAP_MAX:
             raise SparseGrid(f"adjacent angle gap {gap:.3f} rad >= pi/6; refine the grid")
     all_theta = np.concatenate([theta, np.asarray(list(extra_thetas), float)])
@@ -340,7 +346,7 @@ def _refine_stage(loop: Loop, variant: str, left: np.ndarray, right: np.ndarray,
     of the intervals split on the last level.
     """
     width = 2 ** depth
-    steps = width >> np.arange(1, depth + 1)
+    steps, node, half = _tree(depth)
     omega = np.empty((left.shape[1], width + 1))
     omega[:, 0], omega[:, -1] = left[0], right[0]
     for s in steps:
@@ -350,9 +356,6 @@ def _refine_stage(loop: Loop, variant: str, left: np.ndarray, right: np.ndarray,
     keys = np.empty((4, *omega.shape))
     keys[..., 0], keys[..., -1] = left, right
     keys[..., 1:-1] = _split_keys(fresh_nsv).reshape(4, -1, width - 1)
-    # every node, level by level: node i's parent is node (i - 1) // 2
-    node = np.concatenate([np.arange(s, width, 2 * s) for s in steps])
-    half = np.repeat(steps, width // (2 * steps))
     split = _flagged(keys[..., node - half], keys[..., node + half])
     for first in 2 ** np.arange(1, depth) - 1:   # a node counts when its parent did
         split[:, first:2 * first + 1] &= np.repeat(split[:, first // 2:first], 2, axis=1)
@@ -363,6 +366,20 @@ def _refine_stage(loop: Loop, variant: str, left: np.ndarray, right: np.ndarray,
     inserted = keep[:, 1:-1].ravel()
     return (*(_merged([r], inserted) for r in (fresh, fresh_nsv)),
             np.hstack([ends[..., :-1][:, last], mids]), np.hstack([mids, ends[..., 1:][:, last]]))
+
+
+@functools.cache
+def _tree(depth: int):
+    """(steps, node, half) of the ``depth``-level midpoint tree, read-only:
+    the half-width of each level's intervals, every node's position level by
+    level (node i's parent is node (i - 1) // 2) and its interval's half-width."""
+    width = 2 ** depth
+    steps = width >> np.arange(1, depth + 1)
+    node = np.concatenate([np.arange(s, width, 2 * s) for s in steps])
+    half = np.repeat(steps, width // (2 * steps))
+    for a in (steps, node, half):
+        a.flags.writeable = False
+    return steps, node, half
 
 
 def _split_keys(nsv: Nsv) -> np.ndarray:

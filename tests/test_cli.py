@@ -414,13 +414,30 @@ class TestMalformedLoopInput:
          "simulation"),
         ("simulate", lead_shaped(top={"simulation": {"dt": 0.01, "t_end": 1.0, "input": {
             "kind": "step", "amp": 2.0}}}), "simulation.input"),
+        # Python's json reads NaN, Infinity and -Infinity; a NaN plant
+        # coefficient used to read as an exact zero, and 1/(1 + s) was certified
+        ("classify", lead_shaped(plant={"num": [1.0], "den": [1.0, 1.0, float("nan")]}),
+         "blocks.plant"),
+        ("classify", lead_shaped(c_l1=float("inf")), "blocks.c_l1"),
+        ("classify", lead_shaped(c_s={"num": [1.0, float("-inf")], "den": [1.0, 0.1]}),
+         "blocks.c_s"),
+        ("classify", lead_shaped(top={"element": {"kind": "GFORE", "omega_r": float("nan")}}),
+         "element.omega_r"),
+        ("hbeta", lead_shaped(top={"element": {"kind": "GFORE", "omega_r": 1.0,
+                                               "gamma": float("inf")}}), "element.gamma"),
+        ("classify", lead_shaped(c_l1={"template": "cglp_pid", "params": {
+            "k_p": float("nan"), "omega_c": 1.0, "omega_d": 3.6, "xi_d": 1.0}}),
+         "params.k_p"),
+        ("simulate", lead_shaped(top={"simulation": {"dt": 0.01, "t_end": float("inf")}}),
+         "simulation.t_end"),
     ], ids=["text-x0", "number-candidate", "text-optimizer", "number-input",
             "number-gamma-sweep", "text-term", "list-template-params", "unknown-input-kind",
             "negative-dt", "t-end-not-above-dt", "negative-lambda", "fractional-power",
             "short-term", "fractional-rhp-poles", "fractional-population", "unknown-top-level",
             "unknown-element", "unknown-blocks", "unknown-block", "unknown-template-params",
             "unknown-optimizer", "unknown-candidate", "unknown-simulation",
-            "unknown-simulation-input"])
+            "unknown-simulation-input", "nan-plant-den", "inf-block", "inf-shaping-num",
+            "nan-omega-r", "inf-gamma", "nan-template-param", "inf-t-end"])
     def test_malformed_section_names_the_field(self, tmp_path, capsys, command, cfg, field):
         path = write_config(tmp_path, cfg)
         assert run([command, "--config", path, "--out", str(tmp_path / "out")]
@@ -432,6 +449,26 @@ class TestMalformedLoopInput:
     def test_too_few_grid_points_exit_1(self, tmp_path):
         cfg = write_config(tmp_path, GFORE_DEMO)
         assert run(["classify", "--config", cfg, "--grid-points", "2"]) == 1
+
+
+class TestNonFiniteTable:
+    """A NaN table value used to end in a ValueError in the winding count."""
+
+    @pytest.mark.parametrize("command, flags", [
+        ("frf-convert", ["--out"]),
+        ("classify", ["--asymptote", "0,-2", "--grid-points", "400", "--out"]),
+    ])
+    def test_table_row_exit_1(self, tmp_path, capsys, command, flags):
+        frf = write_frf(tmp_path, [1.0], [1.0, 1.0], np.logspace(-2, 2, 200))
+        rows = frf.read_text().splitlines()
+        rows[7] = rows[7].split(",")[0] + ",nan,0"
+        frf.write_text("\n".join(rows) + "\n")
+        argv = [command, "--frf", str(frf), *flags, str(tmp_path / "out")]
+        if command == "classify":
+            argv += ["--config", write_config(tmp_path, GFORE_DEMO)]
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert "plant.csv:8: non-finite number" in err and "Traceback" not in err
 
 
 def write_frf(tmp_path, num, den, band):

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from resetcert.errors import (ConfigError, EmptyTable, GridTooSparse, NonMonotoneFrequency,
-                              OutOfBand, ParseError)
+from resetcert.errors import (ConfigError, DomainError, EmptyTable, GridTooSparse,
+                              NonMonotoneFrequency, OutOfBand, ParseError)
 from resetcert.frf import FrfTable, Loop, compose_loop, interpolate, load_frf, save_frf
 from resetcert.gsore import gsore_problem
 from resetcert.lti import assemble_closed_loop, evaluate, series, tf
@@ -49,6 +49,29 @@ class TestLoad:
         p.write_text("# only a comment\n1.0,1,0\n")
         with pytest.raises(EmptyTable):
             load_frf(p)
+
+
+    @pytest.mark.parametrize("row", ["2.0,nan,0", "2.0,1,inf", "inf,1,0", "nan,1,0",
+                                     "2.0,-inf,0"])
+    def test_non_finite_row_names_its_line(self, tmp_path, row):
+        p = tmp_path / "bad.csv"
+        p.write_text(f"# header\n1.0,1,0\n{row}\n3.0,1,0\n")
+        with pytest.raises(ParseError, match=r"bad.csv:3: non-finite number"):
+            load_frf(p)
+
+
+class TestNonFiniteTable:
+    @pytest.mark.parametrize("freqs, values, sample", [
+        ([0.01, np.nan, 1.0], [1, 1, 1], 1),
+        ([0.01, 0.1, np.inf], [1, 1, 1], 2),
+        ([0.01, 0.1, 1.0], [1, np.nan, 1], 1),
+        ([0.01, 0.1, 1.0], [complex(1, np.inf), 1, 1], 0),
+    ], ids=["nan-frequency", "inf-frequency", "nan-value", "inf-value"])
+    def test_refused_naming_the_sample(self, freqs, values, sample):
+        # an infinite top frequency used to give the band (0.01, inf), and a
+        # NaN value failed in the winding count with a ValueError
+        with pytest.raises(DomainError, match=f"FRF sample {sample} needs a finite"):
+            FrfTable(np.array(freqs), np.array(values, complex))
 
 
 class TestRoundTrip:

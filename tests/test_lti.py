@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from resetcert.elements import base_tf, gfore, gsore
-from resetcert.errors import EvaluationAtPole, ImproperTransferFunction, NormalizationError
+from resetcert.errors import (DomainError, EvaluationAtPole, ImproperTransferFunction,
+                              NormalizationError)
 from resetcert.lti import (
     assemble_closed_loop,
     base_linear_stability,
@@ -16,6 +17,7 @@ from resetcert.lti import (
     mirror,
     nyquist_stability_from_samples,
     polysum,
+    RationalTF,
     real_part_rational,
     relative_degree,
     series,
@@ -411,3 +413,24 @@ class TestLimits:
         assert total.degree_num == 0
         # a tiny coefficient no cancellation made stays
         assert (tf([1.0, 1e-13]) + tf([2.0])).degree_num == 1
+
+
+class TestNonFiniteCoefficients:
+    @pytest.mark.parametrize("num, den, name", [
+        ([1.0], [1.0, 1.0, np.nan], "den"),
+        ([1.0], [1.0, np.nan, 1.0], "den"),
+        ([1.0], [1.0, 1.0, np.nan, 0.0], "den"),
+        ([np.inf], [1.0, 1.0], "num"),
+        ([1.0, -np.inf, np.inf], [1.0, 1.0], "num"),
+    ])
+    def test_refused_naming_the_polynomial(self, num, den, name):
+        # a NaN used to read as an exact zero: tf([1], [1, 1, nan]) was 1/(1 + s)
+        with pytest.raises(DomainError, match=f"transfer function {name} needs finite"):
+            tf(num, den)
+        with pytest.raises(DomainError):
+            RationalTF(np.array(num), np.array(den))
+
+    def test_huge_finite_coefficients_are_kept(self):
+        # their sum overflows, their values do not
+        g = tf([1e308, 1e308], [1e308, 1e308, 1e308])
+        assert g.degree_num == 1 and g.degree_den == 2
