@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import platform
 import subprocess
@@ -29,16 +28,11 @@ import sys
 import numpy
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "bench"))
+
+from stats import percentile  # noqa: E402  (the benchmark's own percentile rule)
+
 SIDES = ("parent", "change")
-
-
-def percentile(values, q: float) -> float:
-    """Linear-interpolation percentile, ``q`` in [0, 100]."""
-    xs = sorted(values)
-    pos = (len(xs) - 1) * q / 100.0
-    lo = math.floor(pos)
-    hi = min(lo + 1, len(xs) - 1)
-    return xs[lo] + (xs[hi] - xs[lo]) * (pos - lo)
 
 
 def end_to_end_metrics() -> list:
