@@ -77,6 +77,12 @@ class DomainError(ResetCertError):
     """Parameter outside its admissible domain (e.g. |gamma| >= 1)."""
 
 
+# --- simulation ---
+
+class RunTooLong(ResetCertError):
+    """A simulation asks for more grid steps than its trace can hold."""
+
+
 # --- CLI ---
 
 class ConfigError(ResetCertError):

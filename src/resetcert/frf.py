@@ -96,6 +96,7 @@ class FrfTable:
 
 
 def _rows(path):
+    """(line number, (f_hz, a, b)) of each data row."""
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -110,7 +111,7 @@ def _rows(path):
                 raise ParseError(f"{path}:{lineno}: {exc}") from None
             if not all(map(math.isfinite, row)):
                 raise ParseError(f"{path}:{lineno}: non-finite number in {line!r}")
-            yield row
+            yield lineno, row
 
 
 def load_frf(path, fmt: str = "complex") -> FrfTable:
@@ -118,12 +119,16 @@ def load_frf(path, fmt: str = "complex") -> FrfTable:
     if fmt not in ("complex", "magphase"):
         raise ParseError(f"unknown FRF format {fmt!r}")
     hz, values = [], []
-    for f_hz, a, b in _rows(path):
+    for lineno, (f_hz, a, b) in _rows(path):
         hz.append(f_hz)
         if fmt == "complex":
             values.append(a + 1j * b)
-        else:
-            values.append(10.0 ** (a / 20.0) * np.exp(1j * np.pi * b / 180.0))
+            continue
+        try:
+            mag = 10.0 ** (a / 20.0)
+        except OverflowError:
+            raise ParseError(f"{path}:{lineno}: magnitude {a!r} dB is beyond a float") from None
+        values.append(mag * np.exp(1j * np.pi * b / 180.0))
     if len(hz) < 2:
         raise EmptyTable(f"{path}: fewer than 2 data rows")
     hz = np.array(hz)

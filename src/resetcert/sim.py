@@ -26,8 +26,10 @@ Automatica 40, 2004).
   between equal signs of e_r, unless on every cell the Bernstein
   coefficients of e_r's Taylor polynomial (Farouki & Rajan, CAGD 4, 1987)
   keep its sign by more than its rounding level.  Without jumps only an
-  overflow cuts a batch.  After a cut the next batch holds one chunk; each
-  batch that runs uncut doubles the next.
+  overflow cuts a batch.  After a cut the next batch holds ceil(gap / CHUNK)
+  chunks, at most BATCH, where gap is the number of steps since the previous
+  cut, so crossings at a steady spacing take one batch each; each batch that
+  runs uncut doubles the next.
 - Inside a cut step the flow is the Taylor polynomial of expm(F u) z on
   cells short enough that it is exact to rounding.  e_r = g @ z is sampled
   at SCAN_MARKS marks per cell; in the first sub-interval with a sign change
@@ -54,6 +56,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import RunTooLong
 from .lti import ClosedLoop, balance
 
 OVERFLOW_NORM = 1e12
@@ -67,6 +70,9 @@ MAX_EVENTS_PER_STEP = 8
 SCAN_MARKS = 8              # sub-intervals per cell scanned inside a flagged step
 SAMPLES_PER_TAU = 200       # default_dt resolution of the slowest time constant
 SAMPLES_PER_PERIOD = 40     # default_dt resolution of oscillating inputs
+# the trace keeps every grid sample, (order + 4) floats a step: 10^7 steps of
+# a ten-state loop take 1.1 GB, over 100 times the longest benchmark run
+MAX_STEPS = 10_000_000
 ROUNDING_REL = 1e-12        # e_r (e_r') below this share of |g|_1 |z|
                             # (|g F|_1 |z|) is rounding of the propagation
 # _BERNSTEIN @ a: Bernstein coefficients on [0, 1] of sum_j a_j s^j, j <= TAYLOR_ORDER
@@ -154,6 +160,10 @@ class SimConfig:
     def __post_init__(self):
         if self.dt <= 0 or self.t_end <= self.dt:
             raise ValueError("need dt > 0 and t_end > dt")
+        if not self.t_end / self.dt <= MAX_STEPS:
+            raise RunTooLong(f"t_end = {self.t_end!r} over dt = {self.dt!r} gives "
+                             f"{self.t_end / self.dt:.3g} steps; a trace holds at most "
+                             f"{MAX_STEPS}")
         lam = self.dt if self.lam is None else float(self.lam)
         if lam < 0:
             raise ValueError("dwell must be nonnegative")
@@ -178,6 +188,7 @@ class SimTrace:
     # deterministic event counters: every located crossing either fires a
     # jump or is suppressed by exactly one rule, checked in this order
     steps: int = 0                  # grid steps propagated
+    batches: int = 0                # batched scans of the grid
     crossings: int = 0              # zero crossings of e_r located
     resets_fired: int = 0
     suppressed_dwell: int = 0
@@ -188,7 +199,7 @@ class SimTrace:
     def counters(self) -> dict:
         """The event counters as JSON values; ``min_reset_gap`` is None while
         fewer than two resets have fired."""
-        return {"steps": self.steps, "crossings": self.crossings,
+        return {"steps": self.steps, "batches": self.batches, "crossings": self.crossings,
                 "resets_fired": self.resets_fired, "suppressed_dwell": self.suppressed_dwell,
                 "suppressed_guard": self.suppressed_guard,
                 "suppressed_tolerance": self.suppressed_tolerance,
@@ -512,9 +523,12 @@ def _propagate(config: SimConfig, jumps: bool) -> SimTrace:
     diverged = False
     k = 0
     chunks = 1
+    batches = 0
+    last_cut = 0                                # k just past the last cut step
     while k < n_steps:
         m = min(chunks * CHUNK, n_steps - k)
         zs = flow.rows(z, chunks)                   # step t goes from row t to row t + 1
+        batches += 1
         e, de = zs @ flow.g, zs @ flow.g_dot
         e[0], de[0] = e_prev, de_prev
         z_sq, x_sq = ((zs * zs) @ flow.norm_weights).T
@@ -546,10 +560,12 @@ def _propagate(config: SimConfig, jumps: bool) -> SimTrace:
             z, e_prev, de_prev = zs[cut], float(e[cut]), float(de[cut])
             k += cut
         if cut == m:
-            # no cut: the next batch is twice as long; after a cut, one chunk
+            # no cut: the next batch is twice as long
             chunks = min(2 * chunks, BATCH)
             continue
-        chunks = 1
+        # after a cut, enough chunks to reach the next cut if it comes as
+        # many steps on as this one came after the last
+        chunks = min(-(-(k + 1 - last_cut) // CHUNK), BATCH)
         # the step k -> k + 1 holds a crossing candidate or overflows
         if jumps:
             z, jumped, e_prev = run.step(z, times[k], e_prev)
@@ -557,6 +573,7 @@ def _propagate(config: SimConfig, jumps: bool) -> SimTrace:
         else:                                       # no jump rule: the step is the next row
             z, e_prev = zs[cut + 1], float(e[cut + 1])
         k += 1
+        last_cut = k
         x = z[:nx] * dx
         states[k], e_sig[k] = x, e_prev
         norm = math.sqrt(x @ x)
@@ -572,7 +589,7 @@ def _propagate(config: SimConfig, jumps: bool) -> SimTrace:
     outputs = states @ sys_.c_bar.ravel()
     gaps = np.diff(run.instants)
     return SimTrace(times, states, outputs, e_sig, flags, run.instants, max_norm,
-                    diverged, run.pairs, steps=k, crossings=run.crossings,
+                    diverged, run.pairs, steps=k, batches=batches, crossings=run.crossings,
                     resets_fired=len(run.instants), suppressed_dwell=run.dwell,
                     suppressed_guard=run.guard, suppressed_tolerance=run.tolerance,
                     min_reset_gap=float(gaps.min()) if gaps.size else math.inf)

@@ -13,11 +13,17 @@ ab_bench = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(ab_bench)
 
 
-def fake_checkout(tmp_path, name, last_line):
-    """A checkout whose bench/run.py prints one line and the JSON ``last_line``."""
+def fake_checkout(tmp_path, name, last_line, detail=None):
+    """A checkout whose bench/run.py prints one line and the JSON ``last_line``;
+    with ``detail`` it also writes that JSON as the run's detail file of
+    workload w, seed 5."""
     bench = tmp_path / name / "bench"
     bench.mkdir(parents=True)
-    (bench / "run.py").write_text(f"print('workload')\nprint({json.dumps(last_line)!r})\n")
+    script = f"print('workload')\nprint({json.dumps(last_line)!r})\n"
+    if detail is not None:
+        script += ("import os\nos.makedirs('.bench_out', exist_ok=True)\n"
+                   f"open('.bench_out/w-seed5-trace0.json', 'w').write({json.dumps(detail)!r})\n")
+    (bench / "run.py").write_text(script)
     return str(tmp_path / name)
 
 
@@ -58,3 +64,19 @@ def test_record_keeps_other_keys(tmp_path):
     data = json.loads(record.read_text())
     assert sorted(data) == ["other.seed1", "w.seed5"]
     assert data["w.seed5"]["summary"]["op_s.p50"]["change_wins"] == 2
+
+
+def test_per_operation_medians_from_the_detail_files(tmp_path, capsys):
+    # every pass of every run pooled per side; an operation one side lacks is left out
+    record = tmp_path / "bench.json"
+    parent = fake_checkout(tmp_path, "parent", last_line(p50=2.0), {"op_times": [
+        [0, "a", 2.0], [0, "b", 1.0], [1, "a", 4.0], [1, "b", 1.0], [0, "only-parent", 1.0]]})
+    change = fake_checkout(tmp_path, "change", last_line(p50=1.0), {"op_times": [
+        [0, "a", 1.0], [0, "b", 1.0], [1, "a", 2.0], [1, "b", 1.5]]})
+    assert ab_bench.main(["--parent", parent, "--change", change, "--workload", "w",
+                          "--seed", "5", "--pairs", "2", "--json", str(record)]) == 0
+    per_op = json.loads(record.read_text())["w.seed5"]["per_operation"]
+    assert per_op == {"a": {"parent": 3.0, "change": 1.5, "relative_change": -0.5},
+                      "b": {"parent": 1.0, "change": 1.25, "relative_change": 0.25}}
+    out = capsys.readouterr().out
+    assert "operation" in out and "-50.0%" in out

@@ -281,6 +281,14 @@ class TestSimulate:
         assert run(["simulate", "--config", cfg, "--out", out]) == 0
         assert len(calls) == 3
 
+    @pytest.mark.parametrize("t_end", [1e300, 1e308])
+    def test_run_too_long_exit_1(self, tmp_path, capsys, t_end):
+        cfg = write_config(tmp_path, {**lead_shaped(), "simulation": {"dt": 0.01,
+                                                                      "t_end": t_end}})
+        assert run(["simulate", "--config", cfg, "--out", str(tmp_path / "t.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"t_end = {t_end!r} over dt = 0.01" in err
+
     def test_summary_counters_per_run(self, tmp_path):
         cfg = write_config(tmp_path, {
             "element": {"kind": "CI", "gamma": 0.0},
@@ -296,9 +304,10 @@ class TestSimulate:
         summary = json.loads(paths[0].read_text())
         assert sorted(summary) == ["_gamma0", "_gamma1"]
         # crossings at k pi: gamma = 0 resets at each, the identity reset is
-        # suppressed by the guard at each
+        # suppressed by the guard at each; after the first, each gap of
+        # 3142 steps takes one batch
         assert summary["_gamma0"] == {
-            "steps": 18849, "crossings": 5, "resets_fired": 5, "suppressed_dwell": 0,
+            "steps": 18849, "batches": 15, "crossings": 5, "resets_fired": 5, "suppressed_dwell": 0,
             "suppressed_guard": 0, "suppressed_tolerance": 0,
             "min_reset_gap": summary["_gamma0"]["min_reset_gap"], "diverged": False}
         assert abs(summary["_gamma0"]["min_reset_gap"] - np.pi) <= 1e-9
@@ -551,6 +560,15 @@ class TestFrfConvert:
         t0 = load_frf(src, "complex")
         t1 = load_frf(out, "complex")
         np.testing.assert_allclose(t1.values, t0.values, atol=1e-12)
+
+    def test_magnitude_beyond_a_float_exit_1(self, tmp_path, capsys):
+        # 10^(7000/20) overflows a float; it used to end in an OverflowError
+        src = tmp_path / "big.csv"
+        src.write_text("# freq_hz,mag_db,phase_deg\n0.01,0,0\n0.1,7000,0\n1.0,0,0\n")
+        assert run(["frf-convert", "--frf", str(src), "--frf-format", "magphase",
+                    "--out", str(tmp_path / "out.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "big.csv:3: magnitude 7000.0 dB" in err
 
 
 def small_gsore_config():

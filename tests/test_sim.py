@@ -1,13 +1,16 @@
+import re
 import warnings
 
 import numpy as np
 import pytest
 
 from resetcert.elements import clegg, gfore, gsore, realization
+from resetcert.errors import RunTooLong
 from resetcert.lti import assemble_closed_loop, tf
 from resetcert.sim import (
     BATCH,
     CHUNK,
+    MAX_STEPS,
     InputSignal,
     SimConfig,
     default_dt,
@@ -75,12 +78,26 @@ class TestClosedFormOracle:
             assert abs(t - i * np.pi) <= 1e-9
 
 
+class TestRunLength:
+    @pytest.mark.parametrize("dt, t_end", [(0.01, 1e300), (0.01, 1e308), (1e-300, 1e300),
+                                           (0.01, np.nan), (0.01, (MAX_STEPS + 1) * 0.01)],
+                             ids=["1e302-steps", "inf-steps", "tiny-dt", "nan-t-end",
+                                  "one-past-the-cap"])
+    def test_refused_before_allocating(self, dt, t_end):
+        # numpy used to fail allocating the trace (or converting inf to int)
+        with pytest.raises(RunTooLong, match=re.escape(f"t_end = {t_end!r} over dt = {dt!r}")):
+            SimConfig(open_loop_ci(0.0), dt=dt, t_end=t_end)
+
+
 class TestBatchedScan:
     def test_crossing_late_in_the_largest_batch(self):
-        # after each crossing the scan runs batches of 1, 2, 4, ..., BATCH chunks
-        # (2 BATCH - 1 chunks in all); with crossings every 2 BATCH - 2.5
-        # chunks each falls 1.5 chunks before the end of a full-size batch
-        dt = np.pi / (CHUNK * (2 * BATCH - 2.5))
+        # crossings every P = (2 BATCH - 1.5) CHUNK + 1 + 1/6 steps, none on a
+        # grid point (whose sample could be pre- or post-jump by rounding); the
+        # steps that hold them are (2 BATCH - 1.5) CHUNK + 1 apart.  After each
+        # cut the next batch asks for more than BATCH chunks and gets BATCH,
+        # the uncut batch after it BATCH again, so every crossing after the
+        # first falls 1.5 chunks before the end of a full-size batch
+        dt = np.pi / (CHUNK * (2 * BATCH - 1.5) + 7 / 6)
         cl = open_loop_ci(0.0)
         tr = simulate(SimConfig(cl, dt=dt, t_end=5.5 * np.pi, input=sinusoid_input(1.0, 1.0)))
         k = np.floor(tr.times / np.pi + 1e-12)
@@ -89,6 +106,15 @@ class TestBatchedScan:
         assert len(tr.reset_instants) == 5
         for i, t in enumerate(tr.reset_instants, start=1):
             assert abs(t - i * np.pi) <= 1e-9
+
+    def test_one_batch_per_event_gap(self):
+        # crossings at k pi are 150 steps apart: after the first cut each
+        # batch holds ceil(150 / CHUNK) chunks and ends at the next crossing
+        cl = open_loop_ci(0.0)
+        tr = simulate(SimConfig(cl, dt=np.pi / 150, t_end=40.5 * np.pi,
+                                input=sinusoid_input(1.0, 1.0)))
+        assert tr.crossings == 40
+        assert tr.batches <= tr.crossings + 2
 
     def test_reset_free_run_ends_inside_a_batch(self):
         # e_r = r = 1 + sin(t)/2 > 0 never crosses, so x = t + (1 - cos t)/2

@@ -11,8 +11,11 @@ run whose last line is not ``correct`` or counts a failed operation stops
 the comparison with exit code 1.  For every end-to-end metric of
 ``BENCHMARK.json`` the tool prints each side's median [Q1, Q3] over the
 pairs, the relative change of the medians, and the number of pairs the
-change won (a tie counts for neither side).  ``--json PATH`` writes the
-record, every run's metrics included, under the key ``<workload>.seed<seed>``
+change won (a tie counts for neither side).  Where a run leaves its detail
+file ``.bench_out/<workload>-seed<seed>-trace0.json`` in the checkout, the
+tool also prints each side's median time per operation id, over every pass
+of every run.  ``--json PATH`` writes the record, every run's metrics and
+the per-operation medians included, under the key ``<workload>.seed<seed>``
 in PATH, keeping the records already there.
 """
 
@@ -58,6 +61,20 @@ def run_once(checkout: str, workload: str, seed: int, seconds: float) -> dict:
     return {name: m["value"] for name, m in last["metrics"].items()}
 
 
+def op_times(checkout: str, workload: str, seed: int) -> dict:
+    """Op id -> seconds of each pass, read from the detail file the last run
+    in ``checkout`` wrote; empty when there is none."""
+    path = os.path.join(checkout, ".bench_out", f"{workload}-seed{seed}-trace0.json")
+    if not os.path.isfile(path):
+        return {}
+    with open(path, encoding="utf-8") as fh:
+        records = json.load(fh)["op_times"]
+    out = {}
+    for _, op_id, secs in records:
+        out.setdefault(op_id, []).append(secs)
+    return out
+
+
 def summarize(runs: dict, metrics: list) -> dict:
     """Per metric: each side's median and quartiles, the relative change of
     the medians, and the pairs the change won."""
@@ -74,6 +91,18 @@ def summarize(runs: dict, metrics: list) -> dict:
     return out
 
 
+def summarize_ops(times: dict) -> dict:
+    """Per operation id both sides time: each side's median over all its
+    passes and the relative change of the medians."""
+    out = {}
+    for op_id in times["parent"]:
+        if op_id in times["change"]:
+            med = {side: percentile(times[side][op_id], 50.0) for side in SIDES}
+            out[op_id] = {**med, "relative_change": (med["change"] / med["parent"] - 1.0
+                                                     if med["parent"] else None)}
+    return out
+
+
 def report(summary: dict, pairs: int) -> None:
     print(f"{'metric':<20} {'parent median [Q1, Q3]':>36} {'change median [Q1, Q3]':>36}"
           f" {'change':>9} {'won':>6}")
@@ -82,6 +111,13 @@ def report(summary: dict, pairs: int) -> None:
                  for side in SIDES]
         rel = "n/a" if s["relative_change"] is None else f"{100.0 * s['relative_change']:+.1f}%"
         print(f"{name:<20} {cells[0]:>36} {cells[1]:>36} {rel:>9} {s['change_wins']:>3}/{pairs}")
+
+
+def report_ops(per_op: dict) -> None:
+    print(f"{'operation':<36} {'parent median':>14} {'change median':>14} {'change':>9}")
+    for op_id, s in per_op.items():
+        rel = "n/a" if s["relative_change"] is None else f"{100.0 * s['relative_change']:+.1f}%"
+        print(f"{op_id:<36} {s['parent']:>14.6g} {s['change']:>14.6g} {rel:>9}")
 
 
 def write_record(path: str, key: str, record: dict) -> None:
@@ -113,11 +149,15 @@ def main(argv=None) -> int:
             p.error(f"--{side} {path} has no bench/run.py")
     metrics = end_to_end_metrics()
     runs = {side: [] for side in SIDES}
+    times = {side: {} for side in SIDES}
     try:
         for k in range(args.pairs):
             for side in (SIDES if k % 2 == 0 else SIDES[::-1]):
                 values = run_once(checkouts[side], args.workload, args.seed, args.seconds)
                 runs[side].append(values)
+                for op_id, secs in op_times(checkouts[side], args.workload,
+                                            args.seed).items():
+                    times[side].setdefault(op_id, []).extend(secs)
                 print(f"pair {k} {side:<6} " + " ".join(f"{name}={values[name]:.6g}"
                                                        for name, _ in metrics), flush=True)
     except RuntimeError as exc:
@@ -125,12 +165,15 @@ def main(argv=None) -> int:
         return 1
     summary = summarize(runs, metrics)
     report(summary, args.pairs)
+    per_op = summarize_ops(times)
+    if per_op:
+        report_ops(per_op)
     if args.json:
         record = {"seed": args.seed, "pairs": args.pairs, "seconds": args.seconds,
                   "order": "even pairs run the parent first, odd pairs the change",
                   "machine": {"python": platform.python_version(), "numpy": numpy.__version__,
                               "nproc": os.cpu_count(), "machine": platform.machine()},
-                  "summary": summary, "runs": runs}
+                  "summary": summary, "per_operation": per_op, "runs": runs}
         write_record(args.json, f"{args.workload}.seed{args.seed}", record)
     return 0
 
