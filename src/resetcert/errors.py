@@ -80,7 +80,8 @@ class DomainError(ResetCertError):
 # --- simulation ---
 
 class RunTooLong(ResetCertError):
-    """A simulation asks for more grid steps than its trace can hold."""
+    """A simulation asks for more grid steps than its trace can hold, or for
+    more Taylor cells per grid step than a step may hold."""
 
 
 # --- CLI ---

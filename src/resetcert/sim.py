@@ -31,12 +31,18 @@ Automatica 40, 2004).
   cut, so crossings at a steady spacing take one batch each; each batch that
   runs uncut doubles the next.
 - Inside a cut step the flow is the Taylor polynomial of expm(F u) z on
-  cells short enough that it is exact to rounding.  e_r = g @ z is sampled
-  at SCAN_MARKS marks per cell; in the first sub-interval with a sign change
-  (or with an extremum that passes zero) the crossing is located by a
-  safeguarded Newton iteration (e_r' = g F z) to BISECT_REL * dt.  The scan
-  resumes just past it, so a rejected crossing does not hide a later one in
-  the same step.
+  cells h = dt / cells short enough that it is exact to rounding: the
+  fewest with |F h|_1 <= 1, or half as many where the bound
+  |(F h)^19|_1 e^|F h|_1 / 19! on its tail is at most 1/19! (_cell_count).
+  For the non-normal F of the benchmark's PCI and GSORE loops, at
+  |F dt|_1 = 1.08-1.59, |(F dt)^19|_1 e^|F dt|_1 reads 1.5e-10 to 2.3e-4,
+  so one cell does; |F h|_1 <= 2 keeps the rounding of the Taylor sum
+  within e^2 ulps.  A step that needs more than MAX_CELLS cells is refused.
+  e_r = g @ z is sampled at SCAN_MARKS marks per cell; in the first
+  sub-interval with a sign change (or with an extremum that passes zero)
+  the crossing is located by a safeguarded Newton iteration (e_r' = g F z)
+  to BISECT_REL * dt.  The scan resumes just past it, so a rejected crossing
+  does not hide a later one in the same step.
 - A crossing fires a jump, which multiplies the reset substate by its reset
   matrix, only if the dwell max(lam, dt) has elapsed since the last jump
   (time regularization), (I - A_rho_bar) x is nonzero (guard), and |e_r| at
@@ -65,7 +71,8 @@ JUMP_GUARD_REL = 1e-12      # (I - A_rho_bar) x threshold relative to |x|
 BISECT_REL = 1e-10          # crossing-time resolution relative to dt
 CHUNK = 128                 # grid steps between chained anchors
 BATCH = 16                  # most chunks scanned by one matrix product
-TAYLOR_ORDER = 18           # on cells with |F h|_1 <= 1 the tail is < 1/19!
+TAYLOR_ORDER = 18           # a cell's Taylor tail is below 1.06/19! (see _cell_count)
+MAX_CELLS = 256             # most Taylor cells per grid step; |F|_1 dt above it is refused
 MAX_EVENTS_PER_STEP = 8
 SCAN_MARKS = 8              # sub-intervals per cell scanned inside a flagged step
 SAMPLES_PER_TAU = 200       # default_dt resolution of the slowest time constant
@@ -195,6 +202,7 @@ class SimTrace:
     suppressed_guard: int = 0
     suppressed_tolerance: int = 0
     min_reset_gap: float = math.inf
+    cells: int = 1                  # Taylor cells per grid step
 
     def counters(self) -> dict:
         """The event counters as JSON values; ``min_reset_gap`` is None while
@@ -205,7 +213,7 @@ class SimTrace:
                 "suppressed_tolerance": self.suppressed_tolerance,
                 "min_reset_gap": (self.min_reset_gap if math.isfinite(self.min_reset_gap)
                                   else None),
-                "diverged": bool(self.diverged)}
+                "diverged": bool(self.diverged), "cells": self.cells}
 
     def save_csv(self, path):
         n = self.states.shape[1]
@@ -302,6 +310,32 @@ def _bracketed_root(p, dp, lo, hi, f_lo, f_hi, tol):
     return hi, f_hi
 
 
+def _cell_count(f, dt) -> int:
+    """Taylor cells per grid step, a power of two.
+
+    The tail of expm(A) after A^T/T!, T = TAYLOR_ORDER, is at most the sum
+    of |A|_1^k / k! over k > T, below 1.06/(T+1)! where |A|_1 <= 1, and at
+    most |A^(T+1)|_1 e^|A|_1 / (T+1)!.  The cell length h = dt / cells comes
+    from the fewest cells with |F h|_1 <= 1, or from half as many, with
+    |F h|_1 <= 2, where the second bound is at most 1/(T+1)!.  For a
+    non-normal F, |(F h)^(T+1)|_1 is far below |F h|_1^(T+1) (Al-Mohy &
+    Higham, SIAM J. Matrix Anal. Appl. 31, 2009); for a rotation the two are
+    equal.  A step that needs more than MAX_CELLS cells is refused with
+    RunTooLong before anything is built.
+    """
+    norm = float(np.linalg.norm(f, 1))
+    if not norm * dt <= MAX_CELLS:
+        raise RunTooLong(f"dt = {dt!r} with |F|_1 = {norm:.3g} gives |F|_1 dt = {norm * dt:.3g}; "
+                         f"a grid step holds at most {MAX_CELLS} Taylor cells")
+    cells = 2 ** max(0, math.ceil(math.log2(max(norm * dt, 1.0))))
+    if cells > 1:
+        a = f * (2.0 * dt / cells)                  # |a|_1 <= 2
+        tail = np.linalg.norm(np.linalg.matrix_power(a, TAYLOR_ORDER + 1), 1)
+        if tail * math.exp(np.linalg.norm(a, 1)) <= 1.0:
+            cells //= 2
+    return cells
+
+
 class _Flow:
     """The loop augmented with its input generators, in balanced coordinates
     z_b = z / d: the powers 1..CHUNK of Phi = expm(F dt) and the Taylor
@@ -331,7 +365,7 @@ class _Flow:
         self.de_floor = ROUNDING_REL * float(np.abs(self.g_dot).sum())
         self.z0 = np.concatenate([config.x0, w_r, w_d]) / d
         dt = config.dt
-        self.cells = 2 ** max(0, math.ceil(math.log2(max(np.linalg.norm(f, 1) * dt, 1.0))))
+        self.cells = _cell_count(f, dt)
         self.cell = dt / self.cells
         terms = [np.eye(n)]
         for j in range(1, TAYLOR_ORDER + 1):
@@ -592,7 +626,8 @@ def _propagate(config: SimConfig, jumps: bool) -> SimTrace:
                     diverged, run.pairs, steps=k, batches=batches, crossings=run.crossings,
                     resets_fired=len(run.instants), suppressed_dwell=run.dwell,
                     suppressed_guard=run.guard, suppressed_tolerance=run.tolerance,
-                    min_reset_gap=float(gaps.min()) if gaps.size else math.inf)
+                    min_reset_gap=float(gaps.min()) if gaps.size else math.inf,
+                    cells=flow.cells)
 
 
 def simulate(config: SimConfig) -> SimTrace:

@@ -13,16 +13,20 @@ ab_bench = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(ab_bench)
 
 
-def fake_checkout(tmp_path, name, last_line, detail=None):
+def fake_checkout(tmp_path, name, last_line, details=()):
     """A checkout whose bench/run.py prints one line and the JSON ``last_line``;
-    with ``detail`` it also writes that JSON as the run's detail file of
-    workload w, seed 5."""
+    with ``details`` its k-th run also writes the k-th of them (cyclically) as
+    the run's detail file of workload w, seed 5."""
     bench = tmp_path / name / "bench"
     bench.mkdir(parents=True)
     script = f"print('workload')\nprint({json.dumps(last_line)!r})\n"
-    if detail is not None:
-        script += ("import os\nos.makedirs('.bench_out', exist_ok=True)\n"
-                   f"open('.bench_out/w-seed5-trace0.json', 'w').write({json.dumps(detail)!r})\n")
+    if details:
+        script += ("import json, os\nos.makedirs('.bench_out', exist_ok=True)\n"
+                   "k = int(open('runs').read()) if os.path.exists('runs') else 0\n"
+                   "open('runs', 'w').write(str(k + 1))\n"
+                   f"details = json.loads({json.dumps(details)!r})\n"
+                   "with open('.bench_out/w-seed5-trace0.json', 'w') as fh:\n"
+                   "    json.dump(details[k % len(details)], fh)\n")
     (bench / "run.py").write_text(script)
     return str(tmp_path / name)
 
@@ -67,16 +71,27 @@ def test_record_keeps_other_keys(tmp_path):
 
 
 def test_per_operation_medians_from_the_detail_files(tmp_path, capsys):
-    # every pass of every run pooled per side; an operation one side lacks is left out
+    # every pass of every run pooled per side; an operation one side lacks is
+    # left out.  A pair is won per operation when the change run's median of
+    # its passes is below the parent run's: c's pooled medians tie, and the
+    # change wins the first pair and loses the second
     record = tmp_path / "bench.json"
-    parent = fake_checkout(tmp_path, "parent", last_line(p50=2.0), {"op_times": [
-        [0, "a", 2.0], [0, "b", 1.0], [1, "a", 4.0], [1, "b", 1.0], [0, "only-parent", 1.0]]})
-    change = fake_checkout(tmp_path, "change", last_line(p50=1.0), {"op_times": [
-        [0, "a", 1.0], [0, "b", 1.0], [1, "a", 2.0], [1, "b", 1.5]]})
+    common = [[0, "a", 2.0], [0, "b", 1.0], [1, "a", 4.0], [1, "b", 1.0], [0, "only-parent", 1.0]]
+    parent = fake_checkout(tmp_path, "parent", last_line(p50=2.0), [
+        {"op_times": common + [[0, "c", 3.0]]}, {"op_times": common + [[0, "c", 1.0]]}])
+    change = fake_checkout(tmp_path, "change", last_line(p50=1.0), [{"op_times": [
+        [0, "a", 1.0], [0, "b", 1.0], [1, "a", 2.0], [1, "b", 1.5], [0, "c", 2.0]]}])
     assert ab_bench.main(["--parent", parent, "--change", change, "--workload", "w",
                           "--seed", "5", "--pairs", "2", "--json", str(record)]) == 0
     per_op = json.loads(record.read_text())["w.seed5"]["per_operation"]
-    assert per_op == {"a": {"parent": 3.0, "change": 1.5, "relative_change": -0.5},
-                      "b": {"parent": 1.0, "change": 1.25, "relative_change": 0.25}}
+    assert per_op == {
+        "a": {"parent": 3.0, "change": 1.5, "relative_change": -0.5, "change_wins": 2,
+              "pairs": 2},
+        "b": {"parent": 1.0, "change": 1.25, "relative_change": 0.25, "change_wins": 0,
+              "pairs": 2},
+        "c": {"parent": 2.0, "change": 2.0, "relative_change": 0.0, "change_wins": 1,
+              "pairs": 2}}
     out = capsys.readouterr().out
     assert "operation" in out and "-50.0%" in out
+    assert [line.split()[-1] for line in out.splitlines()
+            if line.split()[0] in ("a", "b", "c")] == ["2/2", "0/2", "1/2"]

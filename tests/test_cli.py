@@ -281,13 +281,22 @@ class TestSimulate:
         assert run(["simulate", "--config", cfg, "--out", out]) == 0
         assert len(calls) == 3
 
-    @pytest.mark.parametrize("t_end", [1e300, 1e308])
-    def test_run_too_long_exit_1(self, tmp_path, capsys, t_end):
+    @pytest.mark.parametrize("simulation, message", [
+        ({"t_end": 1e300}, "t_end = 1e+300 over dt = 0.01"),
+        ({"t_end": 1e308}, "t_end = 1e+308 over dt = 0.01"),
+        # too many Taylor cells per step: before the cap the 1e6 rad/s run
+        # took about 29 s and the 1e300 one did not end
+        ({"t_end": 2.0, "input": {"kind": "sinusoid", "amplitude": 1.0, "freq": 1e6}},
+         "dt = 0.01 with |F|_1 = 1e+06"),
+        ({"t_end": 2.0, "input": {"kind": "sinusoid", "amplitude": 1.0, "freq": 1e300}},
+         "dt = 0.01 with |F|_1 = 1e+300")],
+        ids=["1e+300", "1e+308", "cells-1e6", "cells-1e300"])
+    def test_run_too_long_exit_1(self, tmp_path, capsys, simulation, message):
         cfg = write_config(tmp_path, {**lead_shaped(), "simulation": {"dt": 0.01,
-                                                                      "t_end": t_end}})
+                                                                      **simulation}})
         assert run(["simulate", "--config", cfg, "--out", str(tmp_path / "t.csv")]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error:") and f"t_end = {t_end!r} over dt = 0.01" in err
+        assert err.startswith("error:") and message in err
 
     def test_summary_counters_per_run(self, tmp_path):
         cfg = write_config(tmp_path, {
@@ -309,7 +318,8 @@ class TestSimulate:
         assert summary["_gamma0"] == {
             "steps": 18849, "batches": 15, "crossings": 5, "resets_fired": 5, "suppressed_dwell": 0,
             "suppressed_guard": 0, "suppressed_tolerance": 0,
-            "min_reset_gap": summary["_gamma0"]["min_reset_gap"], "diverged": False}
+            "min_reset_gap": summary["_gamma0"]["min_reset_gap"], "diverged": False,
+            "cells": 1}
         assert abs(summary["_gamma0"]["min_reset_gap"] - np.pi) <= 1e-9
         assert summary["_gamma1"]["suppressed_guard"] == 5
         assert summary["_gamma1"]["resets_fired"] == 0

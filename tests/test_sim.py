@@ -4,12 +4,14 @@ import warnings
 import numpy as np
 import pytest
 
-from resetcert.elements import clegg, gfore, gsore, realization
+from resetcert import sim as sim_module
+from resetcert.elements import clegg, gfore, gsore, pci, realization
 from resetcert.errors import RunTooLong
 from resetcert.lti import assemble_closed_loop, tf
 from resetcert.sim import (
     BATCH,
     CHUNK,
+    MAX_CELLS,
     MAX_STEPS,
     InputSignal,
     SimConfig,
@@ -64,12 +66,14 @@ class TestClosedFormOracle:
         assert np.all(tr.states == 0.0)
         assert tr.reset_instants == []
 
-    @pytest.mark.parametrize("dt", [1e-3, 0.05, 0.2])
+    @pytest.mark.parametrize("dt", [1e-3, 0.05, 0.2, 0.6, 0.7, 0.8])
     def test_exact_flow_at_any_step(self, dt):
         # the flow is exact, so the closed form holds to rounding whatever
-        # the sample step, and the resets sit at k pi
+        # the sample step, and the resets sit at k pi.  |F dt|_1 = 2 dt: from
+        # dt = 0.6 on a step is one Taylor cell where |F h|_1 <= 1 asks for two
         cl = open_loop_ci(0.0)
         tr = simulate(SimConfig(cl, dt=dt, t_end=6 * np.pi, input=sinusoid_input(1.0, 1.0)))
+        assert tr.cells == 1
         k = np.floor(tr.times / np.pi + 1e-12)
         exact = (-1.0) ** k - np.cos(tr.times)
         assert np.max(np.abs(tr.states[:, 0] - exact)) <= 1e-12
@@ -87,6 +91,47 @@ class TestRunLength:
         # numpy used to fail allocating the trace (or converting inf to int)
         with pytest.raises(RunTooLong, match=re.escape(f"t_end = {t_end!r} over dt = {dt!r}")):
             SimConfig(open_loop_ci(0.0), dt=dt, t_end=t_end)
+
+    @pytest.mark.parametrize("freq", [1e6, 1e300])
+    def test_too_many_cells_refused_before_building_the_flow(self, freq):
+        # 1e6 rad/s at dt = 0.01 asked for 16,384 cells and took about 29 s;
+        # 1e300 for about 2^990 cells, and expm overflowed to NaN
+        cl = assemble_closed_loop(realization(pci(1.0, 0.0)), [[0.0]], ONE, ONE,
+                                  tf([1.0], [1.0, 1.0]), ONE)
+        cfg = SimConfig(cl, dt=0.01, t_end=2.0, input=sinusoid_input(1.0, freq))
+        for run in (simulate, simulate_linear):
+            with pytest.raises(RunTooLong, match=re.escape(f"dt = 0.01 with |F|_1 = {freq:.3g}")
+                               + f".* at most {MAX_CELLS} Taylor cells"):
+                run(cfg)
+
+
+class TestTaylorCells:
+    """A step is split into Taylor cells h = dt / cells; a cell twice as long
+    as |F h|_1 <= 1 allows is taken where |(F h)^19|_1 e^|F h|_1 <= 1."""
+
+    def test_non_normal_flow_takes_one_cell(self, workloads, tmp_path, monkeypatch):
+        # the sim_ubibs PCI22 step run: |F dt|_1 = 1.08 asked for two cells,
+        # and the spectral radius of F dt is 0.24
+        seen, count = [], sim_module._cell_count
+
+        def recorded(f, dt):
+            seen.append((np.linalg.norm(f, 1) * dt, count(f, dt)))
+            return seen[-1][1]
+
+        monkeypatch.setattr(sim_module, "_cell_count", recorded)
+        op = next(op for op in workloads.setup_sim_ubibs(1, str(tmp_path)).ops
+                  if op.id == "sim-PCI22-step")
+        assert op.run()["resets"] == 552
+        [(norm_dt, cells)] = seen
+        assert 1.0 < norm_dt <= 2.0 and cells == 1
+
+    @pytest.mark.parametrize("omega_dt", [1.2, 1.5, 2.0])
+    def test_rotation_keeps_two_cells(self, omega_dt):
+        # |(F h)^19|_1 = (omega h)^19 > 1 for omega h > 1
+        omega = 3.0
+        rotation = np.array([[0.0, -omega], [omega, 0.0]])
+        assert sim_module._cell_count(rotation, omega_dt / omega) == 2
+        assert sim_module._cell_count(rotation, 0.99 / omega) == 1
 
 
 class TestBatchedScan:

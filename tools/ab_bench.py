@@ -14,7 +14,8 @@ pairs, the relative change of the medians, and the number of pairs the
 change won (a tie counts for neither side).  Where a run leaves its detail
 file ``.bench_out/<workload>-seed<seed>-trace0.json`` in the checkout, the
 tool also prints each side's median time per operation id, over every pass
-of every run.  ``--json PATH`` writes the record, every run's metrics and
+of every run, and the number of pairs whose change run had the lower median
+for that id.  ``--json PATH`` writes the record, every run's metrics and
 the per-operation medians included, under the key ``<workload>.seed<seed>``
 in PATH, keeping the records already there.
 """
@@ -92,14 +93,23 @@ def summarize(runs: dict, metrics: list) -> dict:
 
 
 def summarize_ops(times: dict) -> dict:
-    """Per operation id both sides time: each side's median over all its
-    passes and the relative change of the medians."""
+    """Per operation id both sides time (``times[side]`` holds one op id ->
+    seconds dict per run): each side's median over all its passes, the
+    relative change of the medians, and the pairs whose change run had the
+    lower median of its own passes, out of the pairs that time the id."""
     out = {}
-    for op_id in times["parent"]:
-        if op_id in times["change"]:
-            med = {side: percentile(times[side][op_id], 50.0) for side in SIDES}
-            out[op_id] = {**med, "relative_change": (med["change"] / med["parent"] - 1.0
-                                                     if med["parent"] else None)}
+    pairs = list(zip(times["parent"], times["change"]))
+    for op_id in dict.fromkeys(op_id for run in times["parent"] for op_id in run):
+        pooled = {side: [secs for run in times[side] for secs in run.get(op_id, [])]
+                  for side in SIDES}
+        if not pooled["change"]:
+            continue
+        med = {side: percentile(v, 50.0) for side, v in pooled.items()}
+        both = [(p[op_id], c[op_id]) for p, c in pairs if op_id in p and op_id in c]
+        wins = sum(percentile(c, 50.0) < percentile(p, 50.0) for p, c in both)
+        out[op_id] = {**med, "relative_change": (med["change"] / med["parent"] - 1.0
+                                                 if med["parent"] else None),
+                      "change_wins": wins, "pairs": len(both)}
     return out
 
 
@@ -114,10 +124,12 @@ def report(summary: dict, pairs: int) -> None:
 
 
 def report_ops(per_op: dict) -> None:
-    print(f"{'operation':<36} {'parent median':>14} {'change median':>14} {'change':>9}")
+    print(f"{'operation':<36} {'parent median':>14} {'change median':>14} {'change':>9}"
+          f" {'won':>6}")
     for op_id, s in per_op.items():
         rel = "n/a" if s["relative_change"] is None else f"{100.0 * s['relative_change']:+.1f}%"
-        print(f"{op_id:<36} {s['parent']:>14.6g} {s['change']:>14.6g} {rel:>9}")
+        print(f"{op_id:<36} {s['parent']:>14.6g} {s['change']:>14.6g} {rel:>9}"
+              f" {s['change_wins']:>3}/{s['pairs']}")
 
 
 def write_record(path: str, key: str, record: dict) -> None:
@@ -149,15 +161,13 @@ def main(argv=None) -> int:
             p.error(f"--{side} {path} has no bench/run.py")
     metrics = end_to_end_metrics()
     runs = {side: [] for side in SIDES}
-    times = {side: {} for side in SIDES}
+    times = {side: [] for side in SIDES}
     try:
         for k in range(args.pairs):
             for side in (SIDES if k % 2 == 0 else SIDES[::-1]):
                 values = run_once(checkouts[side], args.workload, args.seed, args.seconds)
                 runs[side].append(values)
-                for op_id, secs in op_times(checkouts[side], args.workload,
-                                            args.seed).items():
-                    times[side].setdefault(op_id, []).extend(secs)
+                times[side].append(op_times(checkouts[side], args.workload, args.seed))
                 print(f"pair {k} {side:<6} " + " ".join(f"{name}={values[name]:.6g}"
                                                        for name, _ in metrics), flush=True)
     except RuntimeError as exc:
