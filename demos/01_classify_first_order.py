@@ -11,7 +11,7 @@ import numpy as np
 from resetcert.elements import base_tf, gfore
 from resetcert.hbeta import search_candidate_scalar, spr_check_scalar
 from resetcert.lti import series, tf
-from resetcert.nsv import certify_first_order, sufficient_phase_conditions
+from resetcert.nsv import certify_first_order
 
 def show(conditions):
     """One line per condition record: id, status, margin, where, detail."""
@@ -32,13 +32,9 @@ tv = verdict.type_verdict
 print(f"angle range: [{np.degrees(tv.theta1):.1f}, {np.degrees(tv.theta2):.1f}] deg "
       f"-> type I: {tv.is_type1}, type II: {tv.is_type2}")
 
-# the quick sufficient sign tests on the grid the verdict was read from
+# an explicit SPR certificate on the grid the verdict was read from: the
+# bisector of the arc the N(w) angles span
 samples, nsv = verdict.samples, verdict.nsv
-pc = sufficient_phase_conditions(samples)
-print("shortcut conditions: sin(loop phase) >= 0:", pc.cond_a,
-      "| cos(loop - element phase) >= 0:", pc.cond_b)
-
-# an explicit SPR certificate: the bisector of the arc the N(w) angles span
 cand = search_candidate_scalar(samples, element, one, plant)
 rep = spr_check_scalar(cand, samples, element, one, plant)
 print(f"SPR candidate (beta', rho') = ({cand.beta_prime:.4f}, {cand.rho_prime:.4f}) "

@@ -24,8 +24,7 @@ __version__ = "0.1.0"
 # too, so that only simulation runs load it.
 _LAZY_EXPORTS = {
     "gsore": frozenset(("CertificateResult", "GsoreProblem", "certify", "gamma_factor")),
-    "sim": frozenset(("SimConfig", "SimTrace", "realization_equivalence", "simulate",
-                      "step_response")),
+    "sim": frozenset(("SimConfig", "SimTrace", "simulate")),
 }
 
 

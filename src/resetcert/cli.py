@@ -70,57 +70,10 @@ def cglp_pid_blocks(k_p: float, omega_c: float, omega_d: float, xi_d: float) -> 
     return k_p * lead2 * pi * lead1
 
 
-# the keys each JSON object of a config may hold; the top level has every command's sections
-CONFIG_KEYS = {
-    "top level": ("element", "blocks", "architecture", "plant_rhp_poles",
-                  "plant_origin_poles", "gsore", "optimizer", "candidate", "simulation"),
-    "element": ("kind", "omega_r", "xi", "gamma", "gamma1", "gamma2", "realization"),
-    "blocks": ("c_l1", "c_l2", "plant", "c_s"),
-    "template params": ("k_p", "omega_c", "omega_d", "xi_d"),
-    "gsore": ("origin_pole", "k_n", "n_minus_m"),
-    "optimizer": ("population", "generations", "restarts"),
-    "candidate": ("beta_prime", "rho_prime"),
-    "simulation": ("dt", "t_end", "lambda", "input", "x0", "gamma_sweep"),
-    "simulation.input": ("kind", "amplitude", "freq", "phase", "terms"),
-}
-
-
-def _known(cfg: dict, keys, field: str) -> dict:
-    """``cfg``, or a ConfigError naming its keys outside ``keys`` and its ``field``."""
-    extra = sorted(set(cfg) - set(keys))
-    if extra:
-        raise ConfigError(f"config field {field} has unknown keys {extra}; use {', '.join(keys)}")
-    return cfg
-
-
-def _block_from_cfg(cfg, field: str) -> RationalTF:
-    if cfg is None:
-        return tf([1.0])
-    if isinstance(cfg, (int, float)):
-        return tf([_number(cfg, field)])
-    if isinstance(cfg, dict):
-        _known(cfg, ("template", "params") if "template" in cfg else ("num", "den"), field)
-    if isinstance(cfg, dict) and "template" in cfg:
-        if cfg["template"] != "cglp_pid":
-            raise ConfigError(f"unknown block template {cfg['template']!r}")
-        params = _section(cfg, "params", "template params")
-        try:
-            return cglp_pid_blocks(*(_number(params[k], f"params.{k}")
-                                     for k in CONFIG_KEYS["template params"]))
-        except KeyError as exc:
-            raise ConfigError(f"cglp_pid template missing parameter {exc}") from None
-    try:
-        return tf(cfg["num"], cfg["den"])
-    except (KeyError, TypeError, ValueError, ZeroDivisionError, DomainError) as exc:
-        raise ConfigError(f"config field {field} needs finite numeric num/den lists, "
-                          f"den nonzero: {exc}") from None
-
-
 def _number(value, field: str, kind=float):
     """``value`` as a ``kind``: a finite float, or int, which refuses a
     fraction; anything else (NaN and Infinity included, which Python's json
-    reads) is a ConfigError naming the config ``field`` (a dotted path such
-    as ``optimizer.population``)."""
+    reads) is a ConfigError naming the config ``field``."""
     try:
         number = kind(value)
         if kind is int and number != float(value):      # int() cuts a fraction off
@@ -133,38 +86,95 @@ def _number(value, field: str, kind=float):
         raise ConfigError(f"config field {field} needs {noun}, got {value!r}") from None
 
 
-def _list(value, field: str) -> list:
-    """``value`` if it is a JSON list; anything else is a ConfigError naming
-    the config ``field``."""
-    if not isinstance(value, list):
-        raise ConfigError(f"config field {field} needs a list, got {value!r}")
-    return value
+CGLP_PID = {"k_p": float, "omega_c": float, "omega_d": float, "xi_d": float}
 
 
-def _numbers(value, field: str) -> list:
-    return [_number(v, f"{field}[{i}]") for i, v in enumerate(_list(value, field))]
-
-
-def _section(cfg: dict, key: str, field: str | None = None) -> dict:
-    """``cfg[key]`` as a JSON object, ``{}`` when absent or null; anything
-    else, or a key outside ``CONFIG_KEYS[field]``, is a ConfigError naming
-    the config ``field`` (default ``key``)."""
-    field = field or key
-    value = cfg.get(key)
+def _block(value, field: str) -> RationalTF:
+    """A linear block: null (unity), a gain, num/den coefficient lists, or the
+    cglp_pid template with its params."""
     if value is None:
-        return {}
-    if not isinstance(value, dict):
-        raise ConfigError(f"config field {field} needs a JSON object, got {value!r}")
-    return _known(value, CONFIG_KEYS[field], field)
+        return tf([1.0])
+    if isinstance(value, (int, float)):
+        return tf([_number(value, field)])
+    if "template" in value:
+        block = _read(value, {"template": ("cglp_pid",), "params": CGLP_PID}, field)
+        params = block.get("params", {})
+        try:
+            return cglp_pid_blocks(*(params[k] for k in CGLP_PID))
+        except KeyError as exc:
+            raise ConfigError(f"cglp_pid template missing parameter {exc}") from None
+        except (OverflowError, ZeroDivisionError, DomainError) as exc:
+            raise ConfigError(f"config field {field}.params gives no finite "
+                              f"cglp_pid block: {exc}") from None
+    block = _read(value, {"num": [float], "den": [float]}, field)
+    try:
+        return tf(block["num"], block["den"])
+    except (KeyError, DomainError) as exc:
+        raise ConfigError(f"config field {field} needs finite numeric num/den lists, "
+                          f"den nonzero: {exc}") from None
+
+
+# every key of a config and its kind: a dict is a JSON object (null reads as
+# {}), [kind] a list of that kind, a tuple one of its strings, int, float,
+# bool and str a JSON value of that type, and a function reads a block;
+# _load_config checks a whole config against it
+CONFIG = {
+    "element": {"kind": str, "omega_r": float, "xi": float, "gamma": float,
+                "gamma1": float, "gamma2": float,
+                "realization": ("controllable", "observable", "two_gfore")},
+    "blocks": dict.fromkeys(("c_l1", "c_l2", "plant", "c_s"), _block),
+    "architecture": ("standard", "modified"),
+    "plant_rhp_poles": int,
+    "plant_origin_poles": int,
+    "gsore": {"origin_pole": bool, "k_n": float, "n_minus_m": int},
+    "optimizer": dict.fromkeys(("population", "generations", "restarts"), int),
+    "candidate": {"beta_prime": float, "rho_prime": float},
+    "simulation": {"dt": float, "t_end": float, "lambda": float,
+                   "input": {"kind": ("step", "sinusoid", "exppoly", "zero"),
+                             "amplitude": float, "freq": float, "phase": float,
+                             "terms": [[float]]},
+                   "x0": [float], "gamma_sweep": [float]},
+}
+
+
+def _read(value, kind, field: str):
+    """``value`` checked against ``kind`` (see CONFIG), with each block
+    built; a mismatch is a ConfigError naming the config ``field``."""
+    if isinstance(kind, dict):
+        if value is None:
+            return {}
+        if not isinstance(value, dict):
+            raise ConfigError(f"config field {field} needs a JSON object, got {value!r}")
+        extra = sorted(set(value) - set(kind))
+        if extra:
+            raise ConfigError(f"config field {field or 'top level'} has unknown keys {extra}; "
+                              f"use {', '.join(kind)}")
+        return {key: _read(v, kind[key], f"{field}.{key}" if field else key)
+                for key, v in value.items()}
+    if isinstance(kind, list):
+        if not isinstance(value, list):
+            raise ConfigError(f"config field {field} needs a list, got {value!r}")
+        return [_read(v, kind[0], f"{field}[{i}]") for i, v in enumerate(value)]
+    if isinstance(kind, tuple):
+        if value not in kind:
+            raise ConfigError(f"config field {field} needs one of {', '.join(kind)}, "
+                              f"got {value!r}")
+        return value
+    if kind in (int, float):
+        return _number(value, field, kind)
+    if kind in (bool, str):
+        if not isinstance(value, kind):
+            noun = "a boolean" if kind is bool else "a string"
+            raise ConfigError(f"config field {field} needs {noun}, got {value!r}")
+        return value
+    return kind(value, field)
 
 
 def _element_from_cfg(cfg) -> ResetElement:
     if "kind" not in cfg:
         raise ConfigError("config needs an element section with a kind")
-    kind = str(cfg["kind"]).upper()
-    wr = _number(cfg.get("omega_r", 1.0), "element.omega_r")
-    xi = _number(cfg.get("xi", 1.0), "element.xi")
-    gamma = _number(cfg.get("gamma", 0.0), "element.gamma")
+    kind = cfg["kind"].upper()
+    wr, xi, gamma = cfg.get("omega_r", 1.0), cfg.get("xi", 1.0), cfg.get("gamma", 0.0)
     form = cfg.get("realization", "controllable")
     if kind == "CI":
         return elements.clegg(gamma)
@@ -173,15 +183,15 @@ def _element_from_cfg(cfg) -> ResetElement:
     if kind == "GFORE":
         return elements.gfore(wr, gamma)
     if kind == "GSORE":
-        return elements.gsore(wr, xi, _number(cfg.get("gamma1", gamma), "element.gamma1"),
-                              _number(cfg.get("gamma2", gamma), "element.gamma2"),
+        return elements.gsore(wr, xi, cfg.get("gamma1", gamma), cfg.get("gamma2", gamma),
                               realization_form=form)
     if kind == "SOSRE":
         return elements.sosre(wr, xi, gamma, realization_form=form)
     raise ConfigError(f"unknown element kind {kind!r}")
 
 
-def _load_config(args):
+def _load_config(args) -> dict:
+    """The config file as checked against CONFIG, with its blocks built."""
     if not args.config:
         raise ConfigError("--config is required")
     if not os.path.exists(args.config):
@@ -193,14 +203,14 @@ def _load_config(args):
             raise ConfigError(f"invalid JSON in {args.config}: {exc}") from None
     if not isinstance(cfg, dict):
         raise ConfigError(f"config {args.config} needs a JSON object at the top")
-    return _known(cfg, CONFIG_KEYS["top level"], "top level")
+    return _read(cfg, CONFIG, "")
 
 
 def _loop_from(args, cfg) -> Loop:
     """The element, blocks and architecture of a config; ``--frf``, where a
     command takes it, replaces blocks.plant with a measured table."""
-    element = _element_from_cfg(_section(cfg, "element"))
-    blocks = _section(cfg, "blocks")
+    element = _element_from_cfg(cfg.get("element", {}))
+    blocks = cfg.get("blocks", {})
     takes_frf = "frf" in args
     if takes_frf and args.frf:
         if not os.path.exists(args.frf):
@@ -209,11 +219,10 @@ def _loop_from(args, cfg) -> Loop:
     elif "plant" not in blocks:
         raise ConfigError("config needs blocks.plant" + (" or an --frf file" if takes_frf else ""))
     else:
-        plant = _block_from_cfg(blocks["plant"], "blocks.plant")
-    return Loop(element, _block_from_cfg(blocks.get("c_l1"), "blocks.c_l1"),
-                _block_from_cfg(blocks.get("c_l2"), "blocks.c_l2"), plant,
-                c_s=_block_from_cfg(blocks.get("c_s"), "blocks.c_s"),
-                architecture=cfg.get("architecture", "standard"))
+        plant = blocks["plant"]
+    one = tf([1.0])
+    return Loop(element, blocks.get("c_l1", one), blocks.get("c_l2", one), plant,
+                c_s=blocks.get("c_s"), architecture=cfg.get("architecture", "standard"))
 
 
 def _parse_asymptote(text):
@@ -235,8 +244,7 @@ def _write_nsv_csv(nsv, path):
 def cmd_classify(args) -> int:
     cfg = _load_config(args)
     loop = _loop_from(args, cfg)
-    declared = {key: _number(cfg[key], key, int)
-                for key in ("plant_rhp_poles", "plant_origin_poles") if cfg.get(key) is not None}
+    declared = {key: cfg[key] for key in ("plant_rhp_poles", "plant_origin_poles") if key in cfg}
     verdict = certify_first_order(
         loop.element, loop.c_l1, loop.c_l2, loop.plant, c_s=loop.c_s,
         architecture=loop.architecture,
@@ -262,18 +270,9 @@ def cmd_gsore(args) -> int:
     loop = _loop_from(args, cfg)
     if loop.element.kind != "GSORE":
         raise ConfigError("gsore-check needs a GSORE element")
-    extra = _section(cfg, "gsore")
-    origin_pole = extra.get("origin_pole")
-    if origin_pole is not None and not isinstance(origin_pole, bool):
-        raise ConfigError(f"config field gsore.origin_pole needs a boolean, got {origin_pole!r}")
-    constants = {key: _number(extra[key], f"gsore.{key}", kind)
-                 for key, kind in (("k_n", float), ("n_minus_m", int))
-                 if extra.get(key) is not None}
     problem = gsore_problem(loop.element, loop.c_l1, loop.c_l2, loop.plant, c_s=loop.c_s,
-                            points=args.grid_points, origin_pole=origin_pole, **constants)
-    settings = OptimizerSettings(**{key: _number(value, f"optimizer.{key}", int)
-                                    for key, value in _section(cfg, "optimizer").items()},
-                                 seed=args.seed)
+                            points=args.grid_points, **cfg.get("gsore", {}))
+    settings = OptimizerSettings(**cfg.get("optimizer", {}), seed=args.seed)
     result = certify(problem, settings)
     return _emit_verdict(result.conditions, {
         "problem_type": result.problem_type,
@@ -293,10 +292,10 @@ def cmd_hbeta(args) -> int:
     element, c_s, p_lin, variant = loop.element, loop.c_s, loop.p_lin, loop.variant
     samples, _ = nsv_grid_samples(loop.plant, loop.c_l1, loop.c_l2, c_s, element,
                                   variant=variant, points=args.grid_points)
-    cand_cfg = _section(cfg, "candidate")
-    if cand_cfg:
+    cand_cfg = cfg.get("candidate")
+    if cand_cfg:        # _number refuses a field left out
         cand = HbetaCandidate(*(_number(cand_cfg.get(key), f"candidate.{key}")
-                                for key in CONFIG_KEYS["candidate"]))
+                                for key in CONFIG["candidate"]))
     else:
         cand = search_candidate_scalar(samples, element, c_s, p_lin, variant)
         if cand is None:
@@ -309,34 +308,24 @@ def cmd_hbeta(args) -> int:
         "beta_prime": cand.beta_prime, "rho_prime": cand.rho_prime}}, args.out)
 
 
-INPUT_KINDS = ("step", "sinusoid", "exppoly", "zero")     # simulation.input.kind
+def _input_from_cfg(inp: dict):
+    from .sim import MAX_POWER, InputSignal, sinusoid_input, step_input
 
-
-def _input_from_cfg(inp_cfg: dict):
-    from .sim import InputSignal, sinusoid_input, step_input
-
-    kind = inp_cfg.get("kind", "step")
-    if kind not in INPUT_KINDS:
-        raise ConfigError(f"config field simulation.input.kind needs one of "
-                          f"{', '.join(INPUT_KINDS)}, got {kind!r}")
-    terms = []
-    for i, t in enumerate(_list(inp_cfg.get("terms", []), "simulation.input.terms")):
-        term = _numbers(t, f"simulation.input.terms[{i}]")
+    terms = inp.get("terms", [])
+    for i, term in enumerate(terms):
         if len(term) != 5:
             raise ConfigError(f"config field simulation.input.terms[{i}] needs 5 numbers "
-                              f"(amp, power, sigma, omega, phase), got {t!r}")
-        if not (term[1] >= 0 and term[1].is_integer()):
+                              f"(amp, power, sigma, omega, phase), got {term!r}")
+        if not (0 <= term[1] <= MAX_POWER and term[1].is_integer()):
             raise ConfigError(f"config field simulation.input.terms[{i}][1] needs a "
-                              f"nonnegative integer power, got {t[1]!r}")
-        terms.append(tuple(term))
-    amplitude = _number(inp_cfg.get("amplitude", 1.0), "simulation.input.amplitude")
-    freq = _number(inp_cfg.get("freq", 1.0), "simulation.input.freq")
-    phase = _number(inp_cfg.get("phase", 0.0), "simulation.input.phase")
+                              f"nonnegative integer power up to {MAX_POWER}, got {term[1]!r}")
+    amplitude = inp.get("amplitude", 1.0)
     constructors = {"step": lambda: step_input(amplitude),
-                    "sinusoid": lambda: sinusoid_input(amplitude, freq, phase),
-                    "exppoly": lambda: InputSignal(tuple(terms)),
+                    "sinusoid": lambda: sinusoid_input(amplitude, inp.get("freq", 1.0),
+                                                       inp.get("phase", 0.0)),
+                    "exppoly": lambda: InputSignal(tuple(map(tuple, terms))),
                     "zero": InputSignal}
-    return constructors[kind]()
+    return constructors[inp.get("kind", "step")]()
 
 
 def cmd_simulate(args) -> int:
@@ -345,37 +334,30 @@ def cmd_simulate(args) -> int:
     cfg = _load_config(args)
     loop = _loop_from(args, cfg)
     element = loop.element
-    sim_cfg = _section(cfg, "simulation")
-    inp = _input_from_cfg(_section(sim_cfg, "input", "simulation.input"))
+    sim_cfg = cfg.get("simulation", {})
+    inp = _input_from_cfg(sim_cfg.get("input", {}))
+    x0 = np.array(sim_cfg["x0"]) if "x0" in sim_cfg else None
 
-    x0 = sim_cfg.get("x0")
-    if x0 is not None:
-        x0 = np.array(_numbers(x0, "simulation.x0"))
-
-    gammas = sim_cfg.get("gamma_sweep")
-    runs = []
-    if gammas:
-        for g in _numbers(gammas, "simulation.gamma_sweep"):
-            if element.n_r == 1:
-                a_rho = [[g]]
-            elif element.kind == "SOSRE":
-                a_rho = [[g, 0.0], [0.0, 1.0]]
-            else:
-                a_rho = [[g, 0.0], [0.0, g]]
-            runs.append((f"_gamma{g:g}", a_rho))
-    else:
-        runs.append(("", element.a_rho))
+    sweep = sim_cfg.get("gamma_sweep", [])
+    runs = [] if sweep else [("", element.a_rho)]
+    for g in sweep:
+        if element.n_r == 1:
+            a_rho = [[g]]
+        elif element.kind == "SOSRE":
+            a_rho = [[g, 0.0], [0.0, 1.0]]
+        else:
+            a_rho = [[g, 0.0], [0.0, g]]
+        runs.append((f"_gamma{g:g}", a_rho))
 
     if not args.out:
         raise ConfigError("simulate needs --out for the trace CSV")
     summary = {}
     for suffix, a_rho in runs:
         cl = loop.closed_loop(a_rho)
-        dt = (_number(sim_cfg["dt"], "simulation.dt") if "dt" in sim_cfg
-              else default_dt(cl, input=inp))
+        dt = sim_cfg["dt"] if "dt" in sim_cfg else default_dt(cl, input=inp)
         if not dt > 0:
             raise ConfigError(f"config field simulation.dt needs a positive number, got {dt!r}")
-        t_end = _number(sim_cfg.get("t_end", 2000 * dt), "simulation.t_end")
+        t_end = sim_cfg.get("t_end", 2000 * dt)
         if not t_end > dt:
             raise ConfigError(f"config field simulation.t_end needs a number above "
                               f"dt = {dt!r}, got {t_end!r}")
@@ -383,11 +365,9 @@ def cmd_simulate(args) -> int:
             raise ConfigError(f"config field simulation.x0 needs {cl.order} entries, "
                               f"got {x0.size}")
         lam = sim_cfg.get("lambda")
-        if lam is not None:
-            lam = _number(lam, "simulation.lambda")
-            if not lam >= 0:
-                raise ConfigError(f"config field simulation.lambda needs a nonnegative "
-                                  f"number, got {lam!r}")
+        if lam is not None and not lam >= 0:
+            raise ConfigError(f"config field simulation.lambda needs a nonnegative "
+                              f"number, got {lam!r}")
         trace = simulate(SimConfig(cl, dt=dt, t_end=t_end, lam=lam, input=inp, x0=x0))
         base, ext = os.path.splitext(args.out)
         trace.save_csv(f"{base}{suffix}{ext}" if suffix else args.out)

@@ -8,6 +8,7 @@ enters the flow dynamics.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,6 +36,8 @@ class ResetElement:
             raise DomainError("omega_r must be positive")
         if self.kind in SECOND_ORDER and self.xi <= 0:
             raise DomainError("xi must be positive")
+        if self.kind in SECOND_ORDER and not self.omega_r * self.omega_r < math.inf:
+            raise DomainError(f"omega_r {self.omega_r!r} has no finite square")
         n = self.n_r
         a = self.a_rho
         a = np.eye(n) * 0.0 if a is None else np.atleast_2d(np.asarray(a, float))

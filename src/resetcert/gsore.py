@@ -91,19 +91,6 @@ def gamma_factor(gamma1: float, gamma2: float) -> float:
 # scalar-product feasibility interval (pointwise family Q1 F1 + Q2 F2 > F3)
 # ---------------------------------------------------------------------------
 
-def prop1_bounds(F1, F2, F3, ratio: float):
-    """Magnitude window for Q = Q1*(1, ratio), Q1 > 0, satisfying
-    Q1*F1(w) + Q2*F2(w) > F3(w) at every sample.
-
-    Returns ``(eta1, eta2, feasible)``: the constraint holds exactly for
-    magnitudes sqrt(Q1^2 + Q2^2) in (eta1, eta2) when ``feasible``; eta1 is
-    -inf when F3 < 0 everywhere, eta2 is +inf when the direction clears every
-    F3 < 0 sample on its own.
-    """
-    (eta1,), (eta2,) = _magnitude_windows(F1, F2, F3, [ratio])
-    return float(eta1), float(eta2), bool(eta1 < eta2)
-
-
 def ratio_window(F1, F2, F3, ratios):
     """Feasible ratios from a scan, with their magnitude windows."""
     eta1, eta2 = _magnitude_windows(F1, F2, F3, ratios)
@@ -112,8 +99,12 @@ def ratio_window(F1, F2, F3, ratios):
 
 
 def _magnitude_windows(F1, F2, F3, ratios):
-    """(eta1, eta2) of ``prop1_bounds`` per ratio, (inf, -inf) where refused,
-    scanned in blocks of at most _SCAN_ELEMENTS (ratio, sample) pairs."""
+    """Magnitude window (eta1, eta2) per ratio for Q = Q1*(1, ratio), Q1 > 0:
+    Q1*F1(w) + Q2*F2(w) > F3(w) holds at every sample exactly for
+    sqrt(Q1^2 + Q2^2) in (eta1, eta2).  eta1 is -inf when F3 < 0 everywhere,
+    eta2 is +inf when the direction clears every F3 < 0 sample on its own,
+    and (inf, -inf) marks a refused ratio.  Scanned in blocks of at most
+    _SCAN_ELEMENTS (ratio, sample) pairs."""
     F1, F2, F3, ratios = (np.asarray(a, float) for a in (F1, F2, F3, ratios))
     denom, pos = np.hypot(F1, F2), F3 >= 0.0
     eta1, eta2 = np.full(len(ratios), -np.inf), np.full(len(ratios), np.inf)
@@ -348,6 +339,11 @@ def _stalled(best) -> bool:
     return now <= M_BOUND / 2 and best[-1 - STALL_GENERATIONS] - now <= STALL_DROP
 
 
+# the largest settings: the objective holds population x grid entries at
+# once, and generations x restarts bounds the search
+MAX_OPTIMIZER = {"population": 2_000, "generations": 10_000, "restarts": 100}
+
+
 @dataclass(frozen=True)
 class OptimizerSettings:
     population: int = 200
@@ -356,8 +352,10 @@ class OptimizerSettings:
     seed: int = 0
 
     def __post_init__(self):
-        if self.generations < 1 or self.restarts < 1:
-            raise DomainError("optimizer generations and restarts must be at least 1")
+        for name, top in MAX_OPTIMIZER.items():
+            if not 1 <= getattr(self, name) <= top:
+                raise DomainError(f"optimizer.{name} must lie in [1, {top}], "
+                                  f"got {getattr(self, name)!r}")
         # restart k seeds the DE with seed + 1009 k, which must fit 32 bits
         top = 2**32 - 1 - 1009 * (self.restarts - 1)
         if not 0 <= self.seed <= top:

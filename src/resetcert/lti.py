@@ -114,7 +114,7 @@ class RationalTF:
                     raise DomainError(f"transfer function {name} needs finite coefficients, "
                                       f"got {c.tolist()}")
         if den.size == 1 and den[0] == 0.0:
-            raise ZeroDivisionError("transfer function denominator is zero")
+            raise DomainError("transfer function denominator is zero")
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
@@ -169,11 +169,15 @@ def tf(num, den=(1.0,)) -> RationalTF:
 
 
 def poly_roots(coeffs) -> np.ndarray:
-    """Roots via companion-matrix eigenvalues (numpy.roots, trailing zeros stripped)."""
+    """Roots via companion-matrix eigenvalues (numpy.roots, trailing zeros
+    stripped); a companion matrix past float range is a DomainError."""
     c = canonical(coeffs)
     if c.size <= 1:
         return np.array([])
-    return np.roots(c[::-1])
+    try:
+        return np.roots(c[::-1])
+    except np.linalg.LinAlgError as exc:
+        raise DomainError(f"no roots of the polynomial {c.tolist()}: {exc}") from None
 
 
 def evaluate(tfn: RationalTF, omega):

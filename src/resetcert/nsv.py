@@ -216,28 +216,6 @@ def classify(nsv: Nsv, origin_pole: bool = False, k_s0: float = 1.0,
     return TypeVerdict(*holds, theta1, theta2, conditions, membership, *omegas)
 
 
-@dataclass(frozen=True)
-class PhaseConditions:
-    cond_a: bool    # sin(angle L) >= 0 on the whole grid
-    cond_b: bool    # cos(angle L - angle C_R) >= 0 on the whole grid
-
-
-def sufficient_phase_conditions(samples: LoopSamples) -> PhaseConditions:
-    """Two quick sufficient sign tests on the loop phase (unit shaping only).
-
-    Either one passing implies Type I / Type II membership for non-CI
-    first-order elements (cond_b excludes CI).
-    """
-    L = samples.loop
-    cr = samples.reset_base
-    scale_a = np.abs(L)
-    cond_a = bool(np.all(L.imag >= -SIGN_EPS * np.maximum(scale_a, 1e-300)))
-    align = (L * np.conj(cr)).real
-    scale_b = np.abs(L) * np.abs(cr)
-    cond_b = bool(np.all(align >= -SIGN_EPS * np.maximum(scale_b, 1e-300)))
-    return PhaseConditions(cond_a, cond_b)
-
-
 # ---------------------------------------------------------------------------
 # exact asymptotic NSV angles from rational blocks
 # ---------------------------------------------------------------------------

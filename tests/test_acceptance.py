@@ -12,7 +12,7 @@ import pytest
 from resetcert.cli import cglp_pid_blocks
 from resetcert.elements import base_tf, clegg, gfore, gsore, pci, realization
 from resetcert.frf import LoopSamples
-from resetcert.gsore import OptimizerSettings, certify, gamma_factor, gsore_problem, prop1_bounds
+from resetcert.gsore import OptimizerSettings, certify, gamma_factor, gsore_problem, ratio_window
 from resetcert.hbeta import (
     HbetaCandidate,
     build_h_scalar,
@@ -199,8 +199,8 @@ def test_criterion_05_magnitude_interval_equivalence():
         for q1 in sub1:
             for q2 in sub2:
                 brute = bool(np.all(q1 * F1 + q2 * F2 > F3))
-                e1, e2, ok = prop1_bounds(F1, F2, F3, q2 / q1)
-                interval = bool(ok and e1 < np.hypot(q1, q2) < e2)
+                kept, e1, e2 = ratio_window(F1, F2, F3, [q2 / q1])
+                interval = bool(kept.size and e1[0] < np.hypot(q1, q2) < e2[0])
                 mismatches += int(brute != interval)
         assert mismatches == 0
     elapsed = time.time() - t0

@@ -1,11 +1,13 @@
 import json
+import os
+import re
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from resetcert.cli import main
+from resetcert.cli import CONFIG, main
 from resetcert.frf import load_frf
 
 
@@ -397,7 +399,7 @@ class TestMalformedLoopInput:
                                                                "terms": [[1, "x", 0, 0, 0]]}}}),
          "simulation.input.terms[0][1]"),
         ("classify", lead_shaped(c_l1={"template": "cglp_pid", "params": [1]}),
-         "template params"),
+         "blocks.c_l1.params"),
         ("simulate", lead_shaped(top={"simulation": {"dt": 0.01, "t_end": 1.0,
                                                      "input": {"kind": "foo"}}}),
          "simulation.input.kind"),
@@ -424,7 +426,7 @@ class TestMalformedLoopInput:
          "blocks.plant"),
         ("classify", lead_shaped(c_l1={"template": "cglp_pid", "params": {
             "k_p": 1.0, "omega_c": 1.0, "omega_d": 3.6, "xi_d": 1.0, "omega_r": 4.0}}),
-         "template params"),
+         "blocks.c_l1.params"),
         ("gsore-check", dict(gsore_config(), optimizer={"population": 20, "generations": 2,
                                                         "restarts": 1, "seeds": 4}), "optimizer"),
         ("hbeta", lead_shaped(top={"candidate": {"beta_prime": 1.0, "rho_prime": 1.0,
@@ -436,19 +438,28 @@ class TestMalformedLoopInput:
         # Python's json reads NaN, Infinity and -Infinity; a NaN plant
         # coefficient used to read as an exact zero, and 1/(1 + s) was certified
         ("classify", lead_shaped(plant={"num": [1.0], "den": [1.0, 1.0, float("nan")]}),
-         "blocks.plant"),
+         "blocks.plant.den[2]"),
         ("classify", lead_shaped(c_l1=float("inf")), "blocks.c_l1"),
         ("classify", lead_shaped(c_s={"num": [1.0, float("-inf")], "den": [1.0, 0.1]}),
-         "blocks.c_s"),
+         "blocks.c_s.num[1]"),
         ("classify", lead_shaped(top={"element": {"kind": "GFORE", "omega_r": float("nan")}}),
          "element.omega_r"),
         ("hbeta", lead_shaped(top={"element": {"kind": "GFORE", "omega_r": 1.0,
                                                "gamma": float("inf")}}), "element.gamma"),
         ("classify", lead_shaped(c_l1={"template": "cglp_pid", "params": {
             "k_p": float("nan"), "omega_c": 1.0, "omega_d": 3.6, "xi_d": 1.0}}),
-         "params.k_p"),
+         "blocks.c_l1.params.k_p"),
         ("simulate", lead_shaped(top={"simulation": {"dt": 0.01, "t_end": float("inf")}}),
          "simulation.t_end"),
+        # these three used to end in a ZeroDivisionError, an OverflowError and
+        # an allocation error
+        ("classify", lead_shaped(c_l1={"template": "cglp_pid", "params": {
+            "k_p": 1.0, "omega_c": 0, "omega_d": 3.6, "xi_d": 1.0}}), "blocks.c_l1.params"),
+        ("classify", lead_shaped(c_l1={"template": "cglp_pid", "params": {
+            "k_p": 1.0, "omega_c": 1e300, "omega_d": 3.6, "xi_d": 1.0}}), "blocks.c_l1.params"),
+        ("simulate", lead_shaped(top={"simulation": {"dt": 0.01, "t_end": 1.0, "input": {
+            "kind": "exppoly", "terms": [[1, 2**70, 0, 0, 0]]}}}),
+         "simulation.input.terms[0][1]"),
     ], ids=["text-x0", "number-candidate", "text-optimizer", "number-input",
             "number-gamma-sweep", "text-term", "list-template-params", "unknown-input-kind",
             "negative-dt", "t-end-not-above-dt", "negative-lambda", "fractional-power",
@@ -456,7 +467,8 @@ class TestMalformedLoopInput:
             "unknown-element", "unknown-blocks", "unknown-block", "unknown-template-params",
             "unknown-optimizer", "unknown-candidate", "unknown-simulation",
             "unknown-simulation-input", "nan-plant-den", "inf-block", "inf-shaping-num",
-            "nan-omega-r", "inf-gamma", "nan-template-param", "inf-t-end"])
+            "nan-omega-r", "inf-gamma", "nan-template-param", "inf-t-end", "zero-omega-c",
+            "huge-omega-c", "huge-power"])
     def test_malformed_section_names_the_field(self, tmp_path, capsys, command, cfg, field):
         path = write_config(tmp_path, cfg)
         assert run([command, "--config", path, "--out", str(tmp_path / "out")]
@@ -464,6 +476,27 @@ class TestMalformedLoopInput:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
         assert f"config field {field} " in err
+
+    # each of these used to end in a traceback or an allocation error
+    @pytest.mark.parametrize("command, cfg, message", [
+        ("hbeta", lead_shaped(plant={"num": [1e300, 1e-300], "den": [1.0, 1.0]}),
+         "no roots of the polynomial"),
+        ("gsore-check", dict(gsore_config(), element={"kind": "GSORE", "omega_r": 1e300}),
+         "omega_r 1e+300 has no finite square"),
+        ("gsore-check", dict(gsore_config(), optimizer={"population": 2**70}),
+         "optimizer.population must lie in [1, 2000]"),
+        ("gsore-check", dict(gsore_config(), optimizer={"generations": 1e300}),
+         "optimizer.generations must lie in [1, 10000]"),
+        ("gsore-check", dict(gsore_config(), optimizer={"restarts": 101}),
+         "optimizer.restarts must lie in [1, 100]"),
+    ], ids=["huge-companion", "huge-omega-r", "huge-population", "huge-generations",
+            "many-restarts"])
+    def test_out_of_range_refused(self, tmp_path, capsys, command, cfg, message):
+        path = write_config(tmp_path, cfg)
+        assert run([command, "--config", path, "--out", str(tmp_path / "out")]
+                   + grid_points(command)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
 
     def test_too_few_grid_points_exit_1(self, tmp_path):
         cfg = write_config(tmp_path, GFORE_DEMO)
@@ -720,3 +753,22 @@ class TestRationalPlantRefusesTableSettings:
         assert not out.exists()
         err = capsys.readouterr().err
         assert err.startswith("error:") and "measured plant" in err
+
+
+README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
+
+
+def test_readme_schema_lists_the_config_keys():
+    """The README's jsonc schema block holds exactly the keys of cli.CONFIG,
+    object by object."""
+    text = open(README, encoding="utf-8").read()
+    block = re.search(r"### Configuration schema\n\n```jsonc\n(.*?)```", text, re.S).group(1)
+    doc = json.loads(re.sub(r"//.*", "", block))
+
+    def compare(kind, node, field):
+        assert sorted(node) == sorted(kind), field or "top level"
+        for key, sub in kind.items():
+            if isinstance(sub, dict):
+                compare(sub, node[key], f"{field}.{key}" if field else key)
+
+    compare(CONFIG, doc, "")

@@ -27,7 +27,6 @@ from resetcert.gsore import (
     certify,
     gamma_factor,
     gsore_problem,
-    prop1_bounds,
     rank_condition,
     ratio_window,
 )
@@ -123,15 +122,15 @@ class TestMagnitudeInterval:
         F1 = np.ones(10)
         F2 = np.zeros(10)
         F3 = -np.ones(10)
-        e1, e2, ok = prop1_bounds(F1, F2, F3, ratio=0.5)
-        assert ok and e2 == np.inf and e1 == -np.inf
+        kept, e1, e2 = ratio_window(F1, F2, F3, [0.5])
+        assert kept.size == 1 and e2[0] == np.inf and e1[0] == -np.inf
 
     def test_positive_f3_finite_lower(self):
         F1 = np.ones(4)
         F2 = np.full(4, 0.2)
         F3 = np.array([1.0, 2.0, 0.5, 1.5])
-        e1, e2, ok = prop1_bounds(F1, F2, F3, ratio=1.0)
-        assert ok and np.isfinite(e1) and e2 == np.inf
+        kept, e1, e2 = ratio_window(F1, F2, F3, [1.0])
+        assert kept.size == 1 and np.isfinite(e1[0]) and e2[0] == np.inf
 
     def test_brute_force_agreement(self):
         q1s = np.logspace(-2, 2, 60)
@@ -145,9 +144,9 @@ class TestMagnitudeInterval:
             for q1 in q1s[::6]:
                 for q2 in q2s[::6]:
                     brute = bool(np.all(q1 * F1 + q2 * F2 > F3))
-                    e1, e2, ok = prop1_bounds(F1, F2, F3, q2 / q1)
+                    kept, e1, e2 = ratio_window(F1, F2, F3, [q2 / q1])
                     mag = np.hypot(q1, q2)
-                    interval = bool(ok and e1 < mag < e2)
+                    interval = bool(kept.size and e1[0] < mag < e2[0])
                     mism += int(brute != interval)
             assert mism == 0
 

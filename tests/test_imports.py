@@ -54,4 +54,3 @@ def test_sim_loads_only_for_simulation(src_env):
         assert "resetcert.sim" not in loaded_after(src_env, statement), statement
     from resetcert import SimConfig, simulate  # noqa: F401
     assert resetcert.simulate is resetcert.sim.simulate
-    assert resetcert.step_response is resetcert.sim.step_response

@@ -17,7 +17,6 @@ from resetcert.nsv import (
     compute_nsv,
     map_angle,
     nsv_grid_samples,
-    sufficient_phase_conditions,
     _condition_list,
     _nsv_arrays,
 )
@@ -164,28 +163,6 @@ class TestWindowListEquivalence:
                 assert holds == _condition_list(u, -chi, ups, mirrored)
                 outcomes.add(holds)
         assert outcomes == {True, False}
-
-
-class TestPhaseShortcuts:
-    def test_aligned_loop(self):
-        vals = [0.5 - 0.5j, 0.2 - 0.2j]
-        s = samples_for(vals, cr=vals)
-        pc = sufficient_phase_conditions(s)
-        assert pc.cond_b          # cos(0) = 1
-        assert not pc.cond_a      # Im L < 0
-
-    def test_negative_imag(self):
-        s = samples_for([0.5 - 0.5j])
-        assert not sufficient_phase_conditions(s).cond_a
-
-    def test_pointwise_oracle(self):
-        vals = rng.normal(size=50) + 1j * rng.normal(size=50)
-        crv = rng.normal(size=50) + 1j * rng.normal(size=50)
-        s = samples_for(vals, cr=crv)
-        pc = sufficient_phase_conditions(s)
-        assert pc.cond_a == bool(np.all(vals.imag >= -1e-9 * np.abs(vals)))
-        expect_b = np.cos(np.angle(vals) - np.angle(crv)) >= -1e-9
-        assert pc.cond_b == bool(np.all(expect_b))
 
 
 class TestCertifyFirstOrder:
