@@ -89,11 +89,11 @@ def _number(value, field: str, kind=float):
 CGLP_PID = {"k_p": float, "omega_c": float, "omega_d": float, "xi_d": float}
 
 
-def _block(value, field: str) -> RationalTF:
-    """A linear block: null (unity), a gain, num/den coefficient lists, or the
-    cglp_pid template with its params."""
+def _block(value, field: str) -> RationalTF | None:
+    """A linear block: a gain, num/den coefficient lists, or the cglp_pid
+    template with its params; null stays None (unity, except for a plant)."""
     if value is None:
-        return tf([1.0])
+        return None
     if isinstance(value, (int, float)):
         return tf([_number(value, field)])
     if "template" in value:
@@ -216,12 +216,14 @@ def _loop_from(args, cfg) -> Loop:
         if not os.path.exists(args.frf):
             raise ConfigError(f"FRF file not found: {args.frf}")
         plant = load_frf(args.frf, args.frf_format)
-    elif "plant" not in blocks:
-        raise ConfigError("config needs blocks.plant" + (" or an --frf file" if takes_frf else ""))
+    elif blocks.get("plant") is None:        # a null plant is a slip more often than P = 1
+        null = "config field blocks.plant is null: " if "plant" in blocks else ""
+        raise ConfigError(f"{null}config needs blocks.plant"
+                          + (" or an --frf file" if takes_frf else ""))
     else:
         plant = blocks["plant"]
     one = tf([1.0])
-    return Loop(element, blocks.get("c_l1", one), blocks.get("c_l2", one), plant,
+    return Loop(element, blocks.get("c_l1") or one, blocks.get("c_l2") or one, plant,
                 c_s=blocks.get("c_s"), architecture=cfg.get("architecture", "standard"))
 
 

@@ -37,6 +37,10 @@ STRICT_MARGIN = 1e-9
 STALL_GENERATIONS = 20
 STALL_DROP = 1e-3
 PENALTY_WEIGHT = 1e3    # objective weight of the constraint violations
+# scipy's best1bin defaults: the range the mutation factor is drawn from once
+# per generation, and the binomial crossover rate
+DITHER = (0.5, 1.0)
+CROSSOVER = 0.7
 SEARCH_POINTS = 128     # most grid samples a DE restart starts on (see certify)
 _SCAN_ELEMENTS = 2**15  # most (ratio, sample) pairs one block of a ratio scan holds
 
@@ -468,6 +472,43 @@ def certify(problem: GsoreProblem, settings: OptimizerSettings | None = None) ->
                              search)
 
 
+def _best1bin(population, rng):
+    """One generation of best1bin trials, as scipy's default strategy draws
+    them, in one numpy pass: (trials, r0, r1, F).  Member i mutates to
+    population[0] + F (population[r0] - population[r1]) with i, r0 and r1
+    distinct and F ~ U(DITHER), then takes each coordinate from that mutant
+    with probability CROSSOVER, and one drawn coordinate always.  The draws
+    come in scipy's order (F, donors, forced coordinate, crossover), all
+    from ``rng.uniform``, which a legacy RandomState has too."""
+    s, n = population.shape
+    i = np.arange(s)
+    scale = rng.uniform(*DITHER)
+    r0 = (rng.uniform(size=s) * (s - 1)).astype(np.intp)
+    r0 += r0 >= i                                   # uniform over all but i
+    r1 = (rng.uniform(size=s) * (s - 2)).astype(np.intp)
+    r1 += r1 >= np.minimum(i, r0)
+    r1 += r1 >= np.maximum(i, r0)                   # uniform over all but i and r0
+    fill = (rng.uniform(size=s) * n).astype(np.intp)
+    cross = rng.uniform(size=(s, n)) < CROSSOVER
+    cross[i, fill] = True
+    mutants = population[0] + scale * (population[r0] - population[r1])
+    return np.where(cross, mutants, population), r0, r1, scale
+
+
+class _Best1Bin:
+    """scipy ``strategy`` callable: scipy asks for one trial per member and
+    passes a freshly scaled population array once per generation, so the
+    whole generation is built by ``_best1bin`` when a new array arrives."""
+
+    def __init__(self):
+        self.population = self.trials = None
+
+    def __call__(self, candidate, population, rng=None):
+        if population is not self.population:
+            self.population, self.trials = population, _best1bin(population, rng)[0]
+        return self.trials[candidate]
+
+
 def _de_run(fun, bounds, init, seed: int, generations: int):
     """One DE run from ``init``: (scipy result, why it stopped)."""
     # with deferred updating each generation is one vectorized call, so the
@@ -481,8 +522,8 @@ def _de_run(fun, bounds, init, seed: int, generations: int):
         return vals
 
     res = differential_evolution(
-        tracked, bounds, seed=seed, maxiter=generations, tol=1e-10, polish=False,
-        vectorized=True, updating="deferred", init=init,
+        tracked, bounds, strategy=_Best1Bin(), seed=seed, maxiter=generations, tol=1e-10,
+        polish=False, vectorized=True, updating="deferred", init=init,
         callback=lambda xk, convergence=None: _stalled(best))
     return res, "stalled" if _stalled(best) else "converged" if res.success else "maxiter"
 

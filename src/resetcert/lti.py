@@ -514,9 +514,14 @@ def controllability_observability(a, b=None, c=None, rtol: float = RANK_RTOL):
     pencil rank([lambda*I - A, B]) with a relative singular-value threshold,
     observability as controllability of the dual pair (A^T, C^T); the plain
     Krylov stack loses rank information in double precision once the
-    eigenvalue spread exceeds a few decades.
+    eigenvalue spread exceeds a few decades.  A non-finite A, B or C is a
+    DomainError.
     """
     a = np.atleast_2d(np.asarray(a, float))
+    b, c = (None if m is None else np.atleast_2d(np.asarray(m, float)) for m in (b, c))
+    for name, m in (("A", a), ("B", b), ("C", c)):
+        if m is not None and not np.isfinite(m).all():
+            raise DomainError(f"rank test needs a finite {name}")
     n = a.shape[0]
     # diagonal similarity scaling D^-1 A D: rank properties are invariant and
     # the pencil conditioning improves by orders of magnitude
@@ -534,12 +539,10 @@ def controllability_observability(a, b=None, c=None, rtol: float = RANK_RTOL):
 
     ctrb = obsv = None
     if b is not None:
-        b = np.atleast_2d(np.asarray(b, float))
         if b.shape[0] != n:
             raise DimensionMismatch(f"B rows {b.shape[0]} != {n}")
         ctrb = pencil_full_rank(a, b / d[:, None])
     if c is not None:
-        c = np.atleast_2d(np.asarray(c, float))
         if c.shape[1] != n:
             raise DimensionMismatch(f"C cols {c.shape[1]} != {n}")
         obsv = pencil_full_rank(a.T, (c * d).T)

@@ -460,6 +460,8 @@ class TestMalformedLoopInput:
         ("simulate", lead_shaped(top={"simulation": {"dt": 0.01, "t_end": 1.0, "input": {
             "kind": "exppoly", "terms": [[1, 2**70, 0, 0, 0]]}}}),
          "simulation.input.terms[0][1]"),
+        # a null plant used to read as P = 1, and that loop was certified
+        ("classify", lead_shaped(plant=None), "blocks.plant"),
     ], ids=["text-x0", "number-candidate", "text-optimizer", "number-input",
             "number-gamma-sweep", "text-term", "list-template-params", "unknown-input-kind",
             "negative-dt", "t-end-not-above-dt", "negative-lambda", "fractional-power",
@@ -468,7 +470,7 @@ class TestMalformedLoopInput:
             "unknown-optimizer", "unknown-candidate", "unknown-simulation",
             "unknown-simulation-input", "nan-plant-den", "inf-block", "inf-shaping-num",
             "nan-omega-r", "inf-gamma", "nan-template-param", "inf-t-end", "zero-omega-c",
-            "huge-omega-c", "huge-power"])
+            "huge-omega-c", "huge-power", "null-plant"])
     def test_malformed_section_names_the_field(self, tmp_path, capsys, command, cfg, field):
         path = write_config(tmp_path, cfg)
         assert run([command, "--config", path, "--out", str(tmp_path / "out")]

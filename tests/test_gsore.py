@@ -5,8 +5,12 @@ from resetcert.cli import cglp_pid_blocks
 from resetcert.elements import base_tf, gsore
 from resetcert.errors import DomainError
 from resetcert.frf import Condition, FrfTable, LoopSamples
+from resetcert import gsore as gsore_module
 from resetcert.gsore import (
+    CROSSOVER,
+    DITHER,
     M_BOUND,
+    M_SLACK,
     SEARCH_POINTS,
     STALL_DROP,
     STALL_GENERATIONS,
@@ -14,6 +18,7 @@ from resetcert.gsore import (
     FreqData,
     OptimizerSettings,
     PENALTY_WEIGHT,
+    _best1bin,
     _de_run,
     _gene_bounds,
     _grid_check,
@@ -271,6 +276,46 @@ class TestPopulationObjective:
         np.testing.assert_allclose(got[~feasible], want[~feasible], rtol=1e-12)
 
 
+class TestBest1Bin:
+    """The generation-wide best1bin trials, run through scipy's DE the way
+    certify runs it, with scipy's legacy RandomState (an int seed) and with
+    a Generator."""
+
+    @pytest.mark.parametrize("kind", ["RandomState", "Generator"])
+    def test_one_build_per_generation(self, kind, monkeypatch):
+        builds = []
+
+        def recorded(population, rng):
+            out = _best1bin(population, rng)
+            builds.append((type(rng), population, *out))
+            return out
+
+        monkeypatch.setattr(gsore_module, "_best1bin", recorded)
+        elem, lin, g = objective_loops()["V", 3]
+        prob = gsore_problem(elem, ONE, lin, g, points=64)
+        data = FreqData.from_samples(prob.samples, elem.omega_r, elem.xi)
+        args = ("V", prob.k_s0, elem.omega_r, elem.xi, prob.k_n, prob.n_minus_m,
+                gamma_factor(*prob.gammas))
+        bounds, _, scans = _gene_bounds(data, *args[:4])
+        init = _seed_population(bounds, scans, 30, np.random.default_rng(2))
+        seed = 11 if kind == "RandomState" else np.random.default_rng(11)
+        res, _ = _de_run(_population_objective(data, *args), bounds, init, seed, 40)
+        assert res.nit >= 1 and len(builds) == res.nit
+        mutant_share = []
+        for rng_type, population, trials, r0, r1, scale in builds:
+            assert rng_type is getattr(np.random, kind)
+            i = np.arange(len(population))
+            assert ((r0 != r1) & (r0 != i) & (r1 != i)).all()
+            assert DITHER[0] <= scale < DITHER[1]
+            mutants = population[0] + scale * (population[r0] - population[r1])
+            from_mutant = trials == mutants
+            assert (from_mutant | (trials == population)).all()
+            assert from_mutant.any(axis=1).all()
+            mutant_share.append(from_mutant.mean())
+        # each coordinate is the forced one with chance 1/4, else crosses over
+        assert np.mean(mutant_share) == pytest.approx(0.25 + 0.75 * CROSSOVER, abs=0.03)
+
+
 class TestGridCheckMargins:
     """The S1/S2 margins, each entry over its rounding bound from the one
     product on the forms and on their magnitudes, against both written out
@@ -280,7 +325,7 @@ class TestGridCheckMargins:
     def test_margins_match_elementwise(self, ptype, n_minus_m):
         elem, lin, g = objective_loops()[ptype, n_minus_m]
         prob = gsore_problem(elem, ONE, lin, g, points=400)
-        res = certify(prob, OptimizerSettings(population=60, generations=100, restarts=1, seed=3))
+        res = certify(prob, OptimizerSettings())
         assert res.certified and res.problem_type == ptype
         data = FreqData.from_samples(prob.samples, elem.omega_r, elem.xi)
         s1, s2, _, _ = _grid_check(prob, data, res.reconstructed)
@@ -404,10 +449,11 @@ class TestEarlyStop:
         prob = gsore_problem(elem, ONE, ONE, tf([0.8], [1.0, 1.0]), points=400)
         res = certify(prob, OptimizerSettings(population=20, generations=5, restarts=2,
                                               seed=3))
-        # five generations find no feasible point, so both restarts run out
+        # five generations reach no objective below the restart rule's
+        # threshold, so both restarts run out
         assert [(s["seed"], s["generations"], s["stop"]) for s in res.search] == [
             (3, 5, "maxiter"), (1012, 5, "maxiter")]
-        assert all(s["best"] >= 1e9 for s in res.search)
+        assert all(s["best"] >= M_BOUND - 10 * M_SLACK for s in res.search)
         assert not res.certified
 
 

@@ -314,6 +314,15 @@ class TestRank:
                                                c=np.array([[1.0, 0.0, 0.0]]))
         assert not ct and not ob
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_matrix_refused(self, bad):
+        a, b, c = np.diag([-1.0, -2.0]), np.ones((2, 1)), np.ones((1, 2))
+        for name, i in (("A", 0), ("B", 1), ("C", 2)):
+            args = [m.copy() for m in (a, b, c)]
+            args[i][0, 0] = bad
+            with pytest.raises(DomainError, match=f"rank test needs a finite {name}"):
+                controllability_observability(args[0], b=args[1], c=args[2])
+
     def test_observability_is_dual_controllability(self):
         # A = T [[A11, 0], [A21, A22]] T^-1 and C = [C1, 0] T^-1: the states
         # of A22 reach neither the rest nor the output, so the pair (A, C) is
