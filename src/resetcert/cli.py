@@ -270,8 +270,6 @@ def cmd_gsore(args) -> int:
 
     cfg = _load_config(args)
     loop = _loop_from(args, cfg)
-    if loop.element.kind != "GSORE":
-        raise ConfigError("gsore-check needs a GSORE element")
     problem = gsore_problem(loop.element, loop.c_l1, loop.c_l2, loop.plant, c_s=loop.c_s,
                             points=args.grid_points, **cfg.get("gsore", {}))
     settings = OptimizerSettings(**cfg.get("optimizer", {}), seed=args.seed)
@@ -335,21 +333,15 @@ def cmd_simulate(args) -> int:
 
     cfg = _load_config(args)
     loop = _loop_from(args, cfg)
-    element = loop.element
     sim_cfg = cfg.get("simulation", {})
     inp = _input_from_cfg(sim_cfg.get("input", {}))
     x0 = np.array(sim_cfg["x0"]) if "x0" in sim_cfg else None
 
+    # each swept element is the configured one with every reset factor at g
     sweep = sim_cfg.get("gamma_sweep", [])
-    runs = [] if sweep else [("", element.a_rho)]
-    for g in sweep:
-        if element.n_r == 1:
-            a_rho = [[g]]
-        elif element.kind == "SOSRE":
-            a_rho = [[g, 0.0], [0.0, 1.0]]
-        else:
-            a_rho = [[g, 0.0], [0.0, g]]
-        runs.append((f"_gamma{g:g}", a_rho))
+    runs = [(f"_gamma{g:g}", _element_from_cfg({**cfg["element"], "gamma": g, "gamma1": g,
+                                                 "gamma2": g}).a_rho) for g in sweep]
+    runs = runs or [("", loop.element.a_rho)]
 
     if not args.out:
         raise ConfigError("simulate needs --out for the trace CSV")

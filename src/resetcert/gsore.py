@@ -141,11 +141,9 @@ class GsoreProblem:
     n_minus_m: int
 
     def __post_init__(self):
-        g1, g2 = self.gammas
-        if not (-1.0 < g1 < 1.0 and -1.0 < g2 < 1.0):
-            raise DomainError(f"reset factors ({g1}, {g2}) outside (-1, 1)")
-        if self.element.omega_r <= 0 or self.element.xi <= 0:
-            raise DomainError("omega_r and xi must be positive")
+        if self.element.kind != "GSORE":
+            raise DomainError(f"a GSORE problem needs a GSORE element, got {self.element.kind}")
+        gamma_factor(*self.gammas)      # refuses a reset factor outside (-1, 1)
 
     @property
     def element(self) -> ResetElement:
@@ -536,18 +534,17 @@ def _grid_check(problem: GsoreProblem, data: FreqData, params):
     rounding bound of that sum, so no frequency scaling of the loop moves
     the verdict."""
     p = np.reshape(params, (5, 1))
-    (d1,), (d2,), _ = data.entries(p)
+    (d1,), (d2,), (c,) = data.entries(p)
     (scale1,), (scale2,), _ = FreqData(data.omega, np.abs(data.forms)).entries(np.abs(p))
     s1, s2 = d1 / (scale1 + 1e-300), d2 / (scale2 + 1e-300)
     strict = s1.min() > STRICT_MARGIN and s2.min() > STRICT_MARGIN
     if not strict:
         return s1, s2, float("inf"), None
-    return s1, s2, *_refined_sup(problem, _ratio(data, params), params)
+    return s1, s2, *_refined_sup(problem, _ratio(d1, d2, c), params)
 
 
-def _ratio(data: FreqData, params):
+def _ratio(d1, d2, c):
     """c^2/(d1*d2) per frequency; +inf wherever d1 or d2 is not positive."""
-    (d1,), (d2,), (c,) = data.entries(np.reshape(params, (5, 1)))
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.where((d1 > 0) & (d2 > 0), c**2 / (d1 * d2), np.inf)
 
@@ -555,8 +552,9 @@ def _ratio(data: FreqData, params):
 def _ratio_at(problem: GsoreProblem, params, omega):
     """The ratio at arbitrary positive frequencies (off-grid refinement)."""
     sub = problem.loop.samples(np.atleast_1d(np.asarray(omega, float)))
-    return _ratio(FreqData.from_samples(sub, problem.element.omega_r, problem.element.xi),
-                  params)
+    data = FreqData.from_samples(sub, problem.element.omega_r, problem.element.xi)
+    (d1,), (d2,), (c,) = data.entries(np.reshape(params, (5, 1)))
+    return _ratio(d1, d2, c)
 
 
 class _Unbounded(Exception):

@@ -482,7 +482,8 @@ def minimality_check(loop: RationalTF):
 def balance(a: np.ndarray):
     """(D^-1 a D, d) with D = diag(d) a power-of-two scaling that brings the
     off-diagonal row and column 1-norms of each index within a factor of 2
-    (Parlett & Reinsch).  The scaling is exact in floating point."""
+    (Parlett & Reinsch).  The scaling is exact in floating point.  An index
+    whose off-diagonal sums are zero or overflow is left as it is."""
     a = a.copy()
     d = np.ones(a.shape[0])
     done = False
@@ -491,7 +492,7 @@ def balance(a: np.ndarray):
         for i in range(a.shape[0]):
             col = float(np.abs(a[:, i]).sum() - abs(a[i, i]))
             row = float(np.abs(a[i, :]).sum() - abs(a[i, i]))
-            if col == 0.0 or row == 0.0:
+            if col == 0.0 or row == 0.0 or not math.isfinite(col + row):
                 continue
             total, f = col + row, 1.0
             while col < row / 2.0:
@@ -515,7 +516,8 @@ def controllability_observability(a, b=None, c=None, rtol: float = RANK_RTOL):
     observability as controllability of the dual pair (A^T, C^T); the plain
     Krylov stack loses rank information in double precision once the
     eigenvalue spread exceeds a few decades.  A non-finite A, B or C is a
-    DomainError.
+    DomainError, and so is an A whose pencils' 2-norms, at most three times
+    that of the balanced A, overflow.
     """
     a = np.atleast_2d(np.asarray(a, float))
     b, c = (None if m is None else np.atleast_2d(np.asarray(m, float)) for m in (b, c))
@@ -527,6 +529,9 @@ def controllability_observability(a, b=None, c=None, rtol: float = RANK_RTOL):
     # the pencil conditioning improves by orders of magnitude
     a, d = balance(a)
     scale = max(np.linalg.norm(a, 2), 1.0) if n else 1.0
+    if not math.isfinite(3.0 * scale):     # |lambda| <= |A|_2 and |side|_2 = scale
+        raise DomainError(f"rank test needs |A|_2 below {np.finfo(float).max / 3:.3g} "
+                          f"after balancing, got {scale:.3g}")
     eigs = np.linalg.eigvals(a) if n else ()      # A and A^T share them
 
     def pencil_full_rank(m, side):

@@ -2,12 +2,9 @@
 
 The per-frequency vector N(w) = (Re(L*Cs*kappa), Re(kappa*C_R)) with
 kappa = 1 + conj(L) decides membership through the range of its angle,
-mapped into [-pi/2, 3*pi/2).  The angle-window test is the decision path;
-the condition-list test is kept as diagnostics and must agree with it.  The
-Type II set is the Type I set with N_chi mirrored, so one transcription of
-the condition list serves both: the N_chi rules read N_chi or -N_chi
-(negation is exact), and a literal quadrant triple per type picks where
-delta, psi and the forbidden angles lie.
+mapped into [-pi/2, 3*pi/2).  The angle window is the one membership rule;
+the paper's condition list, which it must agree with, is transcribed only in
+the tests, as their oracle.
 """
 
 from __future__ import annotations
@@ -39,9 +36,6 @@ REFINE_LEVELS = 8        # bisection levels of nsv_grid_samples, run in staged t
 TYPE1_BOUNDS = ((-np.pi / 2 - SIGN_EPS, np.pi + SIGN_EPS),
                 (-np.pi / 2 - SIGN_EPS, np.pi - SIGN_EPS))
 TYPE2_BOUNDS = ((SIGN_EPS, 3 * np.pi / 2 - SIGN_EPS),) * 2
-# per type, the quadrants k of delta, psi and the forbidden angles of its
-# condition list; quadrant k is (k - 1) pi/2 < theta < k pi/2, so IV is 0
-_LIST_QUADRANTS = {1: (0, 2, 3), 2: (3, 1, 0)}
 
 
 @dataclass(frozen=True)
@@ -64,8 +58,9 @@ class Nsv:
 @dataclass(frozen=True)
 class TypeVerdict:
     """``conditions``: each type's side rules and angle window, which hold the
-    type when none failed, and the condition-list cross-check.  ``membership``
-    is the record a certified verdict reads: either type holds."""
+    type when none failed; the window is the one membership rule (the tests
+    hold the paper's condition list as its oracle).  ``membership`` is the
+    record a certified verdict reads: either type holds."""
 
     is_type1: bool
     is_type2: bool
@@ -138,37 +133,13 @@ def _window_slack(theta1, theta2, bounds):
     return min(*own, np.pi + SIGN_EPS - (theta2 - theta1)), int(own[1] < own[0])
 
 
-def _condition_list(t, n_chi, n_ups, theta, eps=SIGN_EPS):
-    """Direct transcription of the Type-``t`` condition list (diagnostics
-    path): Type II is Type I read on -N_chi, with its own quadrant triple.
-    The list holds when c3 and c4 hold and one of a, b and c does; the
-    clauses are read in that order and the first that decides it ends it."""
-    chi = n_chi if t == 1 else -n_chi
-    scale = np.hypot(n_chi, n_ups)
-    zero_chi = np.abs(n_chi) <= 1e-12 * scale
-    zero_ups = np.abs(n_ups) <= 1e-12 * scale
-    if not (np.all(n_ups[zero_chi] > eps * scale[zero_chi])             # c3
-            and np.all(chi[zero_ups] > eps * scale[zero_ups])):         # c4
-        return False
-    if np.all(n_ups >= -eps * scale) or np.all(chi >= -eps * scale):    # a, b
-        return True
-    with np.errstate(divide="ignore", invalid="ignore"):    # 0/0 lies in no quadrant
-        ratios = np.abs(n_ups / n_chi)
-    in_delta, in_psi, forbidden = ((theta > (k - 1) * np.pi / 2) & (theta < k * np.pi / 2)
-                                   for k in _LIST_QUADRANTS[t])
-    delta = np.max(ratios[in_delta], initial=-np.inf)
-    psi = np.min(ratios[in_psi], initial=np.inf)
-    return bool(delta < psi and not np.any(forbidden))                  # c
-
-
 def classify(nsv: Nsv, origin_pole: bool = False, k_s0: float = 1.0,
              element_kind: str = "GFORE", extra_thetas=(),
              check_density: bool = True) -> TypeVerdict:
     """Type I / Type II verdict from the NSV arrays plus side conditions.
 
     ``extra_thetas`` carries asymptotic angle limits so the min/max covers
-    the w -> 0 and w -> inf ends of the axis.  The angle-window test decides;
-    the condition-list transcription is evaluated alongside as a cross-check.
+    the w -> 0 and w -> inf ends of the axis.  The angle-window test decides.
     The membership record's margin is the slack of the better window among
     the types whose side rules hold (None when neither's do).
     """
@@ -208,8 +179,6 @@ def classify(nsv: Nsv, origin_pole: bool = False, k_s0: float = 1.0,
         holds.append(no_failure([nonzero, *rules, window]))
         if no_failure([nonzero, *rules]):
             eligible.append(window)
-    conditions += [Condition(f"type{t}-condition-list",
-                             pass_fail(_condition_list(t, n_chi, n_ups, theta))) for t in (1, 2)]
     best = max(eligible, key=lambda c: c.margin, default=Condition("type-membership", "fail"))
     membership = replace(best, id="type-membership", status=pass_fail(any(holds)),
                          detail=f"type1={holds[0]} type2={holds[1]}")

@@ -169,7 +169,7 @@ class SimConfig:
         if self.dt <= 0 or self.t_end <= self.dt:
             raise ValueError("need dt > 0 and t_end > dt")
         if not self.t_end / self.dt <= MAX_STEPS:
-            raise RunTooLong(f"t_end = {self.t_end!r} over dt = {self.dt!r} gives "
+            raise RunTooLong(f"t_end = {float(self.t_end)!r} over dt = {float(self.dt)!r} gives "
                              f"{self.t_end / self.dt:.3g} steps; a trace holds at most "
                              f"{MAX_STEPS}")
         lam = self.dt if self.lam is None else float(self.lam)
@@ -326,8 +326,9 @@ def _cell_count(f, dt) -> int:
     """
     norm = float(np.linalg.norm(f, 1))
     if not norm * dt <= MAX_CELLS:
-        raise RunTooLong(f"dt = {dt!r} with |F|_1 = {norm:.3g} gives |F|_1 dt = {norm * dt:.3g}; "
-                         f"a grid step holds at most {MAX_CELLS} Taylor cells")
+        raise RunTooLong(f"dt = {float(dt)!r} with |F|_1 = {norm:.3g} gives "
+                         f"|F|_1 dt = {norm * dt:.3g}; a grid step holds at most "
+                         f"{MAX_CELLS} Taylor cells")
     cells = 2 ** max(0, math.ceil(math.log2(max(norm * dt, 1.0))))
     if cells > 1:
         a = f * (2.0 * dt / cells)                  # |a|_1 <= 2

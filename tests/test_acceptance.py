@@ -23,7 +23,6 @@ from resetcert.hbeta import (
 from resetcert.lti import assemble_closed_loop, evaluate, high_frequency_re_limit, series, tf
 from resetcert.nsv import (
     Nsv,
-    _condition_list,
     certify_first_order,
     classify,
     compute_nsv,
@@ -31,6 +30,8 @@ from resetcert.nsv import (
     nsv_grid_samples,
 )
 from resetcert.sim import SimConfig, simulate, simulate_linear, sinusoid_input, step_input
+
+from test_nsv import condition_list
 
 ONE = tf([1.0])
 
@@ -128,8 +129,8 @@ def test_criterion_02_window_list_equivalence():
         ups = rng.normal(size=n)
         theta = map_angle(np.arctan2(ups, chi))
         v = classify(Nsv(np.arange(1.0, n + 1.0), chi, ups, theta), check_density=False)
-        agree += int(v.is_type1 == _condition_list(1, chi, ups, theta)
-                     and v.is_type2 == _condition_list(2, chi, ups, theta))
+        agree += int(v.is_type1 == condition_list(1, chi, ups, theta)
+                     and v.is_type2 == condition_list(2, chi, ups, theta))
     assert agree == 200
     elapsed = time.time() - t0
     assert elapsed < 5.0

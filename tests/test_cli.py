@@ -169,6 +169,15 @@ class TestGsoreCheck:
         cfg = write_config(tmp_path, bad)
         assert run(["gsore-check", "--config", cfg, "--grid-points", "400"]) == 1
 
+    @pytest.mark.parametrize("element", [{"kind": "GFORE", "omega_r": 1.0},
+                                         {"kind": "SOSRE", "omega_r": 1.0, "xi": 0.7}],
+                             ids=["GFORE", "SOSRE"])
+    def test_non_gsore_element_exit_1(self, tmp_path, capsys, element):
+        cfg = write_config(tmp_path, {**GFORE_DEMO, "element": element})
+        assert run(["gsore-check", "--config", cfg, "--grid-points", "400"]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: a GSORE problem needs a GSORE element, got {element['kind']}\n"
+
     def test_search_trace_in_json(self, tmp_path):
         cfg = write_config(tmp_path, gsore_config())
         out = tmp_path / "out.json"
@@ -256,6 +265,34 @@ class TestSimulate:
         for g in ("-0.5", "0", "0.5"):
             assert (tmp_path / f"trace_gamma{g}.csv").exists()
 
+    @pytest.mark.parametrize("kind", ["SOSRE", "GSORE"])
+    def test_gamma_sweep_resets_the_kind_s_states(self, tmp_path, monkeypatch, kind):
+        # a swept SOSRE run scales its first reset state by g and keeps the
+        # second; a swept GSORE run scales both
+        import resetcert.sim as sim
+
+        traces, simulate = [], sim.simulate
+
+        def recorded(config):
+            traces.append(simulate(config))
+            return traces[-1]
+
+        monkeypatch.setattr(sim, "simulate", recorded)
+        sweep = [-0.5, 0.5]
+        cfg = write_config(tmp_path, {
+            "element": {"kind": kind, "omega_r": 1.0, "xi": 0.7},
+            "blocks": {"plant": {"num": [1.0], "den": [1.0, 1.0]}},
+            "simulation": {"dt": 0.01, "t_end": 30.0, "gamma_sweep": sweep,
+                           "input": {"kind": "sinusoid", "amplitude": 1.0, "freq": 1.0}}})
+        assert run(["simulate", "--config", cfg, "--out", str(tmp_path / "t.csv")]) == 0
+        assert len(traces) == len(sweep)
+        for g, trace in zip(sweep, traces):
+            assert trace.reset_states
+            factors = np.array([g, 1.0] if kind == "SOSRE" else [g, g])
+            for pre, post in trace.reset_states:
+                assert np.allclose(post[:2], factors * pre[:2], rtol=1e-12, atol=1e-12)
+                assert np.array_equal(post[2:], pre[2:])
+
     def test_default_dt_only_without_dt(self, tmp_path, monkeypatch):
         import resetcert.sim as sim
 
@@ -299,6 +336,14 @@ class TestSimulate:
         assert run(["simulate", "--config", cfg, "--out", str(tmp_path / "t.csv")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and message in err
+
+    def test_default_dt_refused_as_a_plain_float(self, tmp_path, capsys):
+        # default_dt gives a numpy float, once printed as np.float64(1e-154)
+        cfg = write_config(tmp_path, {**lead_shaped(plant={"num": [1e308], "den": [1.0, 1.0]}),
+                                      "simulation": {"t_end": 2.0}})
+        assert run(["simulate", "--config", cfg, "--out", str(tmp_path / "t.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: t_end = 2.0 over dt = 1e-154 gives 2e+154 steps")
 
     def test_summary_counters_per_run(self, tmp_path):
         cfg = write_config(tmp_path, {

@@ -102,8 +102,7 @@ def test_first_order_verdicts(name):
     tv = v.type_verdict
     # each type holds when none of its own records failed; membership when either does
     for t, holds in ((1, tv.is_type1), (2, tv.is_type2)):
-        own = [c for c in tv.conditions if c.id == "nonzero-nsv"
-               or (c.id.startswith(f"type{t}-") and not c.id.endswith("condition-list"))]
+        own = [c for c in tv.conditions if c.id == "nonzero-nsv" or c.id.startswith(f"type{t}-")]
         assert len(own) == 4
         assert holds == all(c.status != "fail" for c in own)
     membership = record(v, "type-membership")

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from resetcert.cli import cglp_pid_blocks
-from resetcert.elements import base_tf, gsore
+from resetcert.elements import base_tf, gfore, gsore, sosre
 from resetcert.errors import DomainError
 from resetcert.frf import Condition, FrfTable, LoopSamples
 from resetcert import gsore as gsore_module
@@ -394,6 +395,12 @@ class TestCertify:
         with pytest.raises(DomainError):
             gsore_problem(elem, ONE, lin, g, points=200)
 
+    @pytest.mark.parametrize("elem", [gfore(1.0), sosre(1.0, 0.7, 0.5)], ids=["GFORE", "SOSRE"])
+    def test_non_gsore_element_refused(self, elem):
+        # a GFORE element used to raise IndexError, a SOSRE one a reset-factor error
+        with pytest.raises(DomainError, match=f"needs a GSORE element, got {elem.kind}$"):
+            gsore_problem(elem, ONE, ONE, tf([0.8], [1.0, 1.0]), points=200)
+
     def test_certificate_transfers_to_equal_factors(self):
         # a certificate found for (g1, g2) also clears the jump-map bound for
         # any equal pair, whose factor is the minimum value 1
@@ -445,15 +452,23 @@ class TestEarlyStop:
         assert first["best"] <= M_BOUND / 2
 
     def test_generation_cap_is_reported(self):
-        elem = gsore(2.0, 1.0, 0.4, 0.4)
-        prob = gsore_problem(elem, ONE, ONE, tf([0.8], [1.0, 1.0]), points=400)
+        # a Type IV loop that no (beta, rho) certifies: the S2 rows (u1, u2,
+        # u3) at the search samples hold the origin in their convex hull, so
+        # no (rho3, rho2, beta2) makes d2 positive at all of them, every
+        # candidate is penalized, and neither restart stops before the cap
+        elem = gsore(0.5, 1.0, 0.4, 0.4)
+        prob = gsore_problem(elem, ONE, ONE, tf([4.0], [1.0, 2.0, 1.0]), points=400)
+        assert prob.problem_type == "IV"
+        rows = FreqData.from_samples(prob.samples, elem.omega_r, elem.xi).forms[3:]
+        rows = rows[:, _search_set(rows.shape[1])].T
+        hull = linprog(np.zeros(3), A_ub=-rows, b_ub=-np.ones(len(rows)),
+                       bounds=[(None, None)] * 3)
+        assert hull.status == 2         # infeasible: no x with rows x >= 1
         res = certify(prob, OptimizerSettings(population=20, generations=5, restarts=2,
                                               seed=3))
-        # five generations reach no objective below the restart rule's
-        # threshold, so both restarts run out
         assert [(s["seed"], s["generations"], s["stop"]) for s in res.search] == [
             (3, 5, "maxiter"), (1012, 5, "maxiter")]
-        assert all(s["best"] >= M_BOUND - 10 * M_SLACK for s in res.search)
+        assert all(s["best"] >= 1e9 for s in res.search)
         assert not res.certified
 
 

@@ -107,6 +107,15 @@ class TestScalarCheck:
         assert rep.passed and record(rep, "zero-frequency-limit").status == "pass"
         assert record(rep, "high-frequency-limit").status == "pass"
 
+    def test_vanishing_dc_limit_fails(self):
+        # (beta', rho') = (-1, 1) over 1/(s+1) gives H(0) = 0: the strict
+        # zero-frequency limit fails at margin 0 although every sample passes
+        rep = spr_check_scalar(HbetaCandidate(-1.0, 1.0), self.samples, self.elem,
+                               ONE, self.g)
+        limit = record(rep, "zero-frequency-limit")
+        assert limit.status == "fail" and limit.margin == 0.0 and not rep.passed
+        assert record(rep, "grid-positivity").status == "pass"
+
     def test_negative_rho_fails(self):
         rep = spr_check_scalar(HbetaCandidate(1.0, -1.0), self.samples, self.elem,
                                ONE, self.g)

@@ -10,8 +10,7 @@ import pytest
 
 from resetcert.errors import EvaluationAtPole, SparseGrid
 from resetcert.lti import CANONICAL_RTOL, canonical, evaluate, polyval_jw, tf
-from resetcert.nsv import (THETA_GAP_MAX, Nsv, _condition_list, _LIST_QUADRANTS, _tree,
-                           classify, map_angle)
+from resetcert.nsv import THETA_GAP_MAX, Nsv, _tree, classify
 
 
 # ---------------------------------------------------------------------------
@@ -48,25 +47,6 @@ def evaluate_ref(tfn, omega):
 
 def density_gap_ref(theta):
     return np.max(np.abs(np.diff(np.unwrap(theta))))
-
-
-def condition_list_ref(t, n_chi, n_ups, theta, eps=1e-9):
-    side = 1.0 if t == 1 else -1.0
-    scale = np.hypot(n_chi, n_ups)
-    zero_chi = np.abs(n_chi) <= 1e-12 * scale
-    zero_ups = np.abs(n_ups) <= 1e-12 * scale
-    c3 = bool(np.all(n_ups[zero_chi] > eps * scale[zero_chi]))
-    c4 = bool(np.all(side * n_chi[zero_ups] > eps * scale[zero_ups]))
-    a = bool(np.all(n_ups >= -eps * scale))
-    b = bool(np.all(side * n_chi >= -eps * scale))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = np.abs(n_ups / n_chi)
-    in_delta, in_psi, forbidden = ((theta > (k - 1) * np.pi / 2) & (theta < k * np.pi / 2)
-                                   for k in _LIST_QUADRANTS[t])
-    delta = np.max(ratios[in_delta], initial=-np.inf)
-    psi = np.min(ratios[in_psi], initial=np.inf)
-    c = bool(delta < psi and not np.any(forbidden))
-    return c3 and c4 and (a or b or c)
 
 
 def tree_ref(depth):
@@ -211,45 +191,6 @@ class TestWrappedDensityGap:
             decisions.add(got)
             seams += bool(np.any(np.abs(np.diff(theta)) > np.pi))
         assert decisions == {True, False} and seams > 100
-
-
-class TestConditionList:
-    def test_the_seeded_sets_of_the_equivalence_tests(self):
-        # the 400 seeded sets (with exact zero components) of
-        # test_nsv.py TestWindowListEquivalence, and their mirror images
-        local = np.random.default_rng(17)
-        outcomes = set()
-        for _ in range(400):
-            n = int(local.integers(3, 30))
-            chi, ups = local.normal(size=(2, n))
-            chi[local.random(n) < 0.2] = 0.0
-            ups[local.random(n) < 0.2] = 0.0
-            theta = map_angle(np.arctan2(ups, chi))
-            mirrored = map_angle(np.arctan2(ups, -chi))
-            for t in (1, 2):
-                for args in ((chi, ups, theta), (-chi, ups, mirrored)):
-                    holds = _condition_list(t, *args)
-                    assert holds is condition_list_ref(t, *args)
-                    outcomes.add(holds)
-        assert outcomes == {True, False}
-
-    def test_narrow_arcs(self):
-        # arcs narrow and wide enough that clause c decides many of them
-        rng = np.random.default_rng(51)
-        by_c = set()
-        for _ in range(300):
-            n = int(rng.integers(1, 12))
-            centre = rng.uniform(-np.pi / 2, 3 * np.pi / 2)
-            angle = centre + rng.uniform(-1.0, 1.0, n) * rng.choice([0.2, 1.0, 2.0])
-            r = rng.uniform(0.1, 2.0, n)
-            chi, ups = r * np.cos(angle), r * np.sin(angle)
-            theta = map_angle(np.arctan2(ups, chi))
-            for t, side in ((1, 1.0), (2, -1.0)):
-                holds = _condition_list(t, chi, ups, theta)
-                assert holds is condition_list_ref(t, chi, ups, theta)
-                if not (np.all(ups >= 0.0) or np.all(side * chi >= 0.0)):
-                    by_c.add(holds)
-        assert by_c == {True, False}
 
 
 class TestTree:

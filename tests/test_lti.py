@@ -1,3 +1,6 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -322,6 +325,28 @@ class TestRank:
             args[i][0, 0] = bad
             with pytest.raises(DomainError, match=f"rank test needs a finite {name}"):
                 controllability_observability(args[0], b=args[1], c=args[2])
+
+    def test_overflowing_sums_refused_in_bounded_time(self, src_env):
+        # the sum of a column's magnitudes, 2e308, overflows: balance used to
+        # scale that column for ever, so the probe runs in a child process
+        probe = "\n".join([
+            "import numpy as np",
+            "from resetcert.errors import DomainError",
+            "from resetcert.lti import balance, controllability_observability",
+            "a = np.array([[1e308, 1e308], [-1e308, 1e308]])",
+            "print(np.array_equal(balance(a)[0], a))",
+            "try:",
+            "    controllability_observability(a, b=np.ones((2, 1)))",
+            "except DomainError as exc:",
+            "    print(exc)"])
+        try:
+            proc = subprocess.run([sys.executable, "-W", "ignore", "-c", probe], env=src_env,
+                                  capture_output=True, text=True, timeout=30)
+        except subprocess.TimeoutExpired:
+            pytest.fail("the rank test did not return within 30 s")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [
+            "True", "rank test needs |A|_2 below 5.99e+307 after balancing, got 1.41e+308"]
 
     def test_observability_is_dual_controllability(self):
         # A = T [[A11, 0], [A21, A22]] T^-1 and C = [C1, 0] T^-1: the states

@@ -17,7 +17,7 @@ from resetcert.nsv import (
     compute_nsv,
     map_angle,
     nsv_grid_samples,
-    _condition_list,
+    _frf_asymptote_angles,
     _nsv_arrays,
 )
 
@@ -25,6 +25,32 @@ from test_conditions import record
 
 rng = np.random.default_rng(99)
 ONE = tf([1.0])
+
+# per type, the quadrants k of delta, psi and the forbidden angles of the
+# paper's condition list; quadrant k is (k - 1) pi/2 < theta < k pi/2, so IV is 0
+LIST_QUADRANTS = {1: (0, 2, 3), 2: (3, 1, 0)}
+
+
+def condition_list(t, n_chi, n_ups, theta, eps=1e-9):
+    """The paper's Type-``t`` condition list, the oracle of ``classify``'s
+    angle window: c3 and c4, and one of a, b and c.  Type II reads Type I's
+    N_chi rules on -N_chi, with its own quadrant triple."""
+    side = 1.0 if t == 1 else -1.0
+    scale = np.hypot(n_chi, n_ups)
+    zero_chi = np.abs(n_chi) <= 1e-12 * scale
+    zero_ups = np.abs(n_ups) <= 1e-12 * scale
+    c3 = bool(np.all(n_ups[zero_chi] > eps * scale[zero_chi]))
+    c4 = bool(np.all(side * n_chi[zero_ups] > eps * scale[zero_ups]))
+    a = bool(np.all(n_ups >= -eps * scale))
+    b = bool(np.all(side * n_chi >= -eps * scale))
+    with np.errstate(divide="ignore", invalid="ignore"):    # 0/0 lies in no quadrant
+        ratios = np.abs(n_ups / n_chi)
+    in_delta, in_psi, forbidden = ((theta > (k - 1) * np.pi / 2) & (theta < k * np.pi / 2)
+                                   for k in LIST_QUADRANTS[t])
+    delta = np.max(ratios[in_delta], initial=-np.inf)
+    psi = np.min(ratios[in_psi], initial=np.inf)
+    c = bool(delta < psi and not np.any(forbidden))
+    return c3 and c4 and (a or b or c)
 
 
 def samples_for(loop_vals, omega=None, cs=None, cr=None):
@@ -141,10 +167,28 @@ class TestWindowListEquivalence:
             ups = rng.normal(size=n)
             theta = map_angle(np.arctan2(ups, chi))
             v = classify(Nsv(np.arange(1.0, n + 1.0), chi, ups, theta), check_density=False)
-            list1 = _condition_list(1, chi, ups, theta)
-            list2 = _condition_list(2, chi, ups, theta)
+            list1 = condition_list(1, chi, ups, theta)
+            list2 = condition_list(2, chi, ups, theta)
             agree += int(v.is_type1 == list1 and v.is_type2 == list2)
         assert agree == 200
+
+    def test_narrow_arcs(self):
+        # arcs narrow and wide enough that clause c decides many of them
+        local = np.random.default_rng(51)
+        by_c = set()
+        for _ in range(300):
+            n = int(local.integers(1, 12))
+            centre = local.uniform(-np.pi / 2, 3 * np.pi / 2)
+            angle = centre + local.uniform(-1.0, 1.0, n) * local.choice([0.2, 1.0, 2.0])
+            r = local.uniform(0.1, 2.0, n)
+            chi, ups = r * np.cos(angle), r * np.sin(angle)
+            theta = map_angle(np.arctan2(ups, chi))
+            v = classify(Nsv(np.arange(1.0, n + 1.0), chi, ups, theta), check_density=False)
+            for t, side, holds in ((1, 1.0, v.is_type1), (2, -1.0, v.is_type2)):
+                assert holds == condition_list(t, chi, ups, theta)
+                if not (np.all(ups >= 0.0) or np.all(side * chi >= 0.0)):
+                    by_c.add(holds)
+        assert by_c == {True, False}
 
     def test_type2_list_is_the_mirrored_type1_list(self):
         # the Type II list on N equals the Type I list on N with N_chi
@@ -159,8 +203,8 @@ class TestWindowListEquivalence:
             theta = map_angle(np.arctan2(ups, chi))
             mirrored = map_angle(np.arctan2(ups, -chi))
             for t, u in ((2, 1), (1, 2)):
-                holds = _condition_list(t, chi, ups, theta)
-                assert holds == _condition_list(u, -chi, ups, mirrored)
+                holds = condition_list(t, chi, ups, theta)
+                assert holds == condition_list(u, -chi, ups, mirrored)
                 outcomes.add(holds)
         assert outcomes == {True, False}
 
@@ -290,6 +334,26 @@ class TestAsymptoticAngles:
         local = np.random.default_rng(7 + len(kind))
         for _ in range(4):
             _check_limits_against_far_samples(kind, "standard", 300.0, local)
+
+    def test_measured_plant_with_a_negative_gain(self):
+        # -0.5/(s+1): at both band edges the measured phase is a half turn
+        # from that of the declared slope, so each end's model takes a
+        # negative gain; unflipped, the two limits would trade places
+        elem, g = gfore(1.0), tf([-0.5], [1.0, 1.0])
+        band = np.logspace(-3, 3, 1500)
+        rational = certify_first_order(elem, ONE, ONE, g)
+        measured = certify_first_order(elem, ONE, ONE, FrfTable(band, evaluate(g, band)),
+                                       asymptote=(0, -2))
+        exact = asymptotic_angles(series(base_tf(elem), g), ONE, base_tf(elem))
+        assert exact == pytest.approx([2.03444, 1.10715], abs=1e-5)     # w -> 0, w -> inf
+        got = _frf_asymptote_angles(measured.samples, ONE, base_tf(elem), "standard", 0, -2)
+        assert got == pytest.approx(exact, abs=1e-5)
+        for v in (rational, measured):
+            tv = v.type_verdict
+            # both extremes are the limits, not grid samples
+            assert (tv.theta1_omega, tv.theta2_omega) == (None, None)
+            assert [tv.theta2, tv.theta1] == pytest.approx(exact, abs=1e-5)
+        assert measured.certified == rational.certified
 
     def test_grid_density_doubling_keeps_verdict(self):
         g = tf([1.0], [1.0, 1.0])

@@ -82,12 +82,15 @@ class TestClosedFormOracle:
 
 class TestRunLength:
     @pytest.mark.parametrize("dt, t_end", [(0.01, 1e300), (0.01, 1e308), (1e-300, 1e300),
-                                           (0.01, np.nan), (0.01, (MAX_STEPS + 1) * 0.01)],
+                                           (0.01, np.nan), (0.01, (MAX_STEPS + 1) * 0.01),
+                                           (np.float64(1e-154), 2.0 * np.float64(1.0))],
                              ids=["1e302-steps", "inf-steps", "tiny-dt", "nan-t-end",
-                                  "one-past-the-cap"])
+                                  "one-past-the-cap", "numpy-floats"])
     def test_refused_before_allocating(self, dt, t_end):
-        # numpy used to fail allocating the trace (or converting inf to int)
-        with pytest.raises(RunTooLong, match=re.escape(f"t_end = {t_end!r} over dt = {dt!r}")):
+        # numpy used to fail allocating the trace (or converting inf to int);
+        # numpy floats are printed as plain floats
+        message = f"t_end = {float(t_end)!r} over dt = {float(dt)!r}"
+        with pytest.raises(RunTooLong, match=re.escape(message)):
             SimConfig(open_loop_ci(0.0), dt=dt, t_end=t_end)
 
     @pytest.mark.parametrize("freq", [1e6, 1e300])
@@ -96,11 +99,13 @@ class TestRunLength:
         # 1e300 for about 2^990 cells, and expm overflowed to NaN
         cl = assemble_closed_loop(realization(pci(1.0, 0.0)), [[0.0]], ONE, ONE,
                                   tf([1.0], [1.0, 1.0]), ONE)
-        cfg = SimConfig(cl, dt=0.01, t_end=2.0, input=sinusoid_input(1.0, freq))
-        for run in (simulate, simulate_linear):
-            with pytest.raises(RunTooLong, match=re.escape(f"dt = 0.01 with |F|_1 = {freq:.3g}")
-                               + f".* at most {MAX_CELLS} Taylor cells"):
-                run(cfg)
+        for dt in (0.01, np.float64(0.01)):     # a numpy dt is printed as a plain float
+            cfg = SimConfig(cl, dt=dt, t_end=2.0, input=sinusoid_input(1.0, freq))
+            for run in (simulate, simulate_linear):
+                with pytest.raises(RunTooLong, match=re.escape(f"dt = 0.01 with |F|_1 = "
+                                                               f"{freq:.3g}")
+                                   + f".* at most {MAX_CELLS} Taylor cells"):
+                    run(cfg)
 
 
 class TestTaylorCells:
