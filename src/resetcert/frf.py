@@ -212,9 +212,9 @@ class Loop:
 
     ``plant`` is a RationalTF or a measured FrfTable; the constants that need
     a model (``p_lin``, ``loop_tf``, ``k_n``, ``n_minus_m``, ``origin_poles``)
-    are None for a table.  ``c_s=None`` is the unit shaping filter and
-    ``architecture=None`` the standard one.  Each constant is derived on
-    first use, once.
+    are None for a table.  ``c_s=None`` is the unit shaping filter, and
+    ``architecture`` is "standard" or "modified".  Each constant is derived
+    on first use, once.
     """
 
     element: ResetElement
@@ -222,13 +222,12 @@ class Loop:
     c_l2: RationalTF
     plant: object
     c_s: RationalTF | None = None
-    architecture: str | None = "standard"
+    architecture: str = "standard"
 
     def __post_init__(self):
-        arch = "standard" if self.architecture is None else self.architecture
-        if arch not in ("standard", "modified"):
-            raise ConfigError(f"unknown architecture {arch!r}; use standard or modified")
-        object.__setattr__(self, "architecture", arch)
+        if self.architecture not in ("standard", "modified"):
+            raise ConfigError(f"unknown architecture {self.architecture!r}; "
+                              f"use standard or modified")
         object.__setattr__(self, "c_s", tf([1.0]) if self.c_s is None else self.c_s)
 
     @property

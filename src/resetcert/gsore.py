@@ -135,7 +135,6 @@ def _magnitude_windows(F1, F2, F3, ratios):
 class GsoreProblem:
     loop: Loop
     samples: LoopSamples
-    k_s0: float
     k_n: float
     origin_pole: bool
     n_minus_m: int
@@ -144,10 +143,20 @@ class GsoreProblem:
         if self.element.kind != "GSORE":
             raise DomainError(f"a GSORE problem needs a GSORE element, got {self.element.kind}")
         gamma_factor(*self.gammas)      # refuses a reset factor outside (-1, 1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            forms = FreqData.from_samples(self.samples, self.element.omega_r,
+                                          self.element.xi).forms
+        bad = np.flatnonzero(~np.isfinite(forms).all(axis=0))
+        if bad.size:
+            raise DomainError(f"the GSORE quadratic forms are not finite at omega = "
+                              f"{self.samples.omega[bad[0]]:g} rad/s, where |L| = "
+                              f"{abs(self.samples.loop[bad[0]]):g}")
 
     @property
     def element(self) -> ResetElement:
         return self.loop.element
+
+    k_s0 = property(lambda self: self.loop.k_s0)
 
     @property
     def gammas(self):
@@ -172,6 +181,7 @@ def gsore_problem(element: ResetElement, c_l1: RationalTF, c_l2: RationalTF,
     A rational plant gives origin_pole, k_n and n_minus_m too, and passing
     any of them raises DomainError; a measured plant needs origin_pole and
     n_minus_m, and k_n too when n_minus_m is 3; otherwise k_n defaults to 0.
+    Quadratic forms that are not finite on the grid are a DomainError.
     """
     loop = Loop(element, c_l1, c_l2, plant, c_s)
     if loop.rational:
@@ -186,8 +196,8 @@ def gsore_problem(element: ResetElement, c_l1: RationalTF, c_l2: RationalTF,
     grid = loop.grid(points)
     if loop.rational and not origin_pole:
         grid = np.concatenate([[0.0], grid])    # closed interval at w = 0
-    return GsoreProblem(loop, loop.samples(grid), float(loop.k_s0), float(k_n),
-                        bool(origin_pole), int(n_minus_m))
+    return GsoreProblem(loop, loop.samples(grid), float(k_n), bool(origin_pole),
+                        int(n_minus_m))
 
 
 # ---------------------------------------------------------------------------
@@ -255,8 +265,8 @@ def _population_objective(data: FreqData, ptype, k_s0, wr, xi, kn, n_minus_m,
         pen += np.maximum(0.0, -(r1 * r3 - r2**2) / pscale)
         pen += np.maximum(0.0, -(r1 * r3 - gamma_bound * r2**2) / pscale)
         # feasible points always outrank infeasible ones; the sup ratio only
-        # orders within the feasible set
-        return np.where(pen > 0.0, 1e9 + PENALTY_WEIGHT * pen, np.minimum(m, 1e8))
+        # orders within the feasible set, and one that overflowed to NaN scores 1e8
+        return np.where(pen > 0.0, 1e9 + PENALTY_WEIGHT * pen, np.fmin(m, 1e8))
 
     return fun
 
@@ -341,9 +351,9 @@ def _stalled(best) -> bool:
     return now <= M_BOUND / 2 and best[-1 - STALL_GENERATIONS] - now <= STALL_DROP
 
 
-# the largest settings: the objective holds population x grid entries at
-# once, and generations x restarts bounds the search
-MAX_OPTIMIZER = {"population": 2_000, "generations": 10_000, "restarts": 100}
+# the settable range of each setting: the objective holds population x grid
+# entries at once, and generations x restarts bounds the search
+OPTIMIZER_RANGES = {"population": (20, 2_000), "generations": (1, 10_000), "restarts": (1, 100)}
 
 
 @dataclass(frozen=True)
@@ -354,9 +364,9 @@ class OptimizerSettings:
     seed: int = 0
 
     def __post_init__(self):
-        for name, top in MAX_OPTIMIZER.items():
-            if not 1 <= getattr(self, name) <= top:
-                raise DomainError(f"optimizer.{name} must lie in [1, {top}], "
+        for name, (low, top) in OPTIMIZER_RANGES.items():
+            if not low <= getattr(self, name) <= top:
+                raise DomainError(f"optimizer.{name} must lie in [{low}, {top}], "
                                   f"got {getattr(self, name)!r}")
         # restart k seeds the DE with seed + 1009 k, which must fit 32 bits
         top = 2**32 - 1 - 1009 * (self.restarts - 1)
@@ -433,11 +443,10 @@ def certify(problem: GsoreProblem, settings: OptimizerSettings | None = None) ->
     args = (ptype, problem.k_s0, 1.0, xi, k_n_hat, problem.n_minus_m, gamma_bound)
     full_fun, n = _population_objective(data, *args), data.omega.size
     best_x, best_j = None, np.inf
-    pop = max(20, settings.population)
     search = []
     for k in range(settings.restarts):
         seed = settings.seed + 1009 * k
-        init = _seed_population(bounds, scans, pop, np.random.default_rng(seed))
+        init = _seed_population(bounds, scans, settings.population, np.random.default_rng(seed))
         points = _search_set(n)
         runs = [_de_run(_population_objective(data.take(points), *args), bounds,
                         init, seed, settings.generations)]

@@ -225,15 +225,15 @@ def pd_condition(cid: str, m: np.ndarray) -> Condition:
 
 
 def spr_check_matrix(candidate: HbetaCandidate, samples: LoopSamples,
-                     element: ResetElement, k_s0: float = 1.0,
-                     k_n: float | None = None, origin_pole: bool = False,
-                     n_minus_m: int = 4) -> SprReport:
+                     element: ResetElement, *, k_s0: float, k_n: float | None,
+                     origin_pole: bool, n_minus_m: int) -> SprReport:
     """SPR test for a (beta, rho) pair on a two-state reset element.
 
     Checks positive definiteness of the real symmetric part on the grid
     (leading minors), the applicable limit matrix (w -> 0 under an origin
     pole, w -> infinity per the loop relative degree), and the strict
-    jump-map inequality A_rho' rho A_rho - rho < 0.
+    jump-map inequality A_rho' rho A_rho - rho < 0.  k_n may be None
+    unless n_minus_m is 3.
     """
     _, _, r1, r2, r3 = params = candidate.as_matrix_params()
     if r1 <= 0.0 or r3 <= 0.0 or r1 * r3 <= r2 * r2:

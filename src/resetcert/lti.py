@@ -321,7 +321,6 @@ class ClosedLoop:
     c_e_bar: np.ndarray     # reset-triggering signal e_r (state part)
     a_rho_bar: np.ndarray
     d_e: float
-    n_r: int
 
     @property
     def order(self) -> int:
@@ -415,7 +414,7 @@ def assemble_closed_loop(reset_ss: StateSpace, a_rho, c_l1: RationalTF,
 
     a_rho_bar = np.eye(n_r + n_p)
     a_rho_bar[:n_r, :n_r] = a_rho
-    return ClosedLoop(a_bar, b_bar, c_bar, c_e_bar, a_rho_bar, float(D_e), n_r)
+    return ClosedLoop(a_bar, b_bar, c_bar, c_e_bar, a_rho_bar, float(D_e))
 
 
 # ---------------------------------------------------------------------------
@@ -507,12 +506,12 @@ def balance(a: np.ndarray):
     return a, d
 
 
-def controllability_observability(a, b=None, c=None, rtol: float = RANK_RTOL):
+def controllability_observability(a, b=None, c=None):
     """Rank tests for controllability of (A, B) and observability of (A, C).
 
     Returns ``(controllable, observable)``; an omitted b or c yields None in
     the corresponding slot.  Each pair is tested through the eigenvalue
-    pencil rank([lambda*I - A, B]) with a relative singular-value threshold,
+    pencil rank([lambda*I - A, B]) with the singular-value threshold RANK_RTOL,
     observability as controllability of the dual pair (A^T, C^T); the plain
     Krylov stack loses rank information in double precision once the
     eigenvalue spread exceeds a few decades.  A non-finite A, B or C is a
@@ -538,7 +537,7 @@ def controllability_observability(a, b=None, c=None, rtol: float = RANK_RTOL):
         side = side / max(np.linalg.norm(side), 1e-300) * scale
         for lam in eigs:
             sv = np.linalg.svd(np.hstack([lam * np.eye(n) - m, side]), compute_uv=False)
-            if sv[n - 1] <= rtol * max(sv[0], scale):
+            if sv[n - 1] <= RANK_RTOL * max(sv[0], scale):
                 return False
         return True
 

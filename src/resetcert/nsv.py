@@ -33,8 +33,8 @@ SIGN_EPS = 1e-9          # slack on the pointwise strict sign conditions
 THETA_GAP_MAX = np.pi / 6
 REFINE_LEVELS = 8        # bisection levels of nsv_grid_samples, run in staged trees
 # (lower, upper) bounds of theta1 and of theta2 in the angle windows of the two types
-TYPE1_BOUNDS = ((-np.pi / 2 - SIGN_EPS, np.pi + SIGN_EPS),
-                (-np.pi / 2 - SIGN_EPS, np.pi - SIGN_EPS))
+TYPE1_BOUNDS = ((-np.pi / 2 + SIGN_EPS, np.pi + SIGN_EPS),
+                (-np.pi / 2 + SIGN_EPS, np.pi - SIGN_EPS))
 TYPE2_BOUNDS = ((SIGN_EPS, 3 * np.pi / 2 - SIGN_EPS),) * 2
 
 

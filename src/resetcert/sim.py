@@ -62,7 +62,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import RunTooLong
+from .errors import DomainError, RunTooLong
 from .lti import ClosedLoop, balance
 
 OVERFLOW_NORM = 1e12
@@ -358,10 +358,14 @@ class _Flow:
         g = np.concatenate([sys_.c_e_bar.ravel(), sys_.d_e * c_r, np.zeros(w_d.size)])
         f, d = balance(f)
         self.n, self.nx, self.dx = n, nx, d[:nx]
-        self.g = g * d                              # e_r = g @ z_b
-        self.g_dot = self.g @ f                     # e_r' = g_dot @ z_b
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.g = g * d                          # e_r = g @ z_b
+            self.g_dot = self.g @ f                 # e_r' = g_dot @ z_b
+            self.norm_weights = np.column_stack([np.ones(n), np.eye(n, nx) @ d[:nx] ** 2])
+        if not all(np.isfinite(v).all() for v in (self.g, self.g_dot, self.norm_weights)):
+            raise DomainError("the flow is past float range: e_r, its slope or the state "
+                              "norm weights are not finite in balanced coordinates")
         self.unbalance = np.eye(n, nx) * d[:nx]     # x = z_b @ unbalance
-        self.norm_weights = np.column_stack([np.ones(n), np.eye(n, nx) @ d[:nx] ** 2])
         # rounding of the propagated state is about eps |z| per entry
         self.e_floor = ROUNDING_REL * float(np.abs(self.g).sum())
         self.de_floor = ROUNDING_REL * float(np.abs(self.g_dot).sum())

@@ -192,8 +192,9 @@ class TestGsoreCheck:
 
     @pytest.mark.parametrize("optimizer, seed", [
         ({"restarts": 0}, "0"), ({"generations": 0}, "0"), ({}, "-1"),
-        ({"restarts": 2}, str(2**32 - 1009)),
-    ], ids=["restarts-0", "generations-0", "seed-negative", "seed-too-large"])
+        ({"restarts": 2}, str(2**32 - 1009)), ({"population": 19}, "0"),
+    ], ids=["restarts-0", "generations-0", "seed-negative", "seed-too-large",
+            "population-19"])
     def test_invalid_optimizer_settings_exit_1(self, tmp_path, capsys, optimizer, seed):
         cfg = gsore_config()
         cfg["optimizer"].update(optimizer)
@@ -344,6 +345,15 @@ class TestSimulate:
         assert run(["simulate", "--config", cfg, "--out", str(tmp_path / "t.csv")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: t_end = 2.0 over dt = 1e-154 gives 2e+154 steps")
+
+    def test_flow_past_float_range_exit_1(self, tmp_path, capsys):
+        # e_r' = g F z overflows: the scan read NaN and reported no crossing,
+        # exit 0, while e_r changed sign in the last two trace rows
+        cfg = write_config(tmp_path, {**GFORE_DEMO,
+                                      "blocks": {"plant": {"num": [1e308], "den": [1.0, 1.0]}}})
+        assert run(["simulate", "--config", cfg, "--out", str(tmp_path / "t.csv")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "not finite" in err[0]
 
     def test_summary_counters_per_run(self, tmp_path):
         cfg = write_config(tmp_path, {
@@ -531,7 +541,7 @@ class TestMalformedLoopInput:
         ("gsore-check", dict(gsore_config(), element={"kind": "GSORE", "omega_r": 1e300}),
          "omega_r 1e+300 has no finite square"),
         ("gsore-check", dict(gsore_config(), optimizer={"population": 2**70}),
-         "optimizer.population must lie in [1, 2000]"),
+         "optimizer.population must lie in [20, 2000]"),
         ("gsore-check", dict(gsore_config(), optimizer={"generations": 1e300}),
          "optimizer.generations must lie in [1, 10000]"),
         ("gsore-check", dict(gsore_config(), optimizer={"restarts": 101}),
@@ -568,6 +578,37 @@ class TestNonFiniteTable:
         assert run(argv) == 1
         err = capsys.readouterr().err
         assert "plant.csv:8: non-finite number" in err and "Traceback" not in err
+
+    @staticmethod
+    def gsore_check_one_entry(tmp_path, row, column, value, optimizer):
+        """gsore-check's exit code on a 60-row table of 1/(s + 1) whose ``row``
+        has ``value`` in ``column``."""
+        frf = write_frf(tmp_path, [1.0], [1.0, 1.0], np.logspace(-2, 2, 60))
+        rows = frf.read_text().splitlines()
+        fields = rows[row].split(",")
+        fields[column] = repr(value)
+        rows[row] = ",".join(fields)
+        frf.write_text("\n".join(rows) + "\n")
+        cfg = write_config(tmp_path, dict(GSORE_TABLE_LOOP, gsore=TABLE_CONSTANTS,
+                                          optimizer=optimizer))
+        return run(["gsore-check", "--config", cfg, "--frf", str(frf), "--grid-points", "64",
+                    "--out", str(tmp_path / "out.json")])
+
+    @pytest.mark.parametrize("row, column, value", [(11, 1, -1e300), (35, 2, 1e308)])
+    def test_huge_entry_gsore_check_exit_1(self, tmp_path, capsys, row, column, value):
+        # the GSORE forms overflow near the row, every objective value was
+        # NaN, and the run ended in a ValueError from the empty search
+        assert self.gsore_check_one_entry(tmp_path, row, column, value,
+                                          GSORE_TABLE_LOOP["optimizer"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "rad/s" in err[0]
+
+    def test_objective_overflow_is_not_certified(self, tmp_path):
+        # finite forms near a 1e156 entry overflow every objective value to
+        # NaN; the search used to end in the same ValueError
+        assert self.gsore_check_one_entry(tmp_path, 44, 1, 1e156, {
+            "population": 20, "generations": 2, "restarts": 1}) == 2
+        assert json.loads((tmp_path / "out.json").read_text())["certified"] is False
 
 
 def write_frf(tmp_path, num, den, band):

@@ -157,7 +157,7 @@ def matrix_case(name):
 @pytest.mark.parametrize("origin_pole", [False, True])
 def test_matrix_oracle_verdicts(name, origin_pole):
     cand, samples, elem = matrix_case(name)
-    rep = spr_check_matrix(cand, samples, elem, k_s0=1.0, origin_pole=origin_pole,
+    rep = spr_check_matrix(cand, samples, elem, k_s0=1.0, k_n=None, origin_pole=origin_pole,
                            n_minus_m=4)
     check_records(rep, rep.passed)
     # the coupled rho passes on the grid and at w -> inf; no candidate with

@@ -166,8 +166,7 @@ class TestLoop:
         one = self.ONE
         assert Loop(sosre(1.0, 1.0, 0.0), one, one, one).variant == "sosre"
         assert Loop(gfore(1.0), one, one, one, architecture="modified").variant == "modified"
-        for arch in ("standard", None):
-            assert Loop(pci(1.0, 0.3), one, one, one, architecture=arch).variant == "standard"
+        assert Loop(pci(1.0, 0.3), one, one, one).variant == "standard"
         assert Loop(clegg(), one, one, one, architecture="standard").variant == "standard"
 
     def test_sosre_modified_refused(self):
@@ -178,10 +177,10 @@ class TestLoop:
             loop.variant
 
     def test_unknown_architecture_refused(self):
-        with pytest.raises(ConfigError):
-            Loop(gfore(1.0), self.ONE, self.ONE, self.ONE, architecture="foo")
-        assert Loop(gfore(1.0), self.ONE, self.ONE, self.ONE,
-                    architecture=None).architecture == "standard"
+        # None is no alias of the standard architecture
+        for arch in ("foo", None):
+            with pytest.raises(ConfigError, match="use standard or modified"):
+                Loop(gfore(1.0), self.ONE, self.ONE, self.ONE, architecture=arch)
 
     def test_double_integrator_origin_poles(self):
         g = tf([1.0], [0.0, 0.0, 1.0, 1.0])

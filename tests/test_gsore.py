@@ -475,7 +475,7 @@ class TestEarlyStop:
 class TestOptimizerSettings:
     @pytest.mark.parametrize("kwargs", [
         {"restarts": 0}, {"generations": 0}, {"seed": -1}, {"seed": 2**32},
-        {"restarts": 2, "seed": 2**32 - 1009},
+        {"restarts": 2, "seed": 2**32 - 1009}, {"population": 19}, {"population": 2001},
     ])
     def test_invalid_settings_raise(self, kwargs):
         with pytest.raises(DomainError):

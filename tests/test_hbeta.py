@@ -409,13 +409,15 @@ class TestMatrixCheck:
         samples, _ = nsv_grid_samples(g, cl1, ONE, cs, elem, points=60, refine=0)
         cand = HbetaCandidate(np.array([0.0, 0.0]), np.array([[1.0, 2.0], [2.0, 1.0]]))
         with pytest.raises(NotPositiveDefinite):
-            spr_check_matrix(cand, samples, elem)
+            spr_check_matrix(cand, samples, elem, k_s0=1.0, k_n=None, origin_pole=False,
+                             n_minus_m=4)
 
     def test_bad_candidate_fails_with_witness(self):
         elem, cl1, g, cs = make_matrix_fixture()
         samples, _ = nsv_grid_samples(g, cl1, ONE, cs, elem, points=200)
         cand = HbetaCandidate(np.array([0.0, 0.0]), np.eye(2))
-        rep = spr_check_matrix(cand, samples, elem, n_minus_m=4)
+        rep = spr_check_matrix(cand, samples, elem, k_s0=1.0, k_n=None, origin_pole=False,
+                               n_minus_m=4)
         assert not rep.passed
         witness = record(rep, "grid-determinant-positivity")
         assert witness.status == "fail" and witness.omega > 0.0

@@ -190,6 +190,25 @@ class TestWindowListEquivalence:
                     by_c.add(holds)
         assert by_c == {True, False}
 
+    def test_exact_zero_sets_and_their_mirrors(self):
+        # the sets of test_type2_list_is_the_mirrored_type1_list: a sample
+        # with N_chi = 0 and N_upsilon < 0 sits at theta = -pi/2, which c3
+        # forbids to Type I, as the mirror's theta = pi/2 is to Type II
+        local = np.random.default_rng(17)
+        disagree = []
+        for i in range(400):
+            n = int(local.integers(3, 30))
+            chi, ups = local.normal(size=(2, n))
+            chi[local.random(n) < 0.2] = 0.0
+            ups[local.random(n) < 0.2] = 0.0
+            for name, c in (("", chi), (" mirrored", -chi)):
+                theta = map_angle(np.arctan2(ups, c))
+                v = classify(Nsv(np.arange(1.0, n + 1.0), c, ups, theta), check_density=False)
+                for t, holds in ((1, v.is_type1), (2, v.is_type2)):
+                    if holds != condition_list(t, c, ups, theta):
+                        disagree.append(f"set {i}{name} type {t}")
+        assert not disagree, disagree
+
     def test_type2_list_is_the_mirrored_type1_list(self):
         # the Type II list on N equals the Type I list on N with N_chi
         # negated and its angle taken afresh, exact zero components included

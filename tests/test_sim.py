@@ -413,6 +413,32 @@ class TestJumpSemantics:
             assert b.max_state_norm == pytest.approx(a.max_state_norm, rel=1e-12)
 
 
+class TestDisturbanceInput:
+    """The disturbance enters at the plant input, so under a zero reference
+    y = G / (1 + L) d.  Identity-reset GFORE(1) over G = 2/(s + 1) has
+    L = 2/(s + 1)^2: G(0) / (1 + L(0)) = 2/3 and |G / (1 + L)| = 1 at w = 1."""
+
+    @staticmethod
+    def trace(run, disturbance, t_end):
+        cl = assemble_closed_loop(realization(gfore(1.0, 1.0)), [[1.0]], ONE, ONE,
+                                  tf([2.0], [1.0, 1.0]), ONE)
+        return run(SimConfig(cl, dt=0.01, t_end=t_end, input=InputSignal(),
+                             disturbance=disturbance))
+
+    @pytest.mark.parametrize("run", [simulate, simulate_linear])
+    def test_step_settles_at_the_dc_gain(self, run):
+        tr = self.trace(run, step_input(1.0), 40.0)
+        assert tr.outputs[-1] == pytest.approx(2.0 / 3.0, abs=1e-9)
+        assert tr.resets_fired == 0
+
+    @pytest.mark.parametrize("run", [simulate, simulate_linear])
+    def test_sinusoid_reaches_the_gain_at_its_frequency(self, run):
+        tr = self.trace(run, sinusoid_input(1.0, 1.0), 60.0)
+        last_period = tr.outputs[tr.times >= 60.0 - 2.0 * np.pi]
+        assert np.abs(last_period).max() == pytest.approx(1.0, abs=1e-4)
+        assert tr.resets_fired == 0
+
+
 def step_run(cl, t_end):
     return simulate(SimConfig(cl, dt=0.01, t_end=t_end, input=step_input(1.0)))
 
