@@ -27,16 +27,21 @@ from .nsv import certify_first_order, nsv_grid_samples
 
 
 def _atomic_write(path: str, text: str) -> None:
-    d = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", text=True)
+    """Write ``text`` to ``path`` through a temp file beside it, which a
+    failure removes; an OSError names ``path``, not the temp file."""
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), prefix=".tmp-",
+                                   text=True)
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from None
 
 
 def _emit_json(obj, out_path=None):
@@ -192,14 +197,10 @@ def _element_from_cfg(cfg) -> ResetElement:
 
 def _load_config(args) -> dict:
     """The config file as checked against CONFIG, with its blocks built."""
-    if not args.config:
-        raise ConfigError("--config is required")
-    if not os.path.exists(args.config):
-        raise ConfigError(f"config file not found: {args.config}")
     with open(args.config, encoding="utf-8") as fh:
         try:
             cfg = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, or a parser limit
             raise ConfigError(f"invalid JSON in {args.config}: {exc}") from None
     if not isinstance(cfg, dict):
         raise ConfigError(f"config {args.config} needs a JSON object at the top")
@@ -213,8 +214,6 @@ def _loop_from(args, cfg) -> Loop:
     blocks = cfg.get("blocks", {})
     takes_frf = "frf" in args
     if takes_frf and args.frf:
-        if not os.path.exists(args.frf):
-            raise ConfigError(f"FRF file not found: {args.frf}")
         plant = load_frf(args.frf, args.frf_format)
     elif blocks.get("plant") is None:        # a null plant is a slip more often than P = 1
         null = "config field blocks.plant is null: " if "plant" in blocks else ""
@@ -343,8 +342,6 @@ def cmd_simulate(args) -> int:
                                                  "gamma2": g}).a_rho) for g in sweep]
     runs = runs or [("", loop.element.a_rho)]
 
-    if not args.out:
-        raise ConfigError("simulate needs --out for the trace CSV")
     summary = {}
     for suffix, a_rho in runs:
         cl = loop.closed_loop(a_rho)
@@ -373,12 +370,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_frf_convert(args) -> int:
-    if not args.frf:
-        raise ConfigError("frf-convert needs --frf")
-    table = load_frf(args.frf, args.frf_format)
-    if not args.out:
-        raise ConfigError("frf-convert needs --out")
-    save_frf(table, args.out, args.to)
+    save_frf(load_frf(args.frf, args.frf_format), args.out, args.to)
     return 0
 
 
@@ -394,14 +386,15 @@ FLAGS = {
     "--summary": dict(help="write the event counters of each run as JSON"),
     "--to": dict(choices=["complex", "magphase"], default="complex"),
 }
-LOOP_FLAGS = ("--config", "--grid-points", "--out")
+LOOP_FLAGS = ("--grid-points", "--out")
 TABLE_FLAGS = ("--frf", "--frf-format")     # hbeta and simulate need a rational plant
-COMMANDS = {        # each command takes only the flags it reads
-    "classify": (cmd_classify, LOOP_FLAGS + TABLE_FLAGS + ("--asymptote", "--nsv-out")),
-    "gsore-check": (cmd_gsore, LOOP_FLAGS + TABLE_FLAGS + ("--seed",)),
-    "hbeta": (cmd_hbeta, LOOP_FLAGS),
-    "simulate": (cmd_simulate, ("--config", "--out", "--summary")),
-    "frf-convert": (cmd_frf_convert, TABLE_FLAGS + ("--to", "--out")),
+COMMANDS = {        # each command: its function, the flags it needs, the others it reads
+    "classify": (cmd_classify, ("--config",),
+                 LOOP_FLAGS + TABLE_FLAGS + ("--asymptote", "--nsv-out")),
+    "gsore-check": (cmd_gsore, ("--config",), LOOP_FLAGS + TABLE_FLAGS + ("--seed",)),
+    "hbeta": (cmd_hbeta, ("--config",), LOOP_FLAGS),
+    "simulate": (cmd_simulate, ("--config", "--out"), ("--summary",)),
+    "frf-convert": (cmd_frf_convert, ("--frf", "--out"), ("--frf-format", "--to")),
 }
 
 
@@ -409,10 +402,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="resetcert",
                                 description="Stability certification for reset control loops")
     sub = p.add_subparsers(dest="command", required=True)
-    for name, (fn, flags) in COMMANDS.items():
+    for name, (fn, required, optional) in COMMANDS.items():
         cmd = sub.add_parser(name)
-        for flag in flags:
-            cmd.add_argument(flag, **FLAGS[flag])
+        for flag in required + optional:
+            cmd.add_argument(flag, required=flag in required, **FLAGS[flag])
         cmd.set_defaults(fn=fn)
     return p
 
@@ -424,7 +417,7 @@ def main(argv=None) -> int:
         return 1 if exc.code else 0
     try:
         return args.fn(args)
-    except (ResetCertError, FileNotFoundError) as exc:
+    except (ResetCertError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

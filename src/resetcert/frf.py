@@ -21,6 +21,7 @@ from .lti import (ClosedLoop, RationalTF, assemble_closed_loop, end_term, evalua
 
 TWO_PI = 2.0 * np.pi
 MIN_GRID_POINTS = 32    # fewest base grid points a certifier reads a loop from
+MAX_GRID_POINTS = 100_000  # most base grid points, which bounds a verdict's memory
 GRID_POINTS = 2000      # base grid points of a verdict unless the caller asks otherwise
 GRID_PAD_DECADES = 2.0  # a rational loop's grid reaches this far past its features
 STATUSES = ("pass", "fail", "conditional", "assumed", "skipped")
@@ -98,20 +99,24 @@ class FrfTable:
 def _rows(path):
     """(line number, (f_hz, a, b)) of each data row."""
     with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = [p.strip() for p in line.split(",")]
-            if len(parts) != 3:
-                raise ParseError(f"{path}:{lineno}: expected 3 columns, got {len(parts)}")
-            try:
-                row = tuple(float(p) for p in parts)
-            except ValueError as exc:
-                raise ParseError(f"{path}:{lineno}: {exc}") from None
-            if not all(map(math.isfinite, row)):
-                raise ParseError(f"{path}:{lineno}: non-finite number in {line!r}")
-            yield lineno, row
+        try:
+            lines = fh.readlines()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: {exc}") from None
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = [p.strip() for p in line.split(",")]
+        if len(parts) != 3:
+            raise ParseError(f"{path}:{lineno}: expected 3 columns, got {len(parts)}")
+        try:
+            row = tuple(float(p) for p in parts)
+        except ValueError as exc:
+            raise ParseError(f"{path}:{lineno}: {exc}") from None
+        if not all(map(math.isfinite, row)):
+            raise ParseError(f"{path}:{lineno}: non-finite number in {line!r}")
+        yield lineno, row
 
 
 def load_frf(path, fmt: str = "complex") -> FrfTable:
@@ -301,6 +306,8 @@ class Loop:
         if points < MIN_GRID_POINTS:
             raise GridTooSparse(f"{points} grid points; a verdict needs at least "
                                 f"{MIN_GRID_POINTS}")
+        if points > MAX_GRID_POINTS:
+            raise DomainError(f"{points} grid points; a verdict reads at most {MAX_GRID_POINTS}")
         if not self.rational:
             lo, hi = self.plant.band
             return np.logspace(np.log10(lo), np.log10(hi), points)

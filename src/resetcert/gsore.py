@@ -133,24 +133,30 @@ def _magnitude_windows(F1, F2, F3, ratios):
 
 @dataclass(frozen=True)
 class GsoreProblem:
+    """A GSORE loop on its grid; ``data``, its quadratic forms at loop scale, and
+    ``gamma_bound``, the ``gamma_factor`` of its reset factors, are checked on construction."""
+
     loop: Loop
     samples: LoopSamples
     k_n: float
     origin_pole: bool
     n_minus_m: int
+    data: FreqData = field(init=False)
+    gamma_bound: float = field(init=False)
 
     def __post_init__(self):
         if self.element.kind != "GSORE":
             raise DomainError(f"a GSORE problem needs a GSORE element, got {self.element.kind}")
-        gamma_factor(*self.gammas)      # refuses a reset factor outside (-1, 1)
+        # gamma_factor refuses a reset factor outside (-1, 1)
+        object.__setattr__(self, "gamma_bound", gamma_factor(*self.gammas))
         with np.errstate(over="ignore", invalid="ignore"):
-            forms = FreqData.from_samples(self.samples, self.element.omega_r,
-                                          self.element.xi).forms
-        bad = np.flatnonzero(~np.isfinite(forms).all(axis=0))
+            data = FreqData.from_samples(self.samples, self.element.omega_r, self.element.xi)
+        bad = np.flatnonzero(~np.isfinite(data.forms).all(axis=0))
         if bad.size:
             raise DomainError(f"the GSORE quadratic forms are not finite at omega = "
                               f"{self.samples.omega[bad[0]]:g} rad/s, where |L| = "
                               f"{abs(self.samples.loop[bad[0]]):g}")
+        object.__setattr__(self, "data", data)
 
     @property
     def element(self) -> ResetElement:
@@ -428,7 +434,6 @@ def certify(problem: GsoreProblem, settings: OptimizerSettings | None = None) ->
     settings = settings or OptimizerSettings()
     elem = problem.element
     wr, xi = elem.omega_r, elem.xi
-    gamma_bound = gamma_factor(*problem.gammas)
     ptype = problem.problem_type
     # search at the frequency-normalized scale s -> s/wr, an exact
     # equivalence of the problem: the grid, the quadratic forms and all
@@ -438,9 +443,8 @@ def certify(problem: GsoreProblem, settings: OptimizerSettings | None = None) ->
                       problem.samples.shaping, alpha**2 * problem.samples.reset_base)
     k_n_hat = problem.k_n / alpha**problem.n_minus_m
     data = FreqData.from_samples(hat, 1.0, xi)
-    loop_data = FreqData.from_samples(problem.samples, wr, xi)
     bounds, windows_hat, scans = _gene_bounds(data, ptype, problem.k_s0, 1.0, xi)
-    args = (ptype, problem.k_s0, 1.0, xi, k_n_hat, problem.n_minus_m, gamma_bound)
+    args = (ptype, problem.k_s0, 1.0, xi, k_n_hat, problem.n_minus_m, problem.gamma_bound)
     full_fun, n = _population_objective(data, *args), data.omega.size
     best_x, best_j = None, np.inf
     search = []
@@ -453,8 +457,7 @@ def certify(problem: GsoreProblem, settings: OptimizerSettings | None = None) ->
         res, stop = runs[0]
         # a point above the bound on the set is above it on the full grid too
         if points.size < n and float(res.fun) <= M_BOUND - M_SLACK:
-            m = _grid_check(problem, loop_data,
-                            _loop_params(res.x, ptype, problem.k_s0, alpha))[2]
+            m = _grid_check(problem, _loop_params(res.x, ptype, problem.k_s0, alpha))[2]
             # the stall stop presumes m <= M_BOUND / 2, which a coarse set can fake
             if m > M_BOUND / 2 and (m > M_BOUND - M_SLACK or stop == "stalled"):
                 points = np.arange(n)
@@ -474,7 +477,7 @@ def certify(problem: GsoreProblem, settings: OptimizerSettings | None = None) ->
     # q2/q1 = rho2/rho1 scales as alpha, q4/q3 = rho2/rho3 as 1/alpha
     windows = {key: (alpha * lo, alpha * hi) if key == "q2_over_q1" else (lo / alpha, hi / alpha)
                for key, (lo, hi) in windows_hat.items()}
-    m_value, conditions = _verify_candidate(problem, loop_data, params)
+    m_value, conditions = _verify_candidate(problem, params)
     return CertificateResult(q, m_value, conditions, params, ptype, settings.seed, windows,
                              search)
 
@@ -535,14 +538,14 @@ def _de_run(fun, bounds, init, seed: int, generations: int):
     return res, "stalled" if _stalled(best) else "converged" if res.success else "maxiter"
 
 
-def _grid_check(problem: GsoreProblem, data: FreqData, params):
+def _grid_check(problem: GsoreProblem, params):
     """The full-grid part of the certificate: (s1, s2, m, w), the S1/S2
     margins per sample and the refined sup m of c^2/(d1 d2) at frequency w;
     m is inf and w None unless both margins clear STRICT_MARGIN everywhere.
     Each diagonal entry is divided by the sum of its terms' magnitudes, the
     rounding bound of that sum, so no frequency scaling of the loop moves
     the verdict."""
-    p = np.reshape(params, (5, 1))
+    p, data = np.reshape(params, (5, 1)), problem.data
     (d1,), (d2,), (c,) = data.entries(p)
     (scale1,), (scale2,), _ = FreqData(data.omega, np.abs(data.forms)).entries(np.abs(p))
     s1, s2 = d1 / (scale1 + 1e-300), d2 / (scale2 + 1e-300)
@@ -594,15 +597,14 @@ def _refined_sup(problem: GsoreProblem, ratio, params):
     return m, at
 
 
-def _verify_candidate(problem: GsoreProblem, data: FreqData, params):
-    """(m_value, conditions): the strict verdict on the loop-scale ``params``,
-    with ``data`` the forms of the problem's grid."""
+def _verify_candidate(problem: GsoreProblem, params):
+    """(m_value, conditions): the strict verdict on the loop-scale ``params``."""
     b1, b2, r1, r2, r3 = params
     elem = problem.element
     wr, xi = elem.omega_r, elem.xi
-    s1, s2, m_value, sup_omega = _grid_check(problem, data, params)
+    s1, s2, m_value, sup_omega = _grid_check(problem, params)
     grid = [Condition(cid, pass_fail(s.min() > STRICT_MARGIN), float(s.min()),
-                      float(data.omega[int(np.argmin(s))]))
+                      float(problem.samples.omega[int(np.argmin(s))]))
             for cid, s in (("S1-diagonal-positivity", s1), ("S2-diagonal-positivity", s2))]
 
     cand = HbetaCandidate(np.array([b1, b2]), np.array([[r1, r2], [r2, r3]]))

@@ -781,6 +781,90 @@ class TestUsage:
             assert args.command == argv[0], name
 
 
+FILE_FLAGS = {      # command: the file flags it reads
+    "classify": ("--config", "--frf", "--out"),
+    "gsore-check": ("--config", "--frf", "--out"),
+    "hbeta": ("--config", "--out"),
+    "simulate": ("--config", "--out"),
+    "frf-convert": ("--frf", "--out"),
+}
+REQUIRED = {"classify": ("--config",), "gsore-check": ("--config",), "hbeta": ("--config",),
+            "simulate": ("--config", "--out"), "frf-convert": ("--frf", "--out")}
+
+
+class TestCliBoundary:
+    """A file a command cannot read, write or decode as UTF-8, a grid past
+    its bound and a required flag left out each exit 1 and write nothing;
+    a file or grid fault is one ``error:`` line, never a traceback."""
+
+    @staticmethod
+    def files(tmp_path, command):
+        """A valid --config, --frf and --out for ``command``."""
+        cfg = small_gsore_config() if command == "gsore-check" else lead_shaped()
+        return {"--config": write_config(tmp_path, cfg),
+                "--frf": str(write_frf(tmp_path, [1.0], [1.0, 1.0], np.logspace(-2, 2, 60))),
+                "--out": str(tmp_path / "out")}
+
+    @pytest.mark.parametrize("command, flag, fault", [
+        (command, flag, fault) for command, flags in FILE_FLAGS.items() for flag in flags
+        for fault in (("directory", "missing-directory") if flag == "--out"
+                      else ("directory", "not-utf8"))])
+    def test_file_fault_is_one_error_line(self, tmp_path, capsys, command, flag, fault):
+        paths = self.files(tmp_path, command)
+        bad = tmp_path / "bad"
+        if fault == "directory":
+            bad.mkdir()
+        elif fault == "missing-directory":
+            bad = tmp_path / "missing" / "out"
+        elif flag == "--config":
+            bad.write_bytes(json.dumps(lead_shaped()).encode("utf-16"))
+        else:
+            bad.write_bytes("1.0,1.0,0.0\n2.0,0.5,-0.5\n".encode("utf-16"))
+        paths[flag] = str(bad)
+        # an optional --frf only where it is the fault: on the config's
+        # rational plant each command runs through to its output
+        flags = [f for f in FILE_FLAGS[command] if f in (flag, "--out", *REQUIRED[command])]
+        argv = [command, *(x for f in flags for x in (f, paths[f]))]
+        assert run(argv + ([] if command in ("simulate", "frf-convert") else
+                           ["--grid-points", "400"])) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: ") and str(bad) in line and ".tmp-" not in line
+        assert not (tmp_path / "out").exists() and not list(tmp_path.rglob(".tmp-*"))
+        assert fault != "directory" or not any(bad.iterdir())
+
+    @pytest.mark.parametrize("text, message", [
+        ("[" * 100_000 + "]" * 100_000, "maximum recursion depth exceeded"),
+        ('{"plant_rhp_poles": ' + "1" * 5000 + "}", "Exceeds the limit (4300 digits)")],
+        ids=["deep-nesting", "long-integer"])
+    def test_json_past_the_parser_limits_is_one_error_line(self, tmp_path, capsys, text,
+                                                          message):
+        path = tmp_path / "cfg.json"
+        path.write_text(text)
+        assert run(["classify", "--config", str(path)]) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"error: invalid JSON in {path}: ") and message in line
+
+    @pytest.mark.parametrize("command", ["classify", "hbeta", "gsore-check"])
+    def test_grid_past_the_bound_is_one_error_line(self, tmp_path, capsys, command):
+        paths = self.files(tmp_path, command)
+        assert run([command, "--config", paths["--config"], "--out", paths["--out"],
+                    "--grid-points", str(10**12)]) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line == f"error: {10**12} grid points; a verdict reads at most 100000"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, flag", [
+        (command, flag) for command, flags in REQUIRED.items() for flag in flags])
+    def test_required_flag_left_out(self, tmp_path, capsys, command, flag):
+        paths = self.files(tmp_path, command)
+        before = set(tmp_path.iterdir())
+        flags = [f for f in dict.fromkeys(REQUIRED[command] + ("--out",)) if f != flag]
+        assert run([command, *(x for f in flags for x in (f, paths[f]))]) == 1
+        err = capsys.readouterr().err
+        assert f"the following arguments are required: {flag}" in err
+        assert set(tmp_path.iterdir()) == before
+
+
 class TestVerdictShape:
     """classify, hbeta and gsore-check write one shape: ``certified``, the
     condition records, and only the command's own payload."""

@@ -12,8 +12,8 @@ import pytest
 
 from resetcert.elements import EIG_MARGIN, clegg, gfore, gsore, pci, sosre
 from resetcert.frf import STATUSES, FrfTable
-from resetcert.gsore import (M_SLACK, STRICT_MARGIN, CertificateResult, FreqData,
-                             _verify_candidate, certify, gsore_problem)
+from resetcert.gsore import (M_SLACK, STRICT_MARGIN, CertificateResult, _verify_candidate,
+                             certify, gsore_problem)
 from resetcert.hbeta import (MARGIN, HbetaCandidate, search_candidate_scalar, spr_check_matrix,
                              spr_check_scalar)
 from resetcert.lti import evaluate, tf
@@ -55,8 +55,7 @@ def record(verdict, cid):
 def verify(problem, params):
     """The GSORE verifier's verdict on the loop-scale ``params``, as a
     certificate record (q, seed and search left empty)."""
-    data = FreqData.from_samples(problem.samples, problem.element.omega_r, problem.element.xi)
-    m_value, conditions = _verify_candidate(problem, data, params)
+    m_value, conditions = _verify_candidate(problem, params)
     return CertificateResult((), m_value, conditions, tuple(params), problem.problem_type, 0)
 
 

@@ -194,7 +194,7 @@ class TestBlockedRatioScan:
     def test_type3_fixture(self, points, monkeypatch):
         elem, lin, g = mass_fixture()
         prob = gsore_problem(elem, ONE, lin, g, points=points)
-        t1, t2, t3, u1, u2, u3 = FreqData.from_samples(prob.samples, elem.omega_r, elem.xi).forms
+        t1, t2, t3, u1, u2, u3 = prob.data.forms
         for F in ((t1, t2, -prob.k_s0 * t3), (u1, u2, -prob.k_s0 * u3)):
             assert 0 < self.check_scan(*F, monkeypatch) < self.RATIOS.size
 
@@ -257,10 +257,9 @@ class TestPopulationObjective:
         elem, lin, g = objective_loops()[ptype, n_minus_m]
         prob = gsore_problem(elem, ONE, lin, g, points=400)
         assert (prob.problem_type, prob.n_minus_m) == (ptype, n_minus_m)
-        wr, xi = prob.element.omega_r, prob.element.xi
-        data = FreqData.from_samples(prob.samples, wr, xi)
+        wr, xi, data = prob.element.omega_r, prob.element.xi, prob.data
         bounds, _, scans = _gene_bounds(data, ptype, prob.k_s0, wr, xi)
-        args = (ptype, prob.k_s0, wr, xi, prob.k_n, n_minus_m, gamma_factor(*prob.gammas))
+        args = (ptype, prob.k_s0, wr, xi, prob.k_n, n_minus_m, prob.gamma_bound)
         fun = _population_objective(data, *args)
         # the seeded start is mostly penalized, a short DE run mostly feasible
         init = _seed_population(bounds, scans, 60, np.random.default_rng(1))
@@ -294,9 +293,9 @@ class TestBest1Bin:
         monkeypatch.setattr(gsore_module, "_best1bin", recorded)
         elem, lin, g = objective_loops()["V", 3]
         prob = gsore_problem(elem, ONE, lin, g, points=64)
-        data = FreqData.from_samples(prob.samples, elem.omega_r, elem.xi)
+        data = prob.data
         args = ("V", prob.k_s0, elem.omega_r, elem.xi, prob.k_n, prob.n_minus_m,
-                gamma_factor(*prob.gammas))
+                prob.gamma_bound)
         bounds, _, scans = _gene_bounds(data, *args[:4])
         init = _seed_population(bounds, scans, 30, np.random.default_rng(2))
         seed = 11 if kind == "RandomState" else np.random.default_rng(11)
@@ -328,10 +327,9 @@ class TestGridCheckMargins:
         prob = gsore_problem(elem, ONE, lin, g, points=400)
         res = certify(prob, OptimizerSettings())
         assert res.certified and res.problem_type == ptype
-        data = FreqData.from_samples(prob.samples, elem.omega_r, elem.xi)
-        s1, s2, _, _ = _grid_check(prob, data, res.reconstructed)
+        s1, s2, _, _ = _grid_check(prob, res.reconstructed)
         b1, b2, r1, r2, r3 = res.reconstructed
-        t1, t2, t3, u1, u2, u3 = data.forms
+        t1, t2, t3, u1, u2, u3 = prob.data.forms
         np.testing.assert_allclose(s1, (r1 * t1 + r2 * t2 + b1 * t3)
                                    / (abs(r1 * t1) + abs(r2 * t2) + abs(b1 * t3)), rtol=1e-13)
         np.testing.assert_allclose(s2, (r3 * u1 + r2 * u2 + b2 * u3)
@@ -459,7 +457,7 @@ class TestEarlyStop:
         elem = gsore(0.5, 1.0, 0.4, 0.4)
         prob = gsore_problem(elem, ONE, ONE, tf([4.0], [1.0, 2.0, 1.0]), points=400)
         assert prob.problem_type == "IV"
-        rows = FreqData.from_samples(prob.samples, elem.omega_r, elem.xi).forms[3:]
+        rows = prob.data.forms[3:]
         rows = rows[:, _search_set(rows.shape[1])].T
         hull = linprog(np.zeros(3), A_ub=-rows, b_ub=-np.ones(len(rows)),
                        bounds=[(None, None)] * 3)
